@@ -11,13 +11,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import ContractViolation, InputError
 
 
 class IntMatrix:
-    """Immutable dense integer matrix, row-major."""
+    """Immutable dense integer matrix, row-major.
+
+    Block matrices (cochain differentials, chain maps, direct sums) are built
+    only through `from_blocks`, which adds signed blocks into a zero matrix.
+    """
 
     __slots__ = ("rows", "cols", "data", "_hash")
 
@@ -42,6 +46,24 @@ class IntMatrix:
             return cls.zero(nrows or 0, 0)
         n = len(cols[0])
         return cls(n, len(cols), [[c[i] for c in cols] for i in range(n)])
+
+    @classmethod
+    def from_blocks(cls, rows: int, cols: int, blocks: Iterable[tuple]) -> "IntMatrix":
+        """The rows x cols matrix that is the sum of the given blocks.
+
+        Each block is (row offset, column offset, sign, matrix) and adds
+        sign * matrix with its top-left entry at (row offset, column offset).
+        Blocks may overlap, and overlapping entries add up; a block that does
+        not fit raises IndexError.
+        """
+        out = [[0] * cols for _ in range(rows)]
+        for r0, c0, sign, block in blocks:
+            for i, row in enumerate(block.data):
+                target = out[r0 + i]
+                for j, e in enumerate(row):
+                    if e:
+                        target[c0 + j] += sign * e
+        return cls(rows, cols, out)
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
@@ -97,14 +119,8 @@ class IntMatrix:
     def __neg__(self) -> "IntMatrix":
         return IntMatrix(self.rows, self.cols, [[-e for e in row] for row in self.data])
 
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(self.cols, self.rows, list(zip(*self.data)) if self.data else [[] for _ in range(self.cols)])
-
     def column(self, j: int) -> tuple:
         return tuple(row[j] for row in self.data)
-
-    def columns(self) -> list:
-        return [self.column(j) for j in range(self.cols)]
 
     def apply(self, vec: Sequence[int]) -> tuple:
         """Matrix-vector product."""
@@ -160,17 +176,13 @@ class IntMatrix:
 
 
 def block_diag(blocks: Sequence[IntMatrix]) -> IntMatrix:
-    rows = sum(b.rows for b in blocks)
-    cols = sum(b.cols for b in blocks)
-    out = [[0] * cols for _ in range(rows)]
+    placed = []
     r0 = c0 = 0
     for b in blocks:
-        for i in range(b.rows):
-            for j in range(b.cols):
-                out[r0 + i][c0 + j] = b.data[i][j]
+        placed.append((r0, c0, 1, b))
         r0 += b.rows
         c0 += b.cols
-    return IntMatrix(rows, cols, out)
+    return IntMatrix.from_blocks(r0, c0, placed)
 
 
 @dataclass(frozen=True)
@@ -382,16 +394,8 @@ class PresentedAbGroup:
     def is_trivial(self) -> bool:
         return self.canonical == (0, ())
 
-    def is_free(self) -> bool:
-        return not self.invariant_factors
-
     def is_isomorphic_to(self, other: "PresentedAbGroup") -> bool:
         return self.canonical == other.canonical
-
-    @property
-    def canonical_gen_count(self) -> int:
-        rank, factors = self.canonical
-        return rank + len(factors)
 
     def canonical_group(self) -> "PresentedAbGroup":
         """The same group presented on canonical generators (torsion first)."""
@@ -503,19 +507,12 @@ class GroupHom:
                 return False
         return True
 
-    def is_zero(self) -> bool:
-        return self.equals_as_hom(GroupHom.zero(self.source, self.target))
-
     def is_surjective(self) -> bool:
         return cokernel(self.matrix.hstack(self.target.relations)).is_trivial()
 
     def kernel_group(self) -> PresentedAbGroup:
         """The kernel, as an abstract presented group."""
-        lifted = kernel_basis(self.matrix.hstack(-self.target.relations))
-        gens = lifted.submatrix_rows(range(self.source.generator_count))
-        rel = kernel_basis(gens.hstack(-self.source.relations))
-        rel_top = rel.submatrix_rows(range(gens.cols))
-        return PresentedAbGroup(gens.cols, rel_top)
+        return Subquotient(self.source, None, self.matrix, self.target.relations).presented
 
     def cokernel_group(self) -> PresentedAbGroup:
         return PresentedAbGroup(
@@ -532,7 +529,9 @@ class Subquotient:
     `class_of` maps a cycle (generator vector of the ambient group) to the
     canonical coordinates of its class; `rep_of` picks a representative
     cycle of a class.  The homology group itself is exposed both as a raw
-    presentation (`presented`) and in canonical form (`group`).
+    presentation (`presented`) and in canonical form (`group`, computed on
+    first use).  With d_in None and next_relations the relations of d_out's
+    target, it is the kernel of d_out taken modulo those relations.
     """
 
     def __init__(
@@ -563,7 +562,10 @@ class Subquotient:
         self.presented = PresentedAbGroup(
             self.cycle_gens.cols, rel.submatrix_rows(range(self.cycle_gens.cols))
         )
-        self.group = self.presented.canonical_group()
+
+    @cached_property
+    def group(self) -> PresentedAbGroup:
+        return self.presented.canonical_group()
 
     def is_cycle(self, vec: Sequence[int]) -> bool:
         image = self.d_out.apply(vec)
@@ -581,6 +583,17 @@ class Subquotient:
 
     def rep_of(self, coords: Sequence[int]) -> tuple:
         return self.cycle_gens.apply(self.presented.from_canonical(coords))
+
+    def induced_map(self, target: "Subquotient", chain_map: Callable[[tuple], Sequence[int]]) -> GroupHom:
+        """The map self.group -> target.group sending each canonical generator
+        to the class of chain_map applied to its representative cycle."""
+        n = self.group.generator_count
+        cols = []
+        for i in range(n):
+            coords = [0] * n
+            coords[i] = 1
+            cols.append(list(target.class_of(chain_map(self.rep_of(coords)))))
+        return GroupHom(self.group, target.group, IntMatrix.from_columns(cols, nrows=target.group.generator_count))
 
 
 def homology_at(
@@ -609,7 +622,10 @@ class ChainComplexData:
     """A finite complex of presented abelian groups and its differentials.
 
     maps[i] sends groups[i] to groups[i+1]; d∘d = 0 is checked modulo the
-    target relations.
+    target relations.  The complex is zero outside its stored degrees: read
+    it through `group`, `degree_rank` and `differential`, which return the
+    trivial group, 0 and zero matrices of the matching shape there, so
+    complexes of different lengths line up without padding.
     """
 
     groups: list
@@ -628,30 +644,42 @@ class ChainComplexData:
                 if not tgt.contains_in_relations(comp.column(j)):
                     raise ContractViolation(f"d∘d != 0 between degrees {i} and {i + 2}")
 
-    def differential(self, k: int) -> Optional[IntMatrix]:
-        return self.maps[k] if 0 <= k < len(self.maps) else None
+    def group(self, k: int) -> PresentedAbGroup:
+        return self.groups[k] if 0 <= k < len(self.groups) else PresentedAbGroup.trivial()
+
+    def degree_rank(self, k: int) -> int:
+        """Generator count of degree k."""
+        return self.groups[k].generator_count if 0 <= k < len(self.groups) else 0
+
+    def differential(self, k: int) -> IntMatrix:
+        """The map from degree k to degree k+1."""
+        if 0 <= k < len(self.maps):
+            return self.maps[k]
+        return IntMatrix.zero(self.degree_rank(k + 1), self.degree_rank(k))
 
     def homology(self, k: int) -> Subquotient:
-        if not (0 <= k < len(self.groups)):
-            trivial = PresentedAbGroup.trivial()
-            return Subquotient(trivial, None, None)
-        nxt = self.groups[k + 1] if k + 1 < len(self.groups) else None
         return Subquotient(
-            self.groups[k],
-            self.differential(k - 1),
-            self.differential(k),
-            nxt.relations if nxt is not None else None,
+            self.group(k), self.differential(k - 1), self.differential(k), self.group(k + 1).relations
         )
 
 
+def _chain_component(f: Sequence[IntMatrix], k: int, source: ChainComplexData, target: ChainComplexData) -> IntMatrix:
+    """f[k], or the zero map where f lists no degree k."""
+    return f[k] if k < len(f) else IntMatrix.zero(target.degree_rank(k), source.degree_rank(k))
+
+
 def check_chain_map(f: Sequence[IntMatrix], source: ChainComplexData, target: ChainComplexData) -> None:
-    """Raise ContractViolation unless f commutes with the differentials."""
-    for k in range(len(source.maps)):
-        if k >= len(target.maps) or k + 1 >= len(f):
-            break
-        left = f[k + 1] @ source.maps[k]
-        right = target.maps[k] @ f[k]
-        tgt = target.groups[k + 1]
+    """Raise ContractViolation unless f commutes with the differentials.
+
+    f[k] maps degree k of source to degree k of target; degrees f does not
+    list are zero maps.  Every degree of source is checked, its top degree
+    too, against the zero-extended target."""
+    for k in range(len(source.groups)):
+        tgt = target.group(k + 1)
+        if not tgt.generator_count:
+            continue  # nothing to compare in a trivial group
+        left = _chain_component(f, k + 1, source, target) @ source.differential(k)
+        right = target.differential(k) @ _chain_component(f, k, source, target)
         for j in range(left.cols):
             diff = [a - b for a, b in zip(left.column(j), right.column(j))]
             if not tgt.contains_in_relations(diff):
@@ -666,15 +694,4 @@ def induced_on_homology(
 ) -> GroupHom:
     """The well-defined map H^p(source) -> H^p(target) of a chain map."""
     check_chain_map(f, source, target)
-    hs = source.homology(p)
-    ht = target.homology(p)
-    cols = []
-    n = hs.group.generator_count
-    for i in range(n):
-        coords = [0] * n
-        coords[i] = 1
-        rep = hs.rep_of(coords)
-        image = f[p].apply(rep) if p < len(f) else tuple([0] * ht.ambient.generator_count)
-        cols.append(list(ht.class_of(image)))
-    matrix = IntMatrix.from_columns(cols, nrows=ht.group.generator_count)
-    return GroupHom(hs.group, ht.group, matrix)
+    return source.homology(p).induced_map(target.homology(p), _chain_component(f, p, source, target).apply)

@@ -10,7 +10,7 @@ intersections contribute zero summands.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .abgroup import (
@@ -19,10 +19,10 @@ from .abgroup import (
     IntMatrix,
     PresentedAbGroup,
     Subquotient,
-    block_diag,
     direct_sum,
+    induced_on_homology,
 )
-from .errors import ContractViolation, InputError
+from .errors import InputError
 from .finspace import FinitePoset, OpenSet
 from .sheaf import PosetSheaf
 from . import cohom as _cohom
@@ -127,6 +127,10 @@ class CechComplex(ChainComplexData):
         self.block_layout = block_layout  # per degree: list of (tuple, offset, group)
         super().__init__(groups, maps)
 
+    def blocks(self, p: int) -> list:
+        """The layout of degree p; empty outside the stored degrees."""
+        return self.block_layout[p] if 0 <= p < len(self.block_layout) else []
+
     def block_offset(self, p: int, names: tuple) -> Tuple[int, PresentedAbGroup]:
         for t, off, g in self.block_layout[p]:
             if t == names:
@@ -140,7 +144,6 @@ def cech_complex_hq(c: Covering, sheaf: PosetSheaf, q: int) -> CechComplex:
         raise InputError("coefficient degree must be >= 0")
     coeffs = _Coefficients(c.base, sheaf, q)
     layout: List[List[Tuple[tuple, int, PresentedAbGroup]]] = []
-    degrees = []
     p = 0
     while p < len(c.order):
         tups = c.tuples(p)
@@ -151,30 +154,22 @@ def cech_complex_hq(c: Covering, sheaf: PosetSheaf, q: int) -> CechComplex:
             entries.append((t, off, g))
             off += g.generator_count
         layout.append(entries)
-        degrees.append(tups)
         if not tups:
             break
         p += 1
     groups = [direct_sum([g for _, _, g in entries]) for entries in layout]
     maps = []
     for k in range(len(groups) - 1):
-        rows = groups[k + 1].generator_count
-        cols = groups[k].generator_count
-        entries = [[0] * cols for _ in range(rows)]
-        src_index = {t: (off, g) for t, off, g in layout[k]}
-        for t, toff, tg in layout[k + 1]:
+        src_index = {t: off for t, off, _ in layout[k]}
+        blocks = []
+        for t, toff, _ in layout[k + 1]:
             for i in range(len(t)):
                 face = t[:i] + t[i + 1:]
-                got = src_index.get(face)
-                if got is None:
-                    continue
-                soff, sg = got
-                sign = -1 if i % 2 else 1
-                res = coeffs.restriction(c.intersection(face), c.intersection(t)).matrix
-                for a in range(res.rows):
-                    for b in range(res.cols):
-                        entries[toff + a][soff + b] += sign * res.data[a][b]
-        maps.append(IntMatrix(rows, cols, entries))
+                soff = src_index.get(face)
+                if soff is not None:
+                    res = coeffs.restriction(c.intersection(face), c.intersection(t)).matrix
+                    blocks.append((toff, soff, -1 if i % 2 else 1, res))
+        maps.append(IntMatrix.from_blocks(groups[k + 1].generator_count, groups[k].generator_count, blocks))
     return CechComplex(c, coeffs, groups, maps, layout)
 
 
@@ -217,21 +212,13 @@ def refinement_map(
             raise InputError(f"{name!r} is not contained in {big!r}: not a refinement witness")
     fine_cx = cech_complex_hq(fine, sheaf, q)
     coarse_cx = cech_complex_hq(coarse, sheaf, q)
-    maxdeg = max(len(fine_cx.groups), len(coarse_cx.groups))
-    for cx in (fine_cx, coarse_cx):
-        while len(cx.groups) < maxdeg:
-            cx.groups.append(PresentedAbGroup.trivial())
-            cx.maps.append(IntMatrix.zero(0, cx.groups[-2].generator_count))
-            cx.block_layout.append([])
     coarse_pos = {name: i for i, name in enumerate(coarse.order)}
 
     fmat = []
-    for k in range(maxdeg):
-        rows = fine_cx.groups[k].generator_count
-        cols = coarse_cx.groups[k].generator_count
-        entries = [[0] * cols for _ in range(rows)]
-        src_index = {t: (off, g) for t, off, g in coarse_cx.block_layout[k]}
-        for t, toff, tg in fine_cx.block_layout[k]:
+    for k in range(len(coarse_cx.groups)):
+        src_index = {t: off for t, off, _ in coarse_cx.blocks(k)}
+        blocks = []
+        for t, toff, _ in fine_cx.blocks(k):
             mapped = [assignment[n] for n in t]
             if len(set(mapped)) < len(mapped):
                 continue  # degenerate tuple, zero in the alternating complex
@@ -244,20 +231,14 @@ def refinement_map(
                 for j in range(i + 1, len(perm)):
                     if perm[i] > perm[j]:
                         sign = -sign
-            got = src_index.get(sorted_tuple)
-            if got is None:
+            soff = src_index.get(sorted_tuple)
+            if soff is None:
                 continue
-            soff, sg = got
             res = fine_cx.coefficients.restriction(
                 coarse.intersection(sorted_tuple), fine.intersection(t)
             ).matrix
-            for a in range(res.rows):
-                for b in range(res.cols):
-                    entries[toff + a][soff + b] += sign * res.data[a][b]
-        fmat.append(IntMatrix(rows, cols, entries))
-
-    from .abgroup import induced_on_homology
-
+            blocks.append((toff, soff, sign, res))
+        fmat.append(IntMatrix.from_blocks(fine_cx.degree_rank(k), coarse_cx.degree_rank(k), blocks))
     return induced_on_homology(fmat, coarse_cx, fine_cx, p)
 
 

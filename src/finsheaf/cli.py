@@ -17,7 +17,7 @@ from typing import Optional
 
 from . import jsonio
 from .abgroup import IntMatrix, PresentedAbGroup, smith_decompose
-from .cech import Covering, cech_cohomology, cech_cohomology_hq, covering_comparison_report
+from .cech import cech_cohomology, cech_cohomology_hq, covering_comparison_report
 from .cohom import cohomology
 from .errors import ContractViolation, InputError
 from .finspace import FinitePoset

@@ -12,7 +12,7 @@ simplicial cochain complex of the order complex.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .abgroup import (
     ChainComplexData,
@@ -25,7 +25,7 @@ from .abgroup import (
 )
 from .errors import ContractViolation, InputError
 from .finspace import FinitePoset, OpenSet
-from .sheaf import PosetSheaf, SheafMorphism, constant_sheaf, is_exact
+from .sheaf import PosetSheaf, SheafMorphism, constant_sheaf, extension_by_zero, is_exact
 
 
 class CochainComplex(ChainComplexData):
@@ -39,8 +39,9 @@ class CochainComplex(ChainComplexData):
         self.chain_layout = chain_layout
         super().__init__(groups, maps)
 
-    def degree_rank(self, k: int) -> int:
-        return self.groups[k].generator_count if 0 <= k < len(self.groups) else 0
+    def chains(self, k: int) -> list:
+        """The layout of degree k; empty outside the stored degrees."""
+        return self.chain_layout[k] if 0 <= k < len(self.chain_layout) else []
 
 
 def _stalk_rank(sheaf: PosetSheaf, p: str) -> int:
@@ -85,34 +86,17 @@ def cochain_complex(base: FinitePoset, sheaf: PosetSheaf) -> CochainComplex:
         layout = [[]]
     maps = []
     for k in range(len(groups) - 1):
-        rows = groups[k + 1].generator_count
-        cols = groups[k].generator_count
-        entries = [[0] * cols for _ in range(rows)]
-        for chain, off, r in layout[k + 1]:
+        blocks = []
+        for chain, off, _ in layout[k + 1]:
             for i in range(len(chain)):
                 face = chain[:i] + chain[i + 1:]
-                sign = -1 if i % 2 else 1
-                if i < len(chain) - 1:
-                    src_off = index[k].get(face)
-                    if src_off is None:
-                        continue
-                    for t in range(r):
-                        entries[off + t][src_off + t] += sign
-                else:
-                    src_off = index[k].get(face)
-                    if src_off is None:
-                        continue
+                src_off = index[k].get(face)
+                if src_off is not None:
+                    # identity unless the face drops the last element
                     rmat = sheaf.restrict(face[-1], chain[-1])
-                    for t in range(rmat.rows):
-                        for s in range(rmat.cols):
-                            entries[off + t][src_off + s] += sign * rmat.data[t][s]
-        maps.append(IntMatrix(rows, cols, entries))
+                    blocks.append((off, src_off, -1 if i % 2 else 1, rmat))
+        maps.append(IntMatrix.from_blocks(groups[k + 1].generator_count, groups[k].generator_count, blocks))
     return CochainComplex(base, sheaf, groups, maps, layout)
-
-
-def cohomology_classifier(base: FinitePoset, sheaf: PosetSheaf, q: int) -> Subquotient:
-    cx = cochain_complex(base, sheaf)
-    return cx.homology(q)
 
 
 def cohomology(base: FinitePoset, sheaf: PosetSheaf, q: int) -> PresentedAbGroup:
@@ -122,25 +106,26 @@ def cohomology(base: FinitePoset, sheaf: PosetSheaf, q: int) -> PresentedAbGroup
         raise InputError("degree must be >= 0")
     if q > base.height:
         return PresentedAbGroup.trivial()
-    return cohomology_classifier(base, sheaf, q).group
+    return cochain_complex(base, sheaf).homology(q).group
 
 
-def chain_projection(
-    source: CochainComplex, target: CochainComplex, k: int
-) -> IntMatrix:
-    """Chain-level projection C^k(V) -> C^k(W) for W an (open) subspace of V:
-    keep the coordinates of chains contained in W."""
-    rows = target.degree_rank(k)
-    cols = source.degree_rank(k)
-    entries = [[0] * cols for _ in range(rows)]
-    src_index = {chain: off for chain, off, _ in (source.chain_layout[k] if k < len(source.chain_layout) else [])}
-    for chain, off, r in (target.chain_layout[k] if k < len(target.chain_layout) else []):
-        soff = src_index.get(chain)
-        if soff is None:
-            continue
-        for t in range(r):
-            entries[off + t][soff + t] = 1
-    return IntMatrix(rows, cols, entries)
+def stalkwise_chain_map(
+    source: CochainComplex, target: CochainComplex, components: Mapping[str, IntMatrix]
+) -> List[IntMatrix]:
+    """Per degree of source, the map C^k(source) -> C^k(target) applying
+    components[p] on the summand of every chain ending at p that both
+    complexes list.  With identity components on a subspace W of V it is the
+    projection C^k(V) -> C^k(W) keeping the chains inside W."""
+    mats = []
+    for k in range(len(source.groups)):
+        tgt_index = {chain: off for chain, off, _ in target.chains(k)}
+        blocks = [
+            (tgt_index[chain], soff, 1, components[chain[-1]])
+            for chain, soff, _ in source.chains(k)
+            if chain in tgt_index
+        ]
+        mats.append(IntMatrix.from_blocks(target.degree_rank(k), source.degree_rank(k), blocks))
+    return mats
 
 
 def restriction_induced(
@@ -155,17 +140,9 @@ def restriction_induced(
     tgt_space = base.subposet(W.members)
     src_cx = cochain_complex(src_space, sheaf.restricted_to(V.members))
     tgt_cx = cochain_complex(tgt_space, sheaf.restricted_to(W.members))
-    degrees = max(len(src_cx.groups), len(tgt_cx.groups))
-    f = [chain_projection(src_cx, tgt_cx, k) for k in range(degrees)]
-    # pad the shorter complex so degrees line up
-    while len(src_cx.groups) < degrees:
-        src_cx.groups.append(PresentedAbGroup.trivial())
-        src_cx.maps.append(IntMatrix.zero(0, src_cx.groups[-2].generator_count))
-    while len(tgt_cx.groups) < degrees:
-        tgt_cx.groups.append(PresentedAbGroup.trivial())
-        tgt_cx.maps.append(IntMatrix.zero(0, tgt_cx.groups[-2].generator_count))
-    if q >= degrees:
+    if q >= max(len(src_cx.groups), len(tgt_cx.groups)):
         return GroupHom.zero(PresentedAbGroup.trivial(), PresentedAbGroup.trivial())
+    f = stalkwise_chain_map(src_cx, tgt_cx, {p: sheaf.restrict(p, p) for p in W.members})
     return induced_on_homology(f, src_cx, tgt_cx, q)
 
 
@@ -197,27 +174,6 @@ class LongExactSequence:
         raise InputError(f"no node at degree {degree}, position {position}")
 
 
-def _sheaf_morphism_chain_map(m: SheafMorphism, src_cx: CochainComplex, tgt_cx: CochainComplex) -> List[IntMatrix]:
-    """Per-degree block-diagonal matrices applying the stalk morphism at the
-    chain's last element."""
-    mats = []
-    for k in range(len(src_cx.groups)):
-        rows = tgt_cx.degree_rank(k)
-        cols = src_cx.degree_rank(k)
-        entries = [[0] * cols for _ in range(rows)]
-        tgt_index = {chain: off for chain, off, _ in (tgt_cx.chain_layout[k] if k < len(tgt_cx.chain_layout) else [])}
-        for chain, soff, r in (src_cx.chain_layout[k] if k < len(src_cx.chain_layout) else []):
-            toff = tgt_index.get(chain)
-            if toff is None:
-                continue
-            comp = m.components[chain[-1]]
-            for i in range(comp.rows):
-                for j in range(comp.cols):
-                    entries[toff + i][soff + j] = comp.data[i][j]
-        mats.append(IntMatrix(rows, cols, entries))
-    return mats
-
-
 def les_of_short_exact(
     base: FinitePoset,
     ses: Sequence[SheafMorphism],
@@ -230,7 +186,6 @@ def les_of_short_exact(
     """
     if len(ses) != 2:
         raise InputError("a short exact sequence is given by two morphisms A->B and B->C")
-    fa, fb = ses
     sub = [m.restricted_to(V.members) for m in ses]
     verdict = is_exact(sub)
     if not verdict.exact:
@@ -244,16 +199,9 @@ def les_of_short_exact(
         cochain_complex(space, fa.target),
         cochain_complex(space, fb.target),
     ]
-    top = len(cxs[0].groups) - 1
-    # pad complexes to a common length
     maxdeg = max(len(c.groups) for c in cxs)
-    for c in cxs:
-        while len(c.groups) < maxdeg:
-            c.groups.append(PresentedAbGroup.trivial())
-            c.maps.append(IntMatrix.zero(0, c.groups[-2].generator_count))
-            c.chain_layout.append([])
-    fmat = _sheaf_morphism_chain_map(fa, cxs[0], cxs[1])
-    gmat = _sheaf_morphism_chain_map(fb, cxs[1], cxs[2])
+    fmat = stalkwise_chain_map(cxs[0], cxs[1], fa.components)
+    gmat = stalkwise_chain_map(cxs[1], cxs[2], fb.components)
     labels = ["A", "B", "C"]
     homs: Dict[Tuple[int, int], Subquotient] = {}
     for k in range(maxdeg):
@@ -266,40 +214,23 @@ def les_of_short_exact(
         for pos in range(3):
             nodes.append(LESNode(k, pos, f"H^{k}({labels[pos]})", homs[(k, pos)].group))
 
-    def induced(k: int, pos: int) -> GroupHom:
-        f = fmat if pos == 0 else gmat
-        hs, ht = homs[(k, pos)], homs[(k, pos + 1)]
-        cols = []
-        for i in range(hs.group.generator_count):
-            coords = [0] * hs.group.generator_count
-            coords[i] = 1
-            rep = hs.rep_of(coords)
-            cols.append(list(ht.class_of(f[k].apply(rep))))
-        return GroupHom(hs.group, ht.group, IntMatrix.from_columns(cols, nrows=ht.group.generator_count))
-
     def connecting(k: int) -> GroupHom:
-        hs = homs[(k, 2)]
-        ht = homs.get((k + 1, 0))
-        if ht is None:
-            return GroupHom.zero(hs.group, PresentedAbGroup.trivial())
-        cols = []
-        for i in range(hs.group.generator_count):
-            coords = [0] * hs.group.generator_count
-            coords[i] = 1
-            c_rep = hs.rep_of(coords)
+        """Snake lemma: lift a C-cocycle to B, apply d_B, pull back to A."""
+
+        def snake(c_rep):
             b_lift = solve(gmat[k], c_rep)
             if b_lift is None:
                 raise ContractViolation("snake lemma: lift through B failed")
-            db = cxs[1].maps[k].apply(b_lift) if k < len(cxs[1].maps) else tuple()
-            a_pre = solve(fmat[k + 1], db)
+            a_pre = solve(fmat[k + 1], cxs[1].differential(k).apply(b_lift))
             if a_pre is None:
                 raise ContractViolation("snake lemma: preimage in A failed")
-            cols.append(list(ht.class_of(a_pre)))
-        return GroupHom(hs.group, ht.group, IntMatrix.from_columns(cols, nrows=ht.group.generator_count))
+            return a_pre
+
+        return homs[(k, 2)].induced_map(homs[(k + 1, 0)], snake)
 
     for k in range(maxdeg):
-        arrows.append(LESArrow(induced(k, 0), False))
-        arrows.append(LESArrow(induced(k, 1), False))
+        arrows.append(LESArrow(homs[(k, 0)].induced_map(homs[(k, 1)], fmat[k].apply), False))
+        arrows.append(LESArrow(homs[(k, 1)].induced_map(homs[(k, 2)], gmat[k].apply), False))
         if k + 1 < maxdeg:
             arrows.append(LESArrow(connecting(k), True))
 
@@ -348,8 +279,6 @@ def component_identity_check(base: FinitePoset, V: OpenSet, skeleton: Sequence[s
     skel = frozenset(skeleton)
     if not base.is_closed(skel):
         raise InputError("skeleton must be a closed subset")
-    from .sheaf import extension_by_zero
-
     complement = OpenSet(base, set(base.elements) - skel)
     Z = PresentedAbGroup.free(1)
     v_space = base.subposet(V.members)

@@ -8,7 +8,7 @@ computation downstream, so all openness checks route through `is_up_set`.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .errors import InputError
 
@@ -187,12 +187,6 @@ class FinitePoset:
         # deterministic: order components by first element
         return [frozenset(v) for _, v in sorted(comps.items(), key=lambda kv: self._index[kv[1][0]])]
 
-    def maximal_elements(self) -> list:
-        return [e for e in self.elements if not self._above[e]]
-
-    def minimal_elements(self) -> list:
-        return [e for e in self.elements if not self._below[e]]
-
 
 class OpenSet:
     """An open subset (up-set) of a finite poset."""
@@ -225,9 +219,6 @@ class OpenSet:
 
     def subspace(self) -> FinitePoset:
         return self.parent.subposet(self.members)
-
-    def intersection(self, other: "OpenSet") -> "OpenSet":
-        return OpenSet(self.parent, self.members & other.members)
 
 
 class RegularCWData:

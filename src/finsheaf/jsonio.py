@@ -8,11 +8,11 @@ pairs, coverings by member lists plus the index order.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict
 
-from .abgroup import GroupHom, IntMatrix, PresentedAbGroup
+from .abgroup import IntMatrix, PresentedAbGroup
 from .cech import Covering
-from .errors import InputError
+from .errors import ContractViolation, InputError
 from .finspace import FinitePoset
 from .sheaf import PosetSheaf
 
@@ -109,8 +109,6 @@ def sheaf_from_json(base: FinitePoset, obj) -> PosetSheaf:
         cover_maps[(p, q)] = matrix_from_json(
             raw[key], rows=stalks[q].generator_count, cols=stalks[p].generator_count
         )
-    from .errors import ContractViolation
-
     try:
         return PosetSheaf(base, stalks, cover_maps)
     except ContractViolation as e:

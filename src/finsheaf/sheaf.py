@@ -12,7 +12,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
-from .abgroup import GroupHom, IntMatrix, PresentedAbGroup, block_diag, kernel_basis, solve
+from .abgroup import (
+    ChainComplexData,
+    GroupHom,
+    IntMatrix,
+    PresentedAbGroup,
+    Subquotient,
+    direct_sum,
+    solve,
+)
 from .errors import ContractViolation, InputError
 from .finspace import FinitePoset, OpenSet
 
@@ -50,15 +58,15 @@ class PosetSheaf:
 
     def restrict(self, p: str, q: str) -> IntMatrix:
         """The restriction matrix stalk(p) -> stalk(q) for p <= q."""
-        if p == q:
-            return IntMatrix.identity(self.stalks[p].generator_count)
-        if not self.base.lt(p, q):
-            raise InputError(f"{p!r} is not below {q!r}")
         key = (p, q)
         cached = self._restrict_cache.get(key)
         if cached is not None:
             return cached
-        if key in self.cover_maps:
+        if p == q:
+            m = IntMatrix.identity(self.stalks[p].generator_count)
+        elif not self.base.lt(p, q):
+            raise InputError(f"{p!r} is not below {q!r}")
+        elif key in self.cover_maps:
             m = self.cover_maps[key]
         else:
             # any cover path gives the same hom; functoriality was checked
@@ -66,9 +74,6 @@ class PosetSheaf:
             m = self.restrict(mid, q) @ self.cover_maps[(p, mid)]
         self._restrict_cache[key] = m
         return m
-
-    def restrict_hom(self, p: str, q: str) -> GroupHom:
-        return GroupHom(self.stalks[p], self.stalks[q], self.restrict(p, q), check=False)
 
     def _check_functorial(self) -> None:
         # all factorizations p < m < q must agree with the direct composite
@@ -150,28 +155,17 @@ def closed_pushforward(base: FinitePoset, closed: Iterable[str], group: Presente
         trace = base.up_set(p) & a_set
         comps[p] = base.subposet(trace).connected_components() if trace else []
     g = group.generator_count
-    from .abgroup import direct_sum
-
     stalks = {p: direct_sum([group] * len(comps[p])) for p in base.elements}
     maps = {}
     ident = IntMatrix.identity(g)
-    zero = IntMatrix.zero(g, g)
     for (p, q) in base.covers:
-        blocks = []
-        for dq in comps[q]:
-            row = []
-            for cp in comps[p]:
-                row.append(ident if dq <= cp else zero)
-            blocks.append(row)
-        rows = len(comps[q]) * g
-        cols = len(comps[p]) * g
-        entries = [[0] * cols for _ in range(rows)]
-        for i, row in enumerate(blocks):
-            for j, blk in enumerate(row):
-                for bi in range(g):
-                    for bj in range(g):
-                        entries[i * g + bi][j * g + bj] = blk.data[bi][bj]
-        maps[(p, q)] = IntMatrix(rows, cols, entries)
+        blocks = [
+            (i * g, j * g, 1, ident)
+            for i, dq in enumerate(comps[q])
+            for j, cp in enumerate(comps[p])
+            if dq <= cp
+        ]
+        maps[(p, q)] = IntMatrix.from_blocks(len(comps[q]) * g, len(comps[p]) * g, blocks)
     return PosetSheaf(base, stalks, maps)
 
 
@@ -203,9 +197,6 @@ class SheafMorphism:
                 if not tgt.contains_in_relations(diff):
                     raise ContractViolation(f"naturality fails on cover relation ({p},{q})")
 
-    def component_hom(self, p: str) -> GroupHom:
-        return GroupHom(self.source.stalks[p], self.target.stalks[p], self.components[p], check=False)
-
     def restricted_to(self, members: Iterable[str]) -> "SheafMorphism":
         src = self.source.restricted_to(members)
         tgt = self.target.restricted_to(members)
@@ -233,13 +224,9 @@ def kernel_sheaf(m: SheafMorphism) -> PosetSheaf:
     gens: Dict[str, IntMatrix] = {}
     stalks: Dict[str, PresentedAbGroup] = {}
     for p in base.elements:
-        hom = m.component_hom(p)
-        src = m.source.stalks[p]
-        lifted = kernel_basis(hom.matrix.hstack(-m.target.stalks[p].relations))
-        kg = lifted.submatrix_rows(range(src.generator_count))
-        rel = kernel_basis(kg.hstack(-src.relations)).submatrix_rows(range(kg.cols))
-        gens[p] = kg
-        stalks[p] = PresentedAbGroup(kg.cols, rel)
+        kernel = Subquotient(m.source.stalks[p], None, m.components[p], m.target.stalks[p].relations)
+        gens[p] = kernel.cycle_gens
+        stalks[p] = kernel.presented
     maps = {}
     for (p, q) in base.covers:
         r = m.source.restrict(p, q)
@@ -291,8 +278,6 @@ def is_exact(morphisms: Sequence[SheafMorphism]) -> ExactnessResult:
             raise InputError("morphisms do not compose")
     sheaves = [morphisms[0].source] + [m.target for m in morphisms]
     base = sheaves[0].base
-    from .abgroup import ChainComplexData
-
     for p in base.elements:
         groups = (
             [PresentedAbGroup.trivial()]

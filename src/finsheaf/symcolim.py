@@ -14,8 +14,8 @@ returned unreduced, never guessed at.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple, Union
+from dataclasses import dataclass
+from typing import List, Optional, Union
 
 from .errors import InputError
 
@@ -79,7 +79,6 @@ class SymbolicDirectSystem:
       "sum_tail"         A_m = ⊕_{n>=m} Z
       "prod_head"        A_m = Z^(m-1) (an exhausting chain of finite blocks)
       "constant"         A_m = the given term for every m
-      "finite_truncated" A_m = Z^(N-m+1) for a concrete truncation N
 
     transition:
       "projection"  drop the coordinates indexed m..m'-1
@@ -91,9 +90,8 @@ class SymbolicDirectSystem:
     family: str
     transition: str
     term: Optional["Term"] = None
-    truncation: Optional[int] = None
 
-    _FAMILIES = ("prod_tail", "sum_tail", "prod_head", "constant", "finite_truncated")
+    _FAMILIES = ("prod_tail", "sum_tail", "prod_head", "constant")
     _TRANSITIONS = ("projection", "inclusion", "identity", "zero")
 
     def __post_init__(self):
@@ -103,8 +101,6 @@ class SymbolicDirectSystem:
             raise InputError(f"unknown transition {self.transition!r}")
         if self.family == "constant" and self.term is None:
             raise InputError("constant family needs a term")
-        if self.family == "finite_truncated" and (self.truncation is None or self.truncation < 0):
-            raise InputError("finite_truncated family needs a truncation N >= 0")
 
     def stage(self, m: int) -> str:
         if self.family == "prod_tail":
@@ -113,9 +109,7 @@ class SymbolicDirectSystem:
             return f"⊕_{{n>={m}}} Z"
         if self.family == "prod_head":
             return f"Z^{m - 1}"
-        if self.family == "constant":
-            return self.term.render()
-        return f"Z^{max(self.truncation - m + 1, 0)}"
+        return self.term.render()
 
     def render(self) -> str:
         return f"colim_m [{self.stage('m')}; {self.transition}]"

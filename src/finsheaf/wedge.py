@@ -9,10 +9,10 @@ the 2-cell "fn".
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .abgroup import GroupHom, IntMatrix, PresentedAbGroup
+from .abgroup import GroupHom, IntMatrix, PresentedAbGroup, Subquotient, kernel_basis, smith_decompose
 from .cech import CechComplex, Covering, cech_complex_hq, refinement_map
 from .cohom import cohomology
 from .errors import ContractViolation, InputError
@@ -248,21 +248,15 @@ def stage_readout(w: WedgeSpace, m: int, cx: Optional[CechComplex] = None) -> Tu
         if g.canonical != (1, ()):
             raise ContractViolation(f"live block {pair} is not infinite cyclic")
         rows.append(off)
-    cols = []
-    for i in range(group.generator_count):
-        coords = [0] * group.generator_count
-        coords[i] = 1
-        rep = h.rep_of(coords)
-        cols.append([rep[r] for r in rows])
-    readout = IntMatrix.from_columns(cols, nrows=len(live))
+    # Z^len(live) in a single degree: classes are the live coordinates themselves
+    coordinates = Subquotient(PresentedAbGroup.free(len(live)), None, None)
+    readout = h.induced_map(coordinates, lambda rep: [rep[r] for r in rows]).matrix
     if readout.rows != readout.cols:
         raise ContractViolation("corner group rank does not match the live disk count")
     det = readout.det()
     if abs(det) != 1:
         raise ContractViolation("readout to disk coordinates is not an isomorphism over Z")
     # exact inverse of a unimodular matrix via the Smith decomposition
-    from .abgroup import smith_decompose
-
     s = smith_decompose(readout)
     # readout = U_inv D V_inv with D unimodular diagonal (+-1)
     dinv = IntMatrix.diagonal([s.D.data[i][i] for i in range(s.D.rows)])
@@ -293,14 +287,10 @@ class StageSystem:
         if not (1 <= m <= m2 <= self.n + 1):
             raise InputError("need 1 <= m <= m' <= N+1")
         src, tgt = self.groups[m], self.groups[m2]
-        proj_rows = tgt.generator_count
-        proj_cols = src.generator_count
         # drop the coordinates of disks m..m'-1
-        drop = m2 - m
-        entries = [[0] * proj_cols for _ in range(proj_rows)]
-        for i in range(proj_rows):
-            entries[i][i + drop] = 1
-        proj = IntMatrix(proj_rows, proj_cols, entries)
+        proj = IntMatrix.from_blocks(
+            tgt.generator_count, src.generator_count, [(0, m2 - m, 1, IntMatrix.identity(tgt.generator_count))]
+        )
         return GroupHom(src, tgt, self.readbacks[m2] @ proj @ self.readouts[m], check=False)
 
 
@@ -365,8 +355,6 @@ def collect_stage_evidence(w: WedgeSpace, check_refinement: bool = True) -> Stag
     pairs += [(1, w.n + 1)] if w.n >= 1 else []
     for m, m2 in pairs:
         t = sys_.transition(m, m2)
-        from .abgroup import kernel_basis
-
         krank = kernel_basis(t.matrix).cols
         entry = {
             "m": m,

@@ -5,19 +5,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finsheaf.abgroup import (
+    ChainComplexData,
     GroupHom,
     IntMatrix,
     PresentedAbGroup,
     Subquotient,
+    check_chain_map,
     cokernel,
     direct_sum,
     homology_at,
+    induced_on_homology,
     kernel_basis,
     smith_decompose,
     smith_normal_form,
     solve,
 )
-from finsheaf.errors import InputError
+from finsheaf.errors import ContractViolation, InputError
 
 
 def random_matrix(rng, max_dim=6, bound=10):
@@ -168,3 +171,25 @@ def test_matrix_guards():
     m = IntMatrix.identity(2)
     with pytest.raises(AttributeError):
         m.rows = 3
+
+
+def test_from_blocks_adds_signed_blocks():
+    a = IntMatrix(2, 2, [[1, 2], [3, 4]])
+    m = IntMatrix.from_blocks(3, 4, [(0, 0, 1, a), (1, 1, -1, a), (2, 3, 1, IntMatrix.identity(1))])
+    assert m == IntMatrix(3, 4, [[1, 2, 0, 0], [3, 3, -2, 0], [0, -3, -4, 1]])
+    assert IntMatrix.from_blocks(2, 0, []) == IntMatrix.zero(2, 0)
+
+
+def test_chain_map_checks_top_degree_of_shorter_source():
+    # source: Z in degree 0 only; target: Z --1--> Z
+    z = PresentedAbGroup.free(1)
+    source = ChainComplexData([z])
+    target = ChainComplexData([z, z], [IntMatrix.identity(1)])
+    # the source generator goes to a target cochain whose coboundary is not 0
+    with pytest.raises(ContractViolation):
+        check_chain_map([IntMatrix.identity(1)], source, target)
+    # into Z --0--> Z the same map is a chain map; degree 1 of the source is zero
+    flat = ChainComplexData([z, z], [IntMatrix.zero(1, 1)])
+    check_chain_map([IntMatrix.identity(1)], source, flat)
+    assert induced_on_homology([IntMatrix.identity(1)], source, flat, 0).matrix == IntMatrix.identity(1)
+    assert induced_on_homology([IntMatrix.identity(1)], source, flat, 1).source.is_trivial()

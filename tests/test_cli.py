@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -67,6 +68,23 @@ def test_byte_identical_output(capsys):
     _, a, _ = run(capsys, "reproduce", "--disks", "2", "--seed", "7")
     _, b, _ = run(capsys, "reproduce", "--disks", "2", "--seed", "7")
     assert a == b
+
+
+# sha256 of `reproduce --disks N --seed 0` stdout; any change to the output
+# bytes, however small, must show up here.
+REPRODUCE_SHA256 = {
+    1: "eb86e8ef371826dfee29825aea29a93ea7fe9b62d7600e78f69ff4bbe0dbf5fb",
+    2: "927fd6301933f78d198f078bfe97a444746f2cfb9536b6de9540b4f1e8504b99",
+    3: "e9722a308dbbfe95cf63c624c0b5807ca06dc573ea9c62cfcbf524ad59ba7762",
+    4: "f311a8a6e92736b51f7d7982a73fdda008587222863a385aad83500ef0b1f9d5",
+}
+
+
+@pytest.mark.parametrize("n", sorted(REPRODUCE_SHA256))
+def test_reproduce_stdout_bytes_pinned(capsys, n):
+    code, out, _ = run(capsys, "reproduce", "--disks", str(n), "--seed", "0")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == REPRODUCE_SHA256[n]
 
 
 def test_bad_input_exits_one(capsys, tmp_path):
