@@ -321,20 +321,27 @@ def solve(M: IntMatrix, b: Sequence[int]) -> Optional[tuple]:
     if len(b) != M.rows:
         raise InputError(f"right-hand side length {len(b)} != {M.rows} rows")
     s = smith_decompose(M)
+    z = _smith_solve(s, b)
+    return None if z is None else s.V.apply(z)
+
+
+def _smith_solve(s: SmithDecomposition, b: Sequence[int]) -> Optional[list]:
+    """z with D @ z == U @ b for the decomposition s = (U, D, V) of some M,
+    or None when there is none; x = V @ z then solves M @ x == b."""
     ub = s.U.apply(b)
     diag = s.diagonal
-    z = [0] * M.cols
-    for i in range(M.rows):
+    z = [0] * s.V.rows
+    for i, e in enumerate(ub):
         d = diag[i] if i < len(diag) else 0
         if d == 0:
-            if ub[i] != 0:
+            if e != 0:
                 return None
         else:
-            q, r = divmod(ub[i], d)
+            q, r = divmod(e, d)
             if r != 0:
                 return None
             z[i] = q
-    return s.V.apply(z)
+    return z
 
 
 def cokernel(M: IntMatrix) -> "PresentedAbGroup":
@@ -436,8 +443,15 @@ class PresentedAbGroup:
         return self._smith.U_inv.apply(z)
 
     def contains_in_relations(self, vec: Sequence[int]) -> bool:
-        """Does the vector lie in the relation lattice (i.e. represent 0)?"""
-        return solve(self.relations, vec) is not None
+        """Does the vector lie in the relation lattice (i.e. represent 0)?
+
+        Tested through the cached Smith form; without relations only the
+        zero vector does."""
+        if len(vec) != self.generator_count:
+            raise InputError(f"vector length {len(vec)} != {self.generator_count} generators")
+        if not self.relations.cols:
+            return not any(vec)
+        return _smith_solve(self._smith, vec) is not None
 
     def __eq__(self, other):
         return (
@@ -567,19 +581,24 @@ class Subquotient:
     def group(self) -> PresentedAbGroup:
         return self.presented.canonical_group()
 
+    @cached_property
+    def _next_group(self) -> PresentedAbGroup:
+        return PresentedAbGroup(self.d_out.rows, self.next_relations)
+
+    @cached_property
+    def _cycle_smith(self) -> SmithDecomposition:
+        return smith_decompose(self.cycle_gens)
+
     def is_cycle(self, vec: Sequence[int]) -> bool:
-        image = self.d_out.apply(vec)
-        return solve(self.next_relations, image) is not None if self.next_relations.cols else all(
-            e == 0 for e in image
-        )
+        return self._next_group.contains_in_relations(self.d_out.apply(vec))
 
     def class_of(self, vec: Sequence[int]) -> tuple:
         if not self.is_cycle(vec):
             raise InputError("vector is not a cycle")
-        coeffs = solve(self.cycle_gens, vec)
-        if coeffs is None:
+        z = _smith_solve(self._cycle_smith, vec)
+        if z is None:
             raise ContractViolation("cycle does not lie in the computed cycle lattice")
-        return self.presented.to_canonical(coeffs)
+        return self.presented.to_canonical(self._cycle_smith.V.apply(z))
 
     def rep_of(self, coords: Sequence[int]) -> tuple:
         return self.cycle_gens.apply(self.presented.from_canonical(coords))

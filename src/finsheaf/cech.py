@@ -23,7 +23,7 @@ from .abgroup import (
     induced_on_homology,
 )
 from .errors import InputError
-from .finspace import FinitePoset, OpenSet
+from .finspace import FinitePoset
 from .sheaf import PosetSheaf
 from . import cohom as _cohom
 
@@ -89,32 +89,40 @@ def nerve(c: Covering) -> List[tuple]:
 class _Coefficients:
     """H^q(-, F) on the opens of a covering, with restriction maps.
 
-    Caches one cohomology classifier per open subset so that repeated
-    intersections are computed once.
+    Keeps, per open set, the cochain complex of F on it and that complex's
+    degree-q homology, and memoizes every restriction H^q(big) -> H^q(small)
+    by (big, small); an open set met in many intersections, or a pair met
+    again, is computed once.
     """
 
     def __init__(self, base: FinitePoset, sheaf: PosetSheaf, q: int):
+        if q < 0:
+            raise InputError("coefficient degree must be >= 0")
         self.base = base
         self.sheaf = sheaf
         self.q = q
-        self._classifiers: Dict[frozenset, Subquotient] = {}
+        self._complexes: Dict[frozenset, Tuple[_cohom.CochainComplex, Subquotient]] = {}
+        self._restrictions: Dict[Tuple[frozenset, frozenset], GroupHom] = {}
 
-    def classifier(self, members: frozenset) -> Subquotient:
-        got = self._classifiers.get(members)
+    def _complex(self, members: frozenset) -> Tuple[_cohom.CochainComplex, Subquotient]:
+        got = self._complexes.get(members)
         if got is None:
-            space = self.base.subposet(members)
-            cx = _cohom.cochain_complex(space, self.sheaf.restricted_to(members))
-            got = cx.homology(self.q)
-            self._classifiers[members] = got
+            cx = _cohom.cochain_complex(self.base.subposet(members), self.sheaf.restricted_to(members))
+            got = (cx, cx.homology(self.q))
+            self._complexes[members] = got
         return got
 
     def group(self, members: frozenset) -> PresentedAbGroup:
-        return self.classifier(members).group
+        return self._complex(members)[1].group
 
     def restriction(self, big: frozenset, small: frozenset) -> GroupHom:
-        return _cohom.restriction_induced(
-            self.base, OpenSet(self.base, big), OpenSet(self.base, small), self.sheaf, self.q
-        )
+        got = self._restrictions.get((big, small))
+        if got is None:
+            if not small <= big:
+                raise InputError("restriction needs the smaller open set inside the bigger one")
+            got = _cohom.restriction_on_homology(*self._complex(big), *self._complex(small), self.q)
+            self._restrictions[(big, small)] = got
+        return got
 
 
 class CechComplex(ChainComplexData):
@@ -140,9 +148,11 @@ class CechComplex(ChainComplexData):
 
 def cech_complex_hq(c: Covering, sheaf: PosetSheaf, q: int) -> CechComplex:
     """The Čech complex of the covering with coefficients V -> H^q(V, F)."""
-    if q < 0:
-        raise InputError("coefficient degree must be >= 0")
-    coeffs = _Coefficients(c.base, sheaf, q)
+    return _cech_complex(c, _Coefficients(c.base, sheaf, q))
+
+
+def _cech_complex(c: Covering, coeffs: _Coefficients) -> CechComplex:
+    """The Čech complex of the covering with the given coefficient cache."""
     layout: List[List[Tuple[tuple, int, PresentedAbGroup]]] = []
     p = 0
     while p < len(c.order):
@@ -210,8 +220,10 @@ def refinement_map(
             raise InputError(f"no coarse member assigned to {name!r}")
         if not fine.members[name] <= coarse.members[big]:
             raise InputError(f"{name!r} is not contained in {big!r}: not a refinement witness")
-    fine_cx = cech_complex_hq(fine, sheaf, q)
-    coarse_cx = cech_complex_hq(coarse, sheaf, q)
+    # one coefficient cache: the restrictions run from coarse to fine opens
+    coeffs = _Coefficients(fine.base, sheaf, q)
+    fine_cx = _cech_complex(fine, coeffs)
+    coarse_cx = _cech_complex(coarse, coeffs)
     coarse_pos = {name: i for i, name in enumerate(coarse.order)}
 
     fmat = []
@@ -234,9 +246,7 @@ def refinement_map(
             soff = src_index.get(sorted_tuple)
             if soff is None:
                 continue
-            res = fine_cx.coefficients.restriction(
-                coarse.intersection(sorted_tuple), fine.intersection(t)
-            ).matrix
+            res = coeffs.restriction(coarse.intersection(sorted_tuple), fine.intersection(t)).matrix
             blocks.append((toff, soff, sign, res))
         fmat.append(IntMatrix.from_blocks(fine_cx.degree_rank(k), coarse_cx.degree_rank(k), blocks))
     return induced_on_homology(fmat, coarse_cx, fine_cx, p)

@@ -20,7 +20,7 @@ from .abgroup import (
     IntMatrix,
     PresentedAbGroup,
     Subquotient,
-    induced_on_homology,
+    check_chain_map,
     solve,
 )
 from .errors import ContractViolation, InputError
@@ -128,6 +128,18 @@ def stalkwise_chain_map(
     return mats
 
 
+def restriction_on_homology(
+    source: CochainComplex, source_h: Subquotient, target: CochainComplex, target_h: Subquotient, q: int
+) -> GroupHom:
+    """The map H^q(V,F) -> H^q(W,F) induced by W ⊆ V, from the cochain
+    complexes of F on V and on W and their degree-q homologies.  The
+    projection keeping the chains inside W is checked to be a chain map."""
+    f = stalkwise_chain_map(source, target, {p: target.sheaf.restrict(p, p) for p in target.base.elements})
+    check_chain_map(f, source, target)
+    # f lists every degree of source; above them H^q(V,F) has no generators
+    return source_h.induced_map(target_h, lambda rep: f[q].apply(rep))
+
+
 def restriction_induced(
     base: FinitePoset, V: OpenSet, W: OpenSet, sheaf: PosetSheaf, q: int
 ) -> GroupHom:
@@ -136,14 +148,9 @@ def restriction_induced(
         raise InputError("W must be contained in V")
     if V.parent != base or W.parent != base:
         raise InputError("open sets must live on the given poset")
-    src_space = base.subposet(V.members)
-    tgt_space = base.subposet(W.members)
-    src_cx = cochain_complex(src_space, sheaf.restricted_to(V.members))
-    tgt_cx = cochain_complex(tgt_space, sheaf.restricted_to(W.members))
-    if q >= max(len(src_cx.groups), len(tgt_cx.groups)):
-        return GroupHom.zero(PresentedAbGroup.trivial(), PresentedAbGroup.trivial())
-    f = stalkwise_chain_map(src_cx, tgt_cx, {p: sheaf.restrict(p, p) for p in W.members})
-    return induced_on_homology(f, src_cx, tgt_cx, q)
+    src_cx = cochain_complex(base.subposet(V.members), sheaf.restricted_to(V.members))
+    tgt_cx = cochain_complex(base.subposet(W.members), sheaf.restricted_to(W.members))
+    return restriction_on_homology(src_cx, src_cx.homology(q), tgt_cx, tgt_cx.homology(q), q)
 
 
 @dataclass

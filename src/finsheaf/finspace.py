@@ -54,6 +54,8 @@ class FinitePoset:
             below[b].add(a)
         self._above = {e: frozenset(s) for e, s in above.items()}
         self._below = {e: frozenset(s) for e, s in below.items()}
+        # up-sets in element order: chains extend along them
+        self._above_ordered = {e: tuple(sorted(s, key=self._index.__getitem__)) for e, s in above.items()}
         covers = []
         for a, b in sorted(less, key=lambda ab: (self._index[ab[0]], self._index[ab[1]])):
             if not any((a, c) in less and (c, b) in less for c in above[a]):
@@ -157,11 +159,10 @@ class FinitePoset:
             if len(chain) == k + 1:
                 chains.append(tuple(chain))
                 return
-            for e in self.elements:
-                if self.lt(last, e):
-                    chain.append(e)
-                    extend(chain, e)
-                    chain.pop()
+            for e in self._above_ordered[last]:
+                chain.append(e)
+                extend(chain, e)
+                chain.pop()
 
         for e in self.elements:
             extend([e], e)

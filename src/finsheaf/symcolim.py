@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import List, Optional, Union
+from typing import TYPE_CHECKING, List, Optional
 
 from .errors import InputError
 
@@ -123,7 +123,12 @@ class Colim:
         return self.system.render()
 
 
-Term = Union[Trivial, FreeFinite, CountableProduct, CountableSum, Quotient, Colim]
+if TYPE_CHECKING:
+    # annotation only: a runtime Union would sit in typing's cache and keep
+    # these classes, and through them this module, alive after a re-import
+    from typing import Union
+
+    Term = Union[Trivial, FreeFinite, CountableProduct, CountableSum, Quotient, Colim]
 
 
 def _rewrite_colim(t: Colim) -> Optional[Term]:

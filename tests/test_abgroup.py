@@ -193,3 +193,38 @@ def test_chain_map_checks_top_degree_of_shorter_source():
     check_chain_map([IntMatrix.identity(1)], source, flat)
     assert induced_on_homology([IntMatrix.identity(1)], source, flat, 0).matrix == IntMatrix.identity(1)
     assert induced_on_homology([IntMatrix.identity(1)], source, flat, 1).source.is_trivial()
+
+
+def test_membership_through_the_cached_smith_form_agrees_with_solve():
+    rng = random.Random(9)
+    for _ in range(100):
+        rel = random_matrix(rng, bound=4)
+        g = PresentedAbGroup(rel.rows, rel)
+        for _ in range(5):
+            if rng.random() < 0.5:
+                vec = rel.apply([rng.randint(-3, 3) for _ in range(rel.cols)])
+            else:
+                vec = [rng.randint(-6, 6) for _ in range(rel.rows)]
+            assert g.contains_in_relations(vec) == (solve(rel, vec) is not None)
+    with pytest.raises(InputError):
+        PresentedAbGroup.free(2).contains_in_relations([0, 0, 0])
+
+
+def test_membership_reuses_one_smith_form(monkeypatch):
+    from finsheaf import abgroup
+
+    calls = []
+
+    def counting(m):
+        calls.append((m.rows, m.cols))
+        return smith_decompose(m)
+
+    monkeypatch.setattr(abgroup, "smith_decompose", counting)
+    free = PresentedAbGroup.free(4)
+    assert free.contains_in_relations([0, 0, 0, 0])
+    assert not free.contains_in_relations([0, 1, 0, 0])
+    assert calls == []  # no relations: only the zero vector, no Smith form
+    g = cokernel(IntMatrix(2, 1, [[2], [4]]))
+    assert g.contains_in_relations([2, 4]) and g.contains_in_relations([-4, -8])
+    assert not g.contains_in_relations([1, 2]) and not g.contains_in_relations([2, 0])
+    assert calls == [(2, 1)]  # the group's own Smith form, computed once

@@ -2,9 +2,11 @@ import random
 
 import pytest
 
+from finsheaf import cohom
 from finsheaf.abgroup import GroupHom, PresentedAbGroup
 from finsheaf.cech import (
     Covering,
+    _cech_complex,
     cech_cohomology,
     cech_cohomology_hq,
     cech_complex_hq,
@@ -13,11 +15,11 @@ from finsheaf.cech import (
     nerve,
     refinement_map,
 )
-from finsheaf.cohom import cohomology
+from finsheaf.cohom import cohomology, restriction_induced
 from finsheaf.errors import InputError
-from finsheaf.finspace import FinitePoset
+from finsheaf.finspace import FinitePoset, OpenSet
 from finsheaf.sheaf import constant_sheaf
-from finsheaf.wedge import build_wedge, canonical_covering, gap_sheaf
+from finsheaf.wedge import build_wedge, canonical_covering, gap_sheaf, stage_covering
 
 Z = PresentedAbGroup.free(1)
 
@@ -150,3 +152,54 @@ def test_comparison_report_no_gap_for_constant_sheaf():
     s = constant_sheaf(w.poset, Z)
     rep = covering_comparison_report(canonical_covering(w), s)
     assert not rep.gap
+
+
+def face_pairs(c):
+    """(face intersection, simplex intersection) for every nerve simplex and
+    each of its codimension-one faces: the restrictions a Čech differential uses."""
+    for t in nerve(c):
+        if len(t) > 1:
+            for i in range(len(t)):
+                yield c.intersection(t[:i] + t[i + 1:]), c.intersection(t)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_cached_restrictions_match_uncached(n):
+    """The coefficient cache against fresh restriction_induced calls, and the
+    Čech complex built again on a warm cache against the cold build."""
+    w = build_wedge(n)
+    F = gap_sheaf(w)
+    coverings = [canonical_covering(w)] + [stage_covering(w, m) for m in range(2, n + 2)]
+    for c in coverings:
+        for q in (0, 1, 2):
+            cold = cech_complex_hq(c, F, q)
+            coeffs = cold.coefficients
+            for big, small in face_pairs(c):
+                cached = coeffs.restriction(big, small)
+                fresh = restriction_induced(w.poset, OpenSet(w.poset, big), OpenSet(w.poset, small), F, q)
+                assert cached.source.canonical == fresh.source.canonical
+                assert cached.target.canonical == fresh.target.canonical
+                assert cached.equals_as_hom(fresh)
+                assert cached.matrix == fresh.matrix
+            warm = _cech_complex(c, coeffs)
+            assert warm.maps == cold.maps
+            assert warm.groups == cold.groups
+
+
+def test_stage_complex_builds_each_open_set_once(monkeypatch):
+    w = build_wedge(4)
+    F = gap_sheaf(w)
+    built = []
+    original = cohom.cochain_complex
+
+    def counting(base, sheaf):
+        built.append(frozenset(base.elements))
+        return original(base, sheaf)
+
+    monkeypatch.setattr(cohom, "cochain_complex", counting)
+    for m in range(1, w.n + 2):
+        c = stage_covering(w, m)
+        built.clear()
+        cech_complex_hq(c, F, 1)
+        assert len(built) == len(set(built))
+        assert set(built) == {c.intersection(t) for t in nerve(c)}

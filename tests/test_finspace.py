@@ -105,3 +105,35 @@ def test_open_set_validation():
         OpenSet(p, {"a"})
     u = OpenSet(p, {"b"})
     assert "b" in u and len(u) == 1
+
+
+def strict_chains_by_order_tests(p, k):
+    """The enumeration that tests `lt` against every element in element
+    order, kept as the oracle for the up-set walk."""
+    chains = []
+
+    def extend(chain):
+        if len(chain) == k + 1:
+            chains.append(tuple(chain))
+            return
+        for e in p.elements:
+            if p.lt(chain[-1], e):
+                extend(chain + [e])
+
+    for e in p.elements:
+        extend([e])
+    return chains
+
+
+def test_strict_chains_match_the_order_test_enumeration():
+    rng = random.Random(5)
+    for _ in range(40):
+        base = random_poset(rng, max_elems=9)
+        # relabel in shuffled insertion order so element order is not the
+        # order the relations were drawn in
+        order = list(base.elements)
+        rng.shuffle(order)
+        rels = [(a, b) for a in base.elements for b in base.elements if base.lt(a, b)]
+        p = FinitePoset(order, rels)
+        for k in range(0, p.height + 2):
+            assert p.strict_chains(k) == strict_chains_by_order_tests(p, k)

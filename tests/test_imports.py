@@ -1,6 +1,9 @@
 """Every module-level import in the package is used by its module."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -33,3 +36,23 @@ def test_detector_flags_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_module_level_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+RELOAD = """
+import gc, sys, weakref
+import finsheaf.symcolim
+ref = weakref.ref(finsheaf.symcolim.Colim)
+for name in [n for n in sys.modules if n == "finsheaf" or n.startswith("finsheaf.")]:
+    del sys.modules[name]
+import finsheaf
+gc.collect()
+print("freed" if ref() is None else "alive")
+"""
+
+
+def test_reimport_frees_the_previous_modules():
+    """Nothing outside the package (typing's caches, say) keeps a purged
+    import alive, so fresh imports do not pile up in memory."""
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run([sys.executable, "-c", RELOAD], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "freed"
