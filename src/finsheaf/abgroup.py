@@ -2,9 +2,13 @@
 
 Everything here works over plain Python ints, which are arbitrary precision,
 so Smith normal form never overflows no matter how badly the intermediate
-entries blow up.  Matrices are dense and immutable; groups are given by a
-generator count and an integer relation matrix, with the canonical form
-(rank + invariant factors) computed through Smith normal form.
+entries blow up.  Matrices are stored dense and immutable, but the Smith
+reduction is sparse: it eliminates ±1 pivots on a sparse copy first and runs
+the dense reduction only on what is left.  Its unimodular transforms are
+kept as the recorded operations and applied to vectors directly; dense
+transform matrices are built only on use.  Groups are given by a generator
+count and an integer relation matrix, with the canonical form (rank +
+invariant factors) computed through Smith normal form.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ class IntMatrix:
     __slots__ = ("rows", "cols", "data", "_hash")
 
     def __init__(self, rows: int, cols: int, entries: Iterable[Iterable[int]]):
-        data = tuple(tuple(int(e) for e in row) for row in entries)
+        data = tuple(tuple(map(int, row)) for row in entries)
         if len(data) != rows or any(len(r) != cols for r in data):
             raise InputError(f"expected {rows}x{cols} entries")
         self.rows = rows
@@ -107,13 +111,16 @@ class IntMatrix:
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise InputError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        bt = list(zip(*other.data)) if other.data else [()] * other.cols
-        out = [
-            [sum(a * b for a, b in zip(row, col)) for col in bt]
-            for row in self.data
-        ]
-        if self.rows == 0 or other.cols == 0:
-            return IntMatrix.zero(self.rows, other.cols)
+        # each nonzero a = self[i][k] adds a * (row k of other) to row i
+        right = [[(j, b) for j, b in enumerate(row) if b] for row in other.data]
+        out = []
+        for row in self.data:
+            acc = [0] * other.cols
+            for k, a in enumerate(row):
+                if a:
+                    for j, b in right[k]:
+                        acc[j] += a * b
+            out.append(acc)
         return IntMatrix(self.rows, other.cols, out)
 
     def __neg__(self) -> "IntMatrix":
@@ -185,28 +192,213 @@ def block_diag(blocks: Sequence[IntMatrix]) -> IntMatrix:
     return IntMatrix.from_blocks(r0, c0, placed)
 
 
-@dataclass(frozen=True)
 class SmithDecomposition:
-    """U @ M @ V == D with U, V unimodular and D in Smith normal form."""
+    """U @ M @ V == D with U, V unimodular and D in Smith normal form.
 
-    U: IntMatrix
-    D: IntMatrix
-    V: IntMatrix
-    U_inv: IntMatrix
-    V_inv: IntMatrix
+    The decomposition is kept as the reduction that produced it.  With E
+    the recorded row operations and F the recorded column operations,
+    P and Q the orders that bring the pivot rows and columns first, S the
+    pivot signs and B, C the transforms of the residual block,
+    U = B·S·P·E and V = F·Q·C.  `apply_U`, `apply_U_inv`, `apply_V` and
+    `apply_V_inv` apply a transform to one vector; the dense `U`, `D`, `V`,
+    `U_inv` and `V_inv` are built on first access.
+    """
 
-    @property
-    def diagonal(self) -> tuple:
-        return tuple(self.D.data[i][i] for i in range(min(self.D.rows, self.D.cols)))
+    def __init__(self, shape, row_ops, col_ops, row_order, col_order, signs, block, diagonal):
+        self.shape = shape
+        self.diagonal = diagonal
+        self._row_ops = row_ops  # (k, i, q): row k += q * row i, in order
+        self._col_ops = col_ops  # (l, j, q): column l += q * column j, in order
+        self._row_order = row_order  # row t of D comes from row row_order[t]
+        self._col_order = col_order
+        self._signs = signs  # of the unit pivot rows, which come first
+        # (B, C, B^-1, C^-1) on the positions after them, rows as (column,
+        # entry) lists of the nonzero entries; or None
+        self._block = block
 
     @property
     def num_nonzero(self) -> int:
         return sum(1 for d in self.diagonal if d != 0)
 
+    def _through_block(self, vec: list, which: int) -> list:
+        if self._block is not None:
+            mat = self._block[which]
+            lo = len(self._signs)
+            seg = vec[lo : lo + len(mat)]
+            vec[lo : lo + len(mat)] = [sum(a * seg[j] for j, a in row) for row in mat]
+        return vec
+
+    @staticmethod
+    def _vector(vec: Sequence[int], n: int) -> list:
+        if len(vec) != n:
+            raise InputError(f"vector length {len(vec)} != {n}")
+        return list(vec)
+
+    def _signed(self, vec: list) -> list:
+        for t, s in enumerate(self._signs):
+            if s < 0:
+                vec[t] = -vec[t]
+        return vec
+
+    def apply_U(self, vec: Sequence[int]) -> list:
+        y = self._vector(vec, self.shape[0])
+        for k, i, q in self._row_ops:
+            if y[i]:
+                y[k] += q * y[i]
+        return self._through_block(self._signed([y[i] for i in self._row_order]), 0)
+
+    def apply_U_inv(self, vec: Sequence[int]) -> list:
+        w = self._signed(self._through_block(self._vector(vec, self.shape[0]), 2))
+        y = [0] * self.shape[0]
+        for t, i in enumerate(self._row_order):
+            y[i] = w[t]
+        for k, i, q in reversed(self._row_ops):
+            if y[i]:
+                y[k] -= q * y[i]
+        return y
+
+    def apply_V(self, vec: Sequence[int]) -> list:
+        w = self._through_block(self._vector(vec, self.shape[1]), 1)
+        x = [0] * self.shape[1]
+        for t, j in enumerate(self._col_order):
+            x[j] = w[t]
+        for l, j, q in reversed(self._col_ops):
+            if x[l]:
+                x[j] += q * x[l]
+        return x
+
+    def apply_V_inv(self, vec: Sequence[int]) -> list:
+        x = self._vector(vec, self.shape[1])
+        for l, j, q in self._col_ops:
+            if x[l]:
+                x[j] -= q * x[l]
+        return self._through_block([x[j] for j in self._col_order], 3)
+
+    @staticmethod
+    def _dense(apply: Callable[[list], list], n: int) -> IntMatrix:
+        columns = [apply([1 if i == k else 0 for i in range(n)]) for k in range(n)]
+        return IntMatrix(n, n, zip(*columns))
+
+    @cached_property
+    def U(self) -> IntMatrix:
+        return self._dense(self.apply_U, self.shape[0])
+
+    @cached_property
+    def U_inv(self) -> IntMatrix:
+        return self._dense(self.apply_U_inv, self.shape[0])
+
+    @cached_property
+    def V(self) -> IntMatrix:
+        return self._dense(self.apply_V, self.shape[1])
+
+    @cached_property
+    def V_inv(self) -> IntMatrix:
+        return self._dense(self.apply_V_inv, self.shape[1])
+
+    @cached_property
+    def D(self) -> IntMatrix:
+        return IntMatrix.diagonal(self.diagonal, *self.shape)
+
 
 def smith_decompose(M: IntMatrix) -> SmithDecomposition:
+    """The Smith form of M, in two stages.
+
+    Stage 1 eliminates ±1 pivots on a sparse copy of M: rows as
+    {column: entry} dicts, with the rows of each column indexed.  Each step
+    takes the unit entry of least fill, (row count - 1)·(column count - 1),
+    clears its column with row operations and its row with column
+    operations.  A unit divides everything, so no divisibility fix-up is
+    needed, and the column operations touch only the pivot row, so they are
+    recorded, not carried out.  Stage 2 runs the dense reduction on the
+    block that is left, which has no unit entries; when that block is zero
+    it does not run.  The unit pivots come first in D, so D keeps its
+    divisibility chain.
+    """
     r, c = M.rows, M.cols
-    A = [list(row) for row in M.data]
+    rows = {}
+    where = {}  # column -> rows with a nonzero entry in it
+    for i, row in enumerate(M.data):
+        entries = {j: a for j, a in enumerate(row) if a}
+        if entries:
+            rows[i] = entries
+            for j in entries:
+                where.setdefault(j, set()).add(i)
+    row_ops, col_ops, pivots = [], [], []
+    while True:
+        pivot = _unit_pivot(rows, where)
+        if pivot is None:
+            break
+        i, j = pivot
+        prow = rows.pop(i)
+        s = prow[j]
+        for k in where.pop(j):
+            if k == i:
+                continue
+            target = rows[k]
+            q = -s * target.pop(j)
+            row_ops.append((k, i, q))
+            for l, e in prow.items():
+                if l == j:
+                    continue
+                v = target.get(l, 0) + q * e
+                if v:
+                    if l not in target:
+                        where[l].add(k)
+                    target[l] = v
+                else:
+                    del target[l]
+                    where[l].discard(k)
+            if not target:
+                del rows[k]
+        for l, e in prow.items():
+            if l != j:
+                col_ops.append((l, j, -s * e))
+                where[l].discard(i)
+        pivots.append((i, j, s))
+
+    block_rows = sorted(rows)
+    block_cols = sorted({j for entries in rows.values() for j in entries})
+    taken_rows = {i for i, _, _ in pivots}.union(block_rows)
+    taken_cols = {j for _, j, _ in pivots}.union(block_cols)
+    diagonal = [1] * len(pivots)
+    block = None
+    if rows:
+        U2, A, V2, U2_inv, V2_inv = _dense_smith([[rows[i].get(j, 0) for j in block_cols] for i in block_rows])
+        block = tuple([[(j, a) for j, a in enumerate(row) if a] for row in m] for m in (U2, V2, U2_inv, V2_inv))
+        diagonal += [A[t][t] for t in range(min(len(block_rows), len(block_cols)))]
+    diagonal += [0] * (min(r, c) - len(diagonal))
+    return SmithDecomposition(
+        shape=(r, c),
+        row_ops=row_ops,
+        col_ops=col_ops,
+        row_order=[i for i, _, _ in pivots] + block_rows + [i for i in range(r) if i not in taken_rows],
+        col_order=[j for _, j, _ in pivots] + block_cols + [j for j in range(c) if j not in taken_cols],
+        signs=[s for _, _, s in pivots],
+        block=block,
+        diagonal=tuple(diagonal),
+    )
+
+
+def _unit_pivot(rows: dict, where: dict) -> Optional[tuple]:
+    """The ±1 entry of least fill, the first in row order among equals, or
+    None when no entry is a unit."""
+    best, best_fill = None, None
+    for i, entries in rows.items():
+        spare = len(entries) - 1
+        for j, a in entries.items():
+            if a == 1 or a == -1:
+                fill = spare * (len(where[j]) - 1)
+                if not fill:
+                    return i, j
+                if best is None or fill < best_fill:
+                    best, best_fill = (i, j), fill
+    return best
+
+
+def _dense_smith(A: list):
+    """Dense Smith reduction of the list of rows A, in place: returns
+    (U, A, V, U_inv, V_inv) as lists of rows, with A now diagonal."""
+    r, c = len(A), len(A[0])
     U = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
     Ui = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
     V = [[1 if i == j else 0 for j in range(c)] for i in range(c)]
@@ -294,13 +486,7 @@ def smith_decompose(M: IntMatrix) -> SmithDecomposition:
             continue
         t += 1
 
-    return SmithDecomposition(
-        U=IntMatrix(r, r, U),
-        D=IntMatrix(r, c, A),
-        V=IntMatrix(c, c, V),
-        U_inv=IntMatrix(r, r, Ui),
-        V_inv=IntMatrix(c, c, Vi),
-    )
+    return U, A, V, Ui, Vi
 
 
 def smith_normal_form(M: IntMatrix):
@@ -309,28 +495,39 @@ def smith_normal_form(M: IntMatrix):
     return s.U, s.D, s.V
 
 
+def _decompose(M: IntMatrix) -> SmithDecomposition:
+    """smith_decompose(M); a matrix without entries (no rows or no columns)
+    gets the identity decomposition, and no reduction runs for it."""
+    if M.rows and M.cols:
+        return smith_decompose(M)
+    return SmithDecomposition((M.rows, M.cols), (), (), range(M.rows), range(M.cols), (), None, ())
+
+
 def kernel_basis(M: IntMatrix) -> IntMatrix:
-    """Columns form a Z-basis of {x : M @ x = 0}."""
-    s = smith_decompose(M)
-    free = list(range(s.num_nonzero, M.cols))
-    return IntMatrix.from_columns([s.V.column(j) for j in free], nrows=M.cols)
+    """Columns form a Z-basis of {x : M @ x = 0}: the identity when M has
+    no rows, empty when it has no columns."""
+    s = _decompose(M)
+    n = M.cols
+    return IntMatrix.from_columns(
+        [s.apply_V([1 if i == k else 0 for i in range(n)]) for k in range(s.num_nonzero, n)], nrows=n
+    )
 
 
 def solve(M: IntMatrix, b: Sequence[int]) -> Optional[tuple]:
     """An integer x with M @ x = b, or None when no integral solution exists."""
     if len(b) != M.rows:
         raise InputError(f"right-hand side length {len(b)} != {M.rows} rows")
-    s = smith_decompose(M)
+    s = _decompose(M)
     z = _smith_solve(s, b)
-    return None if z is None else s.V.apply(z)
+    return None if z is None else tuple(s.apply_V(z))
 
 
 def _smith_solve(s: SmithDecomposition, b: Sequence[int]) -> Optional[list]:
     """z with D @ z == U @ b for the decomposition s = (U, D, V) of some M,
     or None when there is none; x = V @ z then solves M @ x == b."""
-    ub = s.U.apply(b)
+    ub = s.apply_U(b)
     diag = s.diagonal
-    z = [0] * s.V.rows
+    z = [0] * s.shape[1]
     for i, e in enumerate(ub):
         d = diag[i] if i < len(diag) else 0
         if d == 0:
@@ -380,7 +577,7 @@ class PresentedAbGroup:
 
     @cached_property
     def _smith(self) -> SmithDecomposition:
-        return smith_decompose(self.relations)
+        return _decompose(self.relations)
 
     @cached_property
     def canonical(self) -> tuple:
@@ -425,7 +622,7 @@ class PresentedAbGroup:
         """Canonical coordinates of the element represented by a generator vector."""
         if len(vec) != self.generator_count:
             raise InputError("vector length does not match generator count")
-        z = self._smith.U.apply(vec)
+        z = self._smith.apply_U(vec)
         torsion, free = self._coordinate_layout
         diag = self._smith.diagonal
         return tuple(z[i] % diag[i] for i in torsion) + tuple(z[i] for i in free)
@@ -440,7 +637,7 @@ class PresentedAbGroup:
             z[i] = val
         for i, val in zip(free, coords[len(torsion):]):
             z[i] = val
-        return self._smith.U_inv.apply(z)
+        return tuple(self._smith.apply_U_inv(z))
 
     def contains_in_relations(self, vec: Sequence[int]) -> bool:
         """Does the vector lie in the relation lattice (i.e. represent 0)?
@@ -587,7 +784,7 @@ class Subquotient:
 
     @cached_property
     def _cycle_smith(self) -> SmithDecomposition:
-        return smith_decompose(self.cycle_gens)
+        return _decompose(self.cycle_gens)
 
     def is_cycle(self, vec: Sequence[int]) -> bool:
         return self._next_group.contains_in_relations(self.d_out.apply(vec))
@@ -598,7 +795,7 @@ class Subquotient:
         z = _smith_solve(self._cycle_smith, vec)
         if z is None:
             raise ContractViolation("cycle does not lie in the computed cycle lattice")
-        return self.presented.to_canonical(self._cycle_smith.V.apply(z))
+        return self.presented.to_canonical(self._cycle_smith.apply_V(z))
 
     def rep_of(self, coords: Sequence[int]) -> tuple:
         return self.cycle_gens.apply(self.presented.from_canonical(coords))

@@ -21,6 +21,7 @@ from .abgroup import (
     PresentedAbGroup,
     Subquotient,
     check_chain_map,
+    direct_sum,
     solve,
 )
 from .errors import ContractViolation, InputError
@@ -44,26 +45,12 @@ class CochainComplex(ChainComplexData):
         return self.chain_layout[k] if 0 <= k < len(self.chain_layout) else []
 
 
-def _stalk_rank(sheaf: PosetSheaf, p: str) -> int:
-    g = sheaf.stalks[p]
-    rank, factors = g.canonical
-    if factors:
-        raise ContractViolation(
-            "cochain complexes are implemented for sheaves with free stalks; "
-            f"stalk at {p!r} has torsion {factors}"
-        )
-    if rank != g.generator_count:
-        raise ContractViolation(
-            f"stalk at {p!r} has redundant generators; re-present it canonically first"
-        )
-    return rank
-
-
 def cochain_complex(base: FinitePoset, sheaf: PosetSheaf) -> CochainComplex:
-    """The canonical cochain complex of a free-stalk sheaf on a poset."""
+    """The canonical cochain complex of a sheaf on a poset.  Degree k is the
+    direct sum of the stalks at the ends of the k-chains, relations included,
+    so stalks with torsion carry through to the cohomology."""
     if sheaf.base != base:
         raise InputError("sheaf is not defined on the given poset")
-    ranks = {p: _stalk_rank(sheaf, p) for p in base.elements}
     top = base.height
     layout: List[List[Tuple[tuple, int, int]]] = []
     index: List[Dict[tuple, int]] = []
@@ -72,7 +59,7 @@ def cochain_complex(base: FinitePoset, sheaf: PosetSheaf) -> CochainComplex:
         offset = 0
         idx = {}
         for chain in base.strict_chains(k):
-            r = ranks[chain[-1]]
+            r = sheaf.stalks[chain[-1]].generator_count
             if r == 0:
                 continue
             idx[chain] = offset
@@ -80,7 +67,7 @@ def cochain_complex(base: FinitePoset, sheaf: PosetSheaf) -> CochainComplex:
             offset += r
         layout.append(entries)
         index.append(idx)
-    groups = [PresentedAbGroup.free(sum(r for _, _, r in entries)) for entries in layout]
+    groups = [direct_sum([sheaf.stalks[chain[-1]] for chain, _, _ in entries]) for entries in layout]
     if not groups:
         groups = [PresentedAbGroup.trivial()]
         layout = [[]]

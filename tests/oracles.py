@@ -5,6 +5,9 @@ order complex is computed from plain boundary matrices with a throwaway
 Smith reduction (no transform tracking), then dualized by universal
 coefficients: free part of H^q = free part of H_q, torsion of H^q =
 torsion of H_{q-1}.
+
+`dense_smith_diagonal` keeps the package's earlier dense Smith reduction,
+also without transforms, as the reference for its sparse one.
 """
 
 from itertools import combinations
@@ -74,6 +77,63 @@ def _smith_diagonal(mat):
     # divisibility repair by prime redistribution is unnecessary: only ranks
     # and the multiset of elementary divisors matter below
     return [d for d in diag if d]
+
+
+def dense_smith_diagonal(mat):
+    """Diagonal of the Smith form, length min(rows, cols), by the dense
+    reduction the package used before its sparse one, without transforms:
+    pivot on an entry of least absolute value (row-major tie-break), clear
+    its row and column, and add a row to the pivot row until the pivot
+    divides the rest.  Destroys its argument."""
+    r = len(mat)
+    c = len(mat[0]) if mat else 0
+    A = mat
+    t = 0
+    limit = min(r, c)
+    while t < limit:
+        pivot = None
+        for i in range(t, r):
+            for j in range(t, c):
+                if A[i][j] != 0 and (pivot is None or abs(A[i][j]) < abs(A[pivot[0]][pivot[1]])):
+                    pivot = (i, j)
+        if pivot is None:
+            break
+        A[t], A[pivot[0]] = A[pivot[0]], A[t]
+        for row in A:
+            row[t], row[pivot[1]] = row[pivot[1]], row[t]
+        if A[t][t] < 0:
+            A[t] = [-a for a in A[t]]
+        p = A[t][t]
+        restart = False
+        for i in range(t + 1, r):
+            if A[i][t] != 0:
+                q = A[i][t] // p
+                if q:
+                    A[i] = [a - q * b for a, b in zip(A[i], A[t])]
+                if A[i][t] != 0:
+                    restart = True
+        if restart:
+            continue
+        for j in range(t + 1, c):
+            if A[t][j] != 0:
+                q = A[t][j] // p
+                if q:
+                    for row in A:
+                        row[j] -= q * row[t]
+                if A[t][j] != 0:
+                    restart = True
+        if restart:
+            continue
+        bad_row = None
+        for i in range(t + 1, r):
+            if any(A[i][j] % p != 0 for j in range(t + 1, c)):
+                bad_row = i
+                break
+        if bad_row is not None:
+            A[t] = [a + b for a, b in zip(A[t], A[bad_row])]
+            continue
+        t += 1
+    return [A[i][i] for i in range(limit)]
 
 
 def _rank(diag):

@@ -1,9 +1,13 @@
+import contextlib
+import io
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import dense_smith_diagonal
 
+from finsheaf import abgroup, cli, wedge
 from finsheaf.abgroup import (
     ChainComplexData,
     GroupHom,
@@ -20,7 +24,9 @@ from finsheaf.abgroup import (
     smith_normal_form,
     solve,
 )
+from finsheaf.cohom import cochain_complex, cohomology
 from finsheaf.errors import ContractViolation, InputError
+from finsheaf.sheaf import constant_sheaf
 
 
 def random_matrix(rng, max_dim=6, bound=10):
@@ -228,3 +234,85 @@ def test_membership_reuses_one_smith_form(monkeypatch):
     assert g.contains_in_relations([2, 4]) and g.contains_in_relations([-4, -8])
     assert not g.contains_in_relations([1, 2]) and not g.contains_in_relations([2, 0])
     assert calls == [(2, 1)]  # the group's own Smith form, computed once
+
+
+def check_against_dense_oracle(m):
+    """Same diagonal as the earlier dense reduction, and exact transforms."""
+    s = smith_decompose(m)
+    assert list(s.diagonal) == dense_smith_diagonal([list(row) for row in m.data])
+    assert s.U @ m @ s.V == s.D
+    assert s.U @ s.U_inv == IntMatrix.identity(m.rows)
+    assert s.V @ s.V_inv == IntMatrix.identity(m.cols)
+
+
+def test_sparse_smith_matches_dense_oracle_on_sparse_unit_matrices():
+    rng = random.Random(2024)
+    for _ in range(500):
+        r, c = rng.randint(1, 40), rng.randint(1, 40)
+        rows = [[0] * c for _ in range(r)]
+        for _ in range(rng.randint(0, 2 * (r + c))):
+            rows[rng.randrange(r)][rng.randrange(c)] = rng.choice((1, -1))
+        for _ in range(rng.randint(0, 3)):
+            rows[rng.randrange(r)][rng.randrange(c)] = rng.choice((2, -2, 3, -3, 6, -6))
+        check_against_dense_oracle(IntMatrix(r, c, rows))
+
+
+def test_sparse_smith_matches_dense_oracle_without_unit_entries():
+    for m in (
+        IntMatrix(3, 3, [[2, 0, 0], [0, 2, 0], [0, 0, 2]]),
+        IntMatrix(2, 2, [[2, 0], [0, 3]]),
+        IntMatrix(2, 2, [[4, 6], [6, 9]]),
+    ):
+        check_against_dense_oracle(m)
+
+
+def test_sparse_smith_matches_dense_oracle_on_wedge_differentials():
+    for n in range(1, 5):
+        w = wedge.build_wedge(n)
+        for sheaf in (wedge.gap_sheaf(w), wedge.skeleton_sheaf(w), constant_sheaf(w.poset, PresentedAbGroup.free(1))):
+            for d in cochain_complex(w.poset, sheaf).maps:
+                check_against_dense_oracle(d)
+
+
+def _count_calls(monkeypatch, module, name, owners=()):
+    """Record the arguments of every call to module.name, also through the
+    names the owner modules bind it to."""
+    seen = []
+    original = getattr(module, name)
+
+    def counting(*args):
+        seen.append(args)
+        return original(*args)
+
+    for owner in (module, *owners):
+        monkeypatch.setattr(owner, name, counting)
+    return seen
+
+
+def _reproduce(n):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["reproduce", "--disks", str(n)]) == 0
+
+
+def test_no_smith_form_of_an_empty_matrix(monkeypatch):
+    calls = _count_calls(monkeypatch, abgroup, "smith_decompose", (wedge, cli))
+    _reproduce(4)
+    assert calls
+    assert [m for (m,) in calls if not (m.rows and m.cols)] == []
+    # the shortcuts give what the reduction gives
+    assert PresentedAbGroup.free(3).canonical == (3, ())
+    assert PresentedAbGroup.free(3).to_canonical([1, -2, 5]) == (1, -2, 5)
+    assert PresentedAbGroup.free(2).from_canonical([4, 0]) == (4, 0)
+    assert kernel_basis(IntMatrix.zero(0, 3)) == IntMatrix.identity(3)
+    assert kernel_basis(IntMatrix.zero(2, 0)) == IntMatrix.zero(0, 0)
+
+
+def test_wedge_complexes_stay_on_the_unit_pivot_path(monkeypatch):
+    dense = _count_calls(monkeypatch, abgroup, "_dense_smith")
+    smith_decompose(IntMatrix(2, 2, [[2, 0], [0, 3]]))
+    assert len(dense) == 1  # the counter sees a residual block
+    _reproduce(4)
+    w = wedge.build_wedge(8)
+    F = wedge.gap_sheaf(w)
+    assert [cohomology(w.poset, F, q).canonical for q in range(3)] == [(0, ()), (0, ()), (8, ())]
+    assert len(dense) == 1

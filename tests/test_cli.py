@@ -101,6 +101,17 @@ def test_bad_input_exits_one(capsys, tmp_path):
     assert code == 1  # neither --space nor --disks
 
 
+def test_cohomology_of_a_json_sheaf_with_torsion_stalks(capsys, tmp_path):
+    space = tmp_path / "space.json"
+    space.write_text(json.dumps({"elements": ["a", "b"], "covers": [["a", "b"]]}))
+    z2 = {"rank": 0, "invariant_factors": [2]}
+    sheaf = tmp_path / "sheaf.json"
+    sheaf.write_text(json.dumps({"stalks": {"a": z2, "b": z2}, "restrictions": {"a<b": [["1"]]}}))
+    for degree, pretty in ((0, "Z/2"), (1, "0")):
+        code, out, _ = run(capsys, "cohomology", "--space", str(space), "--sheaf", str(sheaf), "--degree", str(degree))
+        assert code == 0 and json.loads(out)["pretty"] == pretty
+
+
 def test_table_format(capsys):
     code, out, _ = run(capsys, "cohomology", "--disks", "2", "--degree", "2", "--format", "table")
     assert code == 0 and out.strip() == "H^2 = Z^2"
