@@ -495,18 +495,10 @@ def smith_normal_form(M: IntMatrix):
     return s.U, s.D, s.V
 
 
-def _decompose(M: IntMatrix) -> SmithDecomposition:
-    """smith_decompose(M); a matrix without entries (no rows or no columns)
-    gets the identity decomposition, and no reduction runs for it."""
-    if M.rows and M.cols:
-        return smith_decompose(M)
-    return SmithDecomposition((M.rows, M.cols), (), (), range(M.rows), range(M.cols), (), None, ())
-
-
 def kernel_basis(M: IntMatrix) -> IntMatrix:
     """Columns form a Z-basis of {x : M @ x = 0}: the identity when M has
     no rows, empty when it has no columns."""
-    s = _decompose(M)
+    s = smith_decompose(M)
     n = M.cols
     return IntMatrix.from_columns(
         [s.apply_V([1 if i == k else 0 for i in range(n)]) for k in range(s.num_nonzero, n)], nrows=n
@@ -517,7 +509,7 @@ def solve(M: IntMatrix, b: Sequence[int]) -> Optional[tuple]:
     """An integer x with M @ x = b, or None when no integral solution exists."""
     if len(b) != M.rows:
         raise InputError(f"right-hand side length {len(b)} != {M.rows} rows")
-    s = _decompose(M)
+    s = smith_decompose(M)
     z = _smith_solve(s, b)
     return None if z is None else tuple(s.apply_V(z))
 
@@ -577,7 +569,7 @@ class PresentedAbGroup:
 
     @cached_property
     def _smith(self) -> SmithDecomposition:
-        return _decompose(self.relations)
+        return smith_decompose(self.relations)
 
     @cached_property
     def canonical(self) -> tuple:
@@ -784,7 +776,7 @@ class Subquotient:
 
     @cached_property
     def _cycle_smith(self) -> SmithDecomposition:
-        return _decompose(self.cycle_gens)
+        return smith_decompose(self.cycle_gens)
 
     def is_cycle(self, vec: Sequence[int]) -> bool:
         return self._next_group.contains_in_relations(self.d_out.apply(vec))

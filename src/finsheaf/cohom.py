@@ -208,17 +208,20 @@ def les_of_short_exact(
         for pos in range(3):
             nodes.append(LESNode(k, pos, f"H^{k}({labels[pos]})", homs[(k, pos)].group))
 
+    def preimage(m: IntMatrix, target: PresentedAbGroup, y, what: str):
+        """x with m @ x == y modulo the relations of the target group."""
+        x = solve(m.hstack(target.relations), y)
+        if x is None:
+            raise ContractViolation(f"snake lemma: {what} failed")
+        return x[: m.cols]
+
     def connecting(k: int) -> GroupHom:
         """Snake lemma: lift a C-cocycle to B, apply d_B, pull back to A."""
 
         def snake(c_rep):
-            b_lift = solve(gmat[k], c_rep)
-            if b_lift is None:
-                raise ContractViolation("snake lemma: lift through B failed")
-            a_pre = solve(fmat[k + 1], cxs[1].differential(k).apply(b_lift))
-            if a_pre is None:
-                raise ContractViolation("snake lemma: preimage in A failed")
-            return a_pre
+            b_lift = preimage(gmat[k], cxs[2].group(k), c_rep, "lift through B")
+            d_b = cxs[1].differential(k).apply(b_lift)
+            return preimage(fmat[k + 1], cxs[1].group(k + 1), d_b, "preimage in A")
 
         return homs[(k, 2)].induced_map(homs[(k + 1, 0)], snake)
 

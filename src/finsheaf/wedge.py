@@ -256,14 +256,11 @@ def stage_readout(w: WedgeSpace, m: int, cx: Optional[CechComplex] = None) -> Tu
     det = readout.det()
     if abs(det) != 1:
         raise ContractViolation("readout to disk coordinates is not an isomorphism over Z")
-    # exact inverse of a unimodular matrix via the Smith decomposition; the
-    # empty readout of the last stage is its own inverse
-    readback = readout
-    if readout.rows:
-        s = smith_decompose(readout)
-        # readout = U_inv D V_inv with D unimodular diagonal (+-1)
-        dinv = IntMatrix.diagonal([s.D.data[i][i] for i in range(s.D.rows)])
-        readback = s.V @ dinv @ s.U
+    # exact inverse of a unimodular matrix via the Smith decomposition
+    s = smith_decompose(readout)
+    # readout = U_inv D V_inv with D unimodular diagonal (+-1)
+    dinv = IntMatrix.diagonal([s.D.data[i][i] for i in range(s.D.rows)])
+    readback = s.V @ dinv @ s.U
     if not (readout @ readback == IntMatrix.identity(readout.rows)):
         raise ContractViolation("failed to invert the readout matrix")
     return group, readout, readback

@@ -6,7 +6,7 @@ from itertools import combinations
 
 from oracles import primary_decomposition, simplicial_cohomology
 
-from finsheaf.abgroup import IntMatrix, PresentedAbGroup, smith_decompose
+from finsheaf.abgroup import GroupHom, IntMatrix, PresentedAbGroup, smith_decompose
 from finsheaf.cech import (
     Covering,
     cech_cohomology,
@@ -16,7 +16,7 @@ from finsheaf.cech import (
 from finsheaf.cli import main as cli_main
 from finsheaf.cohom import cohomology, les_of_short_exact, component_identity_check
 from finsheaf.finspace import FinitePoset, OpenSet
-from finsheaf.sheaf import constant_sheaf
+from finsheaf.sheaf import SheafMorphism, constant_sheaf
 from finsheaf.symcolim import (
     Colim,
     CountableProduct,
@@ -178,6 +178,36 @@ def test_torsion_coefficients_match_universal_coefficients():
                 free = oracle[q][0] if q < len(oracle) else 0
                 want = (0, (prime,) * (free + divisible(q) + divisible(q + 1)))
                 assert cohomology(p, sheaf, q).canonical == want, f"H^{q}(Z/{prime})"
+
+
+def test_long_exact_sequence_of_torsion_coefficients():
+    """The long exact sequence of 0 -> Z/2 -> B -> Z/2 -> 0 for constant
+    sheaves on the projective plane, where every H^q(Z/2) is Z/2: split
+    with B = Z/2 + Z/2, every connecting map is zero; for B = Z/4 the
+    connecting map H^1 -> H^2 is the Bockstein, an isomorphism there.
+    Cocycles of the quotient lift only modulo the relations of B."""
+    p = _projective_plane()
+    z2 = PresentedAbGroup(1, IntMatrix(1, 1, [[2]]))
+    z4 = PresentedAbGroup(1, IntMatrix(1, 1, [[4]]))
+    z2z2 = PresentedAbGroup(2, IntMatrix(2, 2, [[2, 0], [0, 2]]))
+    cases = [
+        (z2z2, IntMatrix(2, 1, [[1], [0]]), IntMatrix(1, 2, [[0, 1]]), [(2, 2)] * 3, [False, False]),
+        (z4, IntMatrix(1, 1, [[2]]), IntMatrix(1, 1, [[1]]), [(4,), (2,), (2,)], [False, True]),
+    ]
+    for middle, f, g, middle_factors, isomorphic in cases:
+        A, B = constant_sheaf(p, z2), constant_sheaf(p, middle)
+        ses = [SheafMorphism(A, B, {e: f for e in p.elements}), SheafMorphism(B, A, {e: g for e in p.elements})]
+        les = les_of_short_exact(p, ses, OpenSet(p, frozenset(p.elements)))
+        assert les.exact
+        for q in range(3):
+            assert [les.segment(q, pos).canonical for pos in range(3)] == [(0, (2,)), (0, middle_factors[q]), (0, (2,))]
+        deltas = [a.hom for a in les.arrows if a.connecting]
+        assert len(deltas) == 2
+        for delta, iso in zip(deltas, isomorphic):
+            if iso:
+                assert delta.is_surjective() and delta.kernel_group().is_trivial()
+            else:
+                assert delta.equals_as_hom(GroupHom.zero(delta.source, delta.target))
 
 
 def test_criterion_6_smith_normal_form_property_sweep():
