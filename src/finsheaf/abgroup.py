@@ -3,9 +3,9 @@
 Everything here works over plain Python ints, which are arbitrary precision,
 so Smith normal form never overflows no matter how badly the intermediate
 entries blow up.  Matrices are stored dense and immutable, but the Smith
-reduction is sparse: it eliminates ±1 pivots on a sparse copy first and runs
-the dense reduction only on what is left.  Its unimodular transforms are
-kept as the recorded operations and applied to vectors directly; dense
+reduction is sparse: it eliminates on a sparse copy, unit pivots of least
+fill first, then entries of least absolute value.  Its unimodular transforms
+are kept as the recorded operations and applied to vectors directly; dense
 transform matrices are built only on use.  Groups are given by a generator
 count and an integer relation matrix, with the canonical form (rank +
 invariant factors) computed through Smith normal form.
@@ -33,16 +33,10 @@ class IntMatrix:
         data = tuple(tuple(map(int, row)) for row in entries)
         if len(data) != rows or any(len(r) != cols for r in data):
             raise InputError(f"expected {rows}x{cols} entries")
-        self.rows = rows
-        self.cols = cols
-        self.data = data
-        self._hash = None
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[int]]) -> "IntMatrix":
-        rows = [list(r) for r in rows]
-        ncols = len(rows[0]) if rows else 0
-        return cls(len(rows), ncols, rows)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "data", data)
+        object.__setattr__(self, "_hash", None)
 
     @classmethod
     def from_columns(cls, cols: Sequence[Sequence[int]], nrows: Optional[int] = None) -> "IntMatrix":
@@ -100,8 +94,8 @@ class IntMatrix:
         return self._hash
 
     def __setattr__(self, name, value):
-        # allow construction, forbid mutation afterwards
-        if hasattr(self, "_hash") and name not in ("_hash",):
+        # only the cached hash may be set; __init__ sets the rest directly
+        if name != "_hash":
             raise AttributeError("IntMatrix is immutable")
         object.__setattr__(self, name, value)
 
@@ -143,11 +137,6 @@ class IntMatrix:
             self.cols + other.cols,
             [ra + rb for ra, rb in zip(self.data, other.data)],
         )
-
-    def vstack(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.cols:
-            raise InputError("vstack: column counts differ")
-        return IntMatrix(self.rows + other.rows, self.cols, self.data + other.data)
 
     def submatrix_rows(self, row_indices: Sequence[int]) -> "IntMatrix":
         return IntMatrix(len(row_indices), self.cols, [self.data[i] for i in row_indices])
@@ -197,36 +186,24 @@ class SmithDecomposition:
 
     The decomposition is kept as the reduction that produced it.  With E
     the recorded row operations and F the recorded column operations,
-    P and Q the orders that bring the pivot rows and columns first, S the
-    pivot signs and B, C the transforms of the residual block,
-    U = B·S·P·E and V = F·Q·C.  `apply_U`, `apply_U_inv`, `apply_V` and
-    `apply_V_inv` apply a transform to one vector; the dense `U`, `D`, `V`,
-    `U_inv` and `V_inv` are built on first access.
+    P and Q the orders that bring the pivot rows and columns first and S
+    the pivot signs, U = S·P·E and V = F·Q.  `apply_U`, `apply_U_inv`,
+    `apply_V` and `apply_V_inv` apply a transform to one vector; the dense
+    `U`, `D`, `V`, `U_inv` and `V_inv` are built on first access.
     """
 
-    def __init__(self, shape, row_ops, col_ops, row_order, col_order, signs, block, diagonal):
+    def __init__(self, shape, row_ops, col_ops, row_order, col_order, signs, diagonal):
         self.shape = shape
         self.diagonal = diagonal
         self._row_ops = row_ops  # (k, i, q): row k += q * row i, in order
         self._col_ops = col_ops  # (l, j, q): column l += q * column j, in order
         self._row_order = row_order  # row t of D comes from row row_order[t]
         self._col_order = col_order
-        self._signs = signs  # of the unit pivot rows, which come first
-        # (B, C, B^-1, C^-1) on the positions after them, rows as (column,
-        # entry) lists of the nonzero entries; or None
-        self._block = block
+        self._signs = signs  # of the pivot rows, which come first
 
     @property
     def num_nonzero(self) -> int:
         return sum(1 for d in self.diagonal if d != 0)
-
-    def _through_block(self, vec: list, which: int) -> list:
-        if self._block is not None:
-            mat = self._block[which]
-            lo = len(self._signs)
-            seg = vec[lo : lo + len(mat)]
-            vec[lo : lo + len(mat)] = [sum(a * seg[j] for j, a in row) for row in mat]
-        return vec
 
     @staticmethod
     def _vector(vec: Sequence[int], n: int) -> list:
@@ -245,10 +222,10 @@ class SmithDecomposition:
         for k, i, q in self._row_ops:
             if y[i]:
                 y[k] += q * y[i]
-        return self._through_block(self._signed([y[i] for i in self._row_order]), 0)
+        return self._signed([y[i] for i in self._row_order])
 
     def apply_U_inv(self, vec: Sequence[int]) -> list:
-        w = self._signed(self._through_block(self._vector(vec, self.shape[0]), 2))
+        w = self._signed(self._vector(vec, self.shape[0]))
         y = [0] * self.shape[0]
         for t, i in enumerate(self._row_order):
             y[i] = w[t]
@@ -258,7 +235,7 @@ class SmithDecomposition:
         return y
 
     def apply_V(self, vec: Sequence[int]) -> list:
-        w = self._through_block(self._vector(vec, self.shape[1]), 1)
+        w = self._vector(vec, self.shape[1])
         x = [0] * self.shape[1]
         for t, j in enumerate(self._col_order):
             x[j] = w[t]
@@ -272,7 +249,7 @@ class SmithDecomposition:
         for l, j, q in self._col_ops:
             if x[l]:
                 x[j] -= q * x[l]
-        return self._through_block([x[j] for j in self._col_order], 3)
+        return [x[j] for j in self._col_order]
 
     @staticmethod
     def _dense(apply: Callable[[list], list], n: int) -> IntMatrix:
@@ -301,18 +278,18 @@ class SmithDecomposition:
 
 
 def smith_decompose(M: IntMatrix) -> SmithDecomposition:
-    """The Smith form of M, in two stages.
+    """The Smith form of M, by one sparse reduction.
 
-    Stage 1 eliminates ±1 pivots on a sparse copy of M: rows as
-    {column: entry} dicts, with the rows of each column indexed.  Each step
-    takes the unit entry of least fill, (row count - 1)·(column count - 1),
-    clears its column with row operations and its row with column
-    operations.  A unit divides everything, so no divisibility fix-up is
-    needed, and the column operations touch only the pivot row, so they are
-    recorded, not carried out.  Stage 2 runs the dense reduction on the
-    block that is left, which has no unit entries; when that block is zero
-    it does not run.  The unit pivots come first in D, so D keeps its
-    divisibility chain.
+    M is copied as rows of {column: entry} dicts, with the rows of each
+    column indexed.  Each step takes a pivot p (see `_pivot`) and clears its
+    column with floor-quotient row operations, then its row with
+    floor-quotient column operations; once the column is clear these touch
+    only the pivot row, so they are recorded, not carried out.  A nonzero
+    remainder is smaller than p, and the next step takes a pivot again.  A
+    pivot with its row and column clear is kept when it divides every entry
+    left; otherwise a row holding a non-multiple is added to the pivot row.
+    So each kept pivot divides the ones after it, the units come first, and
+    D needs no sorting.
     """
     r, c = M.rows, M.cols
     rows = {}
@@ -325,21 +302,18 @@ def smith_decompose(M: IntMatrix) -> SmithDecomposition:
                 where.setdefault(j, set()).add(i)
     row_ops, col_ops, pivots = [], [], []
     while True:
-        pivot = _unit_pivot(rows, where)
+        pivot = _pivot(rows, where)
         if pivot is None:
             break
         i, j = pivot
-        prow = rows.pop(i)
-        s = prow[j]
-        for k in where.pop(j):
-            if k == i:
-                continue
+        prow = rows[i]
+        p = prow[j]
+        left = False  # a nonzero remainder in column j
+        for k in where[j] - {i}:
             target = rows[k]
-            q = -s * target.pop(j)
+            q = -(target[j] // p)
             row_ops.append((k, i, q))
             for l, e in prow.items():
-                if l == j:
-                    continue
                 v = target.get(l, 0) + q * e
                 if v:
                     if l not in target:
@@ -350,38 +324,53 @@ def smith_decompose(M: IntMatrix) -> SmithDecomposition:
                     where[l].discard(k)
             if not target:
                 del rows[k]
+            elif j in target:
+                left = True
+        if left:
+            continue
+        remainders = {}
         for l, e in prow.items():
             if l != j:
-                col_ops.append((l, j, -s * e))
-                where[l].discard(i)
-        pivots.append((i, j, s))
+                q = -(e // p)
+                col_ops.append((l, j, q))
+                e += q * p
+                if e:
+                    remainders[l] = e
+                else:
+                    where[l].discard(i)
+        prow = rows[i] = {j: p, **remainders}
+        if remainders:
+            continue
+        if p != 1 and p != -1:
+            bad = next((k for k, entries in rows.items() if any(a % p for a in entries.values())), None)
+            if bad is not None:
+                row_ops.append((i, bad, 1))
+                for l, e in rows[bad].items():
+                    prow[l] = e
+                    where[l].add(i)
+                continue
+        del rows[i]
+        del where[j]
+        pivots.append((i, j, p))
 
-    block_rows = sorted(rows)
-    block_cols = sorted({j for entries in rows.values() for j in entries})
-    taken_rows = {i for i, _, _ in pivots}.union(block_rows)
-    taken_cols = {j for _, j, _ in pivots}.union(block_cols)
-    diagonal = [1] * len(pivots)
-    block = None
-    if rows:
-        U2, A, V2, U2_inv, V2_inv = _dense_smith([[rows[i].get(j, 0) for j in block_cols] for i in block_rows])
-        block = tuple([[(j, a) for j, a in enumerate(row) if a] for row in m] for m in (U2, V2, U2_inv, V2_inv))
-        diagonal += [A[t][t] for t in range(min(len(block_rows), len(block_cols)))]
-    diagonal += [0] * (min(r, c) - len(diagonal))
+    pivot_rows = [i for i, _, _ in pivots]
+    pivot_cols = [j for _, j, _ in pivots]
+    taken_rows, taken_cols = set(pivot_rows), set(pivot_cols)
     return SmithDecomposition(
         shape=(r, c),
         row_ops=row_ops,
         col_ops=col_ops,
-        row_order=[i for i, _, _ in pivots] + block_rows + [i for i in range(r) if i not in taken_rows],
-        col_order=[j for _, j, _ in pivots] + block_cols + [j for j in range(c) if j not in taken_cols],
-        signs=[s for _, _, s in pivots],
-        block=block,
-        diagonal=tuple(diagonal),
+        row_order=pivot_rows + [i for i in range(r) if i not in taken_rows],
+        col_order=pivot_cols + [j for j in range(c) if j not in taken_cols],
+        signs=[1 if p > 0 else -1 for _, _, p in pivots],
+        diagonal=tuple([abs(p) for _, _, p in pivots] + [0] * (min(r, c) - len(pivots))),
     )
 
 
-def _unit_pivot(rows: dict, where: dict) -> Optional[tuple]:
-    """The ±1 entry of least fill, the first in row order among equals, or
-    None when no entry is a unit."""
+def _pivot(rows: dict, where: dict) -> Optional[tuple]:
+    """The ±1 entry of least fill, (row count - 1)·(column count - 1), the
+    first in row order among equals; with no unit entry, the first entry of
+    least absolute value; None when no entry is left."""
     best, best_fill = None, None
     for i, entries in rows.items():
         spare = len(entries) - 1
@@ -392,101 +381,9 @@ def _unit_pivot(rows: dict, where: dict) -> Optional[tuple]:
                     return i, j
                 if best is None or fill < best_fill:
                     best, best_fill = (i, j), fill
+    if best is None and rows:
+        best = min(((i, j) for i, entries in rows.items() for j in entries), key=lambda ij: abs(rows[ij[0]][ij[1]]))
     return best
-
-
-def _dense_smith(A: list):
-    """Dense Smith reduction of the list of rows A, in place: returns
-    (U, A, V, U_inv, V_inv) as lists of rows, with A now diagonal."""
-    r, c = len(A), len(A[0])
-    U = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
-    Ui = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
-    V = [[1 if i == j else 0 for j in range(c)] for i in range(c)]
-    Vi = [[1 if i == j else 0 for j in range(c)] for i in range(c)]
-
-    def row_swap(i, j):
-        A[i], A[j] = A[j], A[i]
-        U[i], U[j] = U[j], U[i]
-        for row in Ui:
-            row[i], row[j] = row[j], row[i]
-
-    def row_add(i, t, q):
-        # row_i += q * row_t
-        A[i] = [a + q * b for a, b in zip(A[i], A[t])]
-        U[i] = [a + q * b for a, b in zip(U[i], U[t])]
-        for row in Ui:
-            row[t] -= q * row[i]
-
-    def row_negate(i):
-        A[i] = [-a for a in A[i]]
-        U[i] = [-a for a in U[i]]
-        for row in Ui:
-            row[i] = -row[i]
-
-    def col_swap(i, j):
-        for row in A:
-            row[i], row[j] = row[j], row[i]
-        for row in V:
-            row[i], row[j] = row[j], row[i]
-        Vi[i], Vi[j] = Vi[j], Vi[i]
-
-    def col_add(j, t, q):
-        # col_j += q * col_t
-        for row in A:
-            row[j] += q * row[t]
-        for row in V:
-            row[j] += q * row[t]
-        Vi[t] = [a - q * b for a, b in zip(Vi[t], Vi[j])]
-
-    t = 0
-    limit = min(r, c)
-    while t < limit:
-        # pivot: nonzero entry of minimal absolute value, row-major tie-break
-        pivot = None
-        for i in range(t, r):
-            for j in range(t, c):
-                if A[i][j] != 0 and (pivot is None or abs(A[i][j]) < abs(A[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        if pivot[0] != t:
-            row_swap(t, pivot[0])
-        if pivot[1] != t:
-            col_swap(t, pivot[1])
-        if A[t][t] < 0:
-            row_negate(t)
-        p = A[t][t]
-        restart = False
-        for i in range(t + 1, r):
-            if A[i][t] != 0:
-                q = A[i][t] // p
-                if q:
-                    row_add(i, t, -q)
-                if A[i][t] != 0:
-                    restart = True
-        if restart:
-            continue
-        for j in range(t + 1, c):
-            if A[t][j] != 0:
-                q = A[t][j] // p
-                if q:
-                    col_add(j, t, -q)
-                if A[t][j] != 0:
-                    restart = True
-        if restart:
-            continue
-        # enforce the divisibility chain: pivot must divide the whole tail block
-        bad_row = None
-        for i in range(t + 1, r):
-            if any(A[i][j] % p != 0 for j in range(t + 1, c)):
-                bad_row = i
-                break
-        if bad_row is not None:
-            row_add(t, bad_row, 1)
-            continue
-        t += 1
-
-    return U, A, V, Ui, Vi
 
 
 def smith_normal_form(M: IntMatrix):

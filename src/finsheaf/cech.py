@@ -49,9 +49,6 @@ class Covering:
         if union != set(base.elements):
             raise InputError("members do not cover the space")
 
-    def member(self, name: str) -> frozenset:
-        return self.members[name]
-
     def intersection(self, names: Sequence[str]) -> frozenset:
         out = None
         for n in names:
@@ -311,13 +308,11 @@ class ComparisonReport:
 def covering_comparison_report(c: Covering, sheaf: PosetSheaf) -> ComparisonReport:
     """Compute both pipelines and report the low-degree corner of the
     Čech-to-derived comparison for this covering."""
-    cech_h0 = cech_cohomology(c, sheaf, 0)
-    cech_h1 = cech_cohomology(c, sheaf, 1)
-    cech_h2 = cech_cohomology(c, sheaf, 2)
+    cech = cech_complex_sheaf(c, sheaf)
+    cech_h0, cech_h1, cech_h2 = (cech.homology(p).group for p in range(3))
     cech_h1h1 = cech_cohomology_hq(c, sheaf, 1, 1)
-    sheaf_h0 = _cohom.cohomology(c.base, sheaf, 0)
-    sheaf_h1 = _cohom.cohomology(c.base, sheaf, 1)
-    sheaf_h2 = _cohom.cohomology(c.base, sheaf, 2)
+    cochains = _cohom.cochain_complex(c.base, sheaf)
+    sheaf_h0, sheaf_h1, sheaf_h2 = (cochains.homology(q).group for q in range(3))
     combined = direct_sum([cech_h2, cech_h1h1])
     return ComparisonReport(
         cech_h0=cech_h0,

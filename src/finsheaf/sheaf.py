@@ -50,11 +50,6 @@ class PosetSheaf:
         if check:
             self._check_functorial()
 
-    def stalk(self, p: str) -> PresentedAbGroup:
-        if p not in self.stalks:
-            raise InputError(f"unknown element {p!r}")
-        return self.stalks[p]
-
     def restrict(self, p: str, q: str) -> IntMatrix:
         """The restriction matrix stalk(p) -> stalk(q) for p <= q."""
         key = (p, q)

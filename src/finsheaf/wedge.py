@@ -10,11 +10,11 @@ the 2-cell "fn".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from .abgroup import GroupHom, IntMatrix, PresentedAbGroup, Subquotient, kernel_basis, smith_decompose
 from .cech import CechComplex, Covering, cech_complex_hq, refinement_map
-from .cohom import cohomology
+from .cohom import cochain_complex
 from .errors import ContractViolation, InputError
 from .finspace import FinitePoset, OpenSet, RegularCWData, face_poset
 from .sheaf import PosetSheaf, SheafMorphism, closed_pushforward, constant_sheaf, extension_by_zero
@@ -127,14 +127,10 @@ class FiveConditionReport:
 def _acyclic_connected(space: FinitePoset) -> bool:
     """Order complex has the cohomology of a point (the computable proxy for
     CW-contractibility used by condition (i))."""
-    Z = PresentedAbGroup.free(1)
-    cs = constant_sheaf(space, Z)
-    if cohomology(space, cs, 0).canonical != (1, ()):
-        return False
-    for q in range(1, space.height + 1):
-        if not cohomology(space, cs, q).is_trivial():
-            return False
-    return True
+    cx = cochain_complex(space, constant_sheaf(space, PresentedAbGroup.free(1)))
+    return cx.homology(0).group.canonical == (1, ()) and all(
+        cx.homology(q).group.is_trivial() for q in range(1, space.height + 1)
+    )
 
 
 def validate_five_conditions(w: WedgeSpace, c: Covering) -> FiveConditionReport:
@@ -227,7 +223,7 @@ def _corner_complex(w: WedgeSpace, m: int) -> CechComplex:
     return cech_complex_hq(stage_covering(w, m), gap_sheaf(w), 1)
 
 
-def stage_readout(w: WedgeSpace, m: int, cx: Optional[CechComplex] = None) -> Tuple[PresentedAbGroup, IntMatrix, IntMatrix]:
+def stage_readout(w: WedgeSpace, m: int) -> Tuple[PresentedAbGroup, IntMatrix, IntMatrix]:
     """(group, readout, readback) for the stage-m corner group.
 
     `readout` maps canonical generators of Ȟ¹ to the live disk coordinates
@@ -235,8 +231,7 @@ def stage_readout(w: WedgeSpace, m: int, cx: Optional[CechComplex] = None) -> Tu
     inverse.  Well-defined because the degree-zero Čech term vanishes for
     stage coverings.
     """
-    if cx is None:
-        cx = _corner_complex(w, m)
+    cx = _corner_complex(w, m)
     if not cx.groups[0].is_trivial():
         raise ContractViolation("stage covering has nonvanishing degree-zero term")
     h = cx.homology(1)
@@ -346,7 +341,7 @@ class StageEvidence:
         }
 
 
-def collect_stage_evidence(w: WedgeSpace, check_refinement: bool = True) -> StageEvidence:
+def collect_stage_evidence(w: WedgeSpace) -> StageEvidence:
     """Run the stage pipeline and record what the certificate may rely on."""
     sys_ = stage_system(w)
     forms = {m: sys_.groups[m].canonical for m in range(1, w.n + 2)}
@@ -356,19 +351,16 @@ def collect_stage_evidence(w: WedgeSpace, check_refinement: bool = True) -> Stag
     for m, m2 in pairs:
         t = sys_.transition(m, m2)
         krank = kernel_basis(t.matrix).cols
-        entry = {
-            "m": m,
-            "m2": m2,
-            "surjective": t.is_surjective(),
-            "kernel_rank": krank,
-        }
-        if check_refinement:
-            incl = stage_refinement_inclusion(w, m, m2)
-            roundtrip = t.compose(incl)
-            entry["retraction_of_inclusion"] = roundtrip.equals_as_hom(
-                GroupHom.identity(sys_.groups[m2])
-            )
-        transitions.append(entry)
+        roundtrip = t.compose(stage_refinement_inclusion(w, m, m2))
+        transitions.append(
+            {
+                "m": m,
+                "m2": m2,
+                "surjective": t.is_surjective(),
+                "kernel_rank": krank,
+                "retraction_of_inclusion": roundtrip.equals_as_hom(GroupHom.identity(sys_.groups[m2])),
+            }
+        )
     # transitions compose
     if w.n >= 2:
         direct = sys_.transition(1, 3)

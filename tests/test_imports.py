@@ -1,4 +1,5 @@
-"""Every module-level import in the package is used by its module."""
+"""Every module-level import in the package is used by its module, and every
+private function, class or method is referenced somewhere in the package."""
 
 import ast
 import os
@@ -36,6 +37,51 @@ def test_detector_flags_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_module_level_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unreferenced_private_names(sources: dict) -> list:
+    """Private (`_name`, not dunder) functions, classes and methods defined in
+    the modules {file name: source} that no module refers to by name."""
+    defined = {}
+    referenced = set()
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if node.name.startswith("_") and not node.name.endswith("__"):
+                    defined[module, node.name] = node.lineno
+            elif isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.alias):
+                referenced.add(node.name)
+    return sorted(f"{m}: {name} (line {line})" for (m, name), line in defined.items() if name not in referenced)
+
+
+def test_detector_flags_an_unreferenced_private_name():
+    a = """
+def _used():
+    pass
+
+
+def _unused():
+    pass
+
+
+class K:
+    def _method(self):
+        pass
+
+    def __init__(self):
+        self._attr = 1
+"""
+    b = "from a import _used\n\n_used()\n"
+    assert unreferenced_private_names({"a.py": a, "b.py": b}) == ["a.py: _method (line 11)", "a.py: _unused (line 6)"]
+
+
+def test_every_private_definition_is_referenced():
+    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert unreferenced_private_names(sources) == []
 
 
 RELOAD = """
