@@ -77,6 +77,8 @@ REPRODUCE_SHA256 = {
     2: "927fd6301933f78d198f078bfe97a444746f2cfb9536b6de9540b4f1e8504b99",
     3: "e9722a308dbbfe95cf63c624c0b5807ca06dc573ea9c62cfcbf524ad59ba7762",
     4: "f311a8a6e92736b51f7d7982a73fdda008587222863a385aad83500ef0b1f9d5",
+    8: "5683915a8802a86c949bc476c0132bfe6ddc9acc1cf76b81cce16b5cffce8d4b",
+    10: "0764a4699fb040b069c0a3d9045fb65f3628662bd92aa161595e02671f3af6a2",
 }
 
 
