@@ -9,7 +9,6 @@ intersections contribute zero summands.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -22,7 +21,7 @@ from .abgroup import (
     direct_sum,
     induced_on_homology,
 )
-from .errors import InputError
+from .errors import ContractViolation, InputError
 from .finspace import FinitePoset
 from .sheaf import PosetSheaf
 from . import cohom as _cohom
@@ -58,11 +57,25 @@ class Covering:
 
     def tuples(self, p: int) -> List[tuple]:
         """Strictly increasing (p+1)-tuples of member names with nonempty
-        intersection."""
-        out = []
-        for combo in itertools.combinations(self.order, p + 1):
-            if self.intersection(combo):
-                out.append(combo)
+        intersection, in lexicographic member order.
+
+        Depth-first over the member order, extending only tuples whose
+        running intersection is nonempty, so the work follows the output
+        rather than all (p+1)-subsets.
+        """
+        out: List[tuple] = []
+        order = self.order
+
+        def extend(t: tuple, common: frozenset, start: int) -> None:
+            if len(t) == p + 1:
+                out.append(t)
+                return
+            for i in range(start, len(order) - p + len(t)):
+                meet = common & self.members[order[i]]
+                if meet:
+                    extend(t + (order[i],), meet, i + 1)
+
+        extend((), frozenset(self.base.elements), 0)
         return out
 
     def reordered(self, new_order: Sequence[str]) -> "Covering":
@@ -124,13 +137,24 @@ class _Coefficients:
 
 class CechComplex(ChainComplexData):
     """Alternating Čech complex; block layout records, per degree, the index
-    tuple, the coefficient group, and its offset."""
+    tuple, the coefficient group, and its offset.
 
-    def __init__(self, covering, coefficients, groups, maps, block_layout):
+    A complex truncated at degree `top` stores degrees 0..top only, so its
+    homology is known below `top` alone; `top` is None for the full complex.
+    """
+
+    def __init__(self, covering, coefficients, groups, maps, block_layout, top=None):
         self.covering = covering
         self.coefficients = coefficients
         self.block_layout = block_layout  # per degree: list of (tuple, offset, group)
+        self.top = top
         super().__init__(groups, maps)
+
+    def homology(self, k: int) -> Subquotient:
+        # past the top the differential is missing, not zero
+        if self.top is not None and k >= self.top:
+            raise ContractViolation(f"Čech complex truncated at degree {self.top} has no homology in degree {k}")
+        return super().homology(k)
 
     def blocks(self, p: int) -> list:
         """The layout of degree p; empty outside the stored degrees."""
@@ -148,11 +172,12 @@ def cech_complex_hq(c: Covering, sheaf: PosetSheaf, q: int) -> CechComplex:
     return _cech_complex(c, _Coefficients(c.base, sheaf, q))
 
 
-def _cech_complex(c: Covering, coeffs: _Coefficients) -> CechComplex:
-    """The Čech complex of the covering with the given coefficient cache."""
+def _cech_complex(c: Covering, coeffs: _Coefficients, top: Optional[int] = None) -> CechComplex:
+    """The Čech complex of the covering with the given coefficient cache,
+    in degrees 0..top only when `top` is given (Ȟ^p needs top = p + 1)."""
     layout: List[List[Tuple[tuple, int, PresentedAbGroup]]] = []
     p = 0
-    while p < len(c.order):
+    while p < len(c.order) and (top is None or p <= top):
         tups = c.tuples(p)
         entries = []
         off = 0
@@ -177,7 +202,7 @@ def _cech_complex(c: Covering, coeffs: _Coefficients) -> CechComplex:
                     res = coeffs.restriction(c.intersection(face), c.intersection(t)).matrix
                     blocks.append((toff, soff, -1 if i % 2 else 1, res))
         maps.append(IntMatrix.from_blocks(groups[k + 1].generator_count, groups[k].generator_count, blocks))
-    return CechComplex(c, coeffs, groups, maps, layout)
+    return CechComplex(c, coeffs, groups, maps, layout, top)
 
 
 def cech_complex_sheaf(c: Covering, sheaf: PosetSheaf) -> CechComplex:
@@ -188,8 +213,7 @@ def cech_complex_sheaf(c: Covering, sheaf: PosetSheaf) -> CechComplex:
 def cech_cohomology_hq(c: Covering, sheaf: PosetSheaf, q: int, p: int) -> PresentedAbGroup:
     if p < 0:
         raise InputError("degree must be >= 0")
-    cx = cech_complex_hq(c, sheaf, q)
-    return cx.homology(p).group
+    return _cech_complex(c, _Coefficients(c.base, sheaf, q), p + 1).homology(p).group
 
 
 def cech_cohomology(c: Covering, sheaf: PosetSheaf, p: int) -> PresentedAbGroup:
@@ -209,6 +233,14 @@ def refinement_map(
     The assignment must witness the refinement: each fine member contained
     in its assigned coarse member.
     """
+    coeffs = _Coefficients(fine.base, sheaf, q)
+    return _refinement_map(_cech_complex(fine, coeffs, p + 1), _cech_complex(coarse, coeffs, p + 1), assignment, p)
+
+
+def _refinement_map(fine_cx: CechComplex, coarse_cx: CechComplex, assignment: Dict[str, str], p: int) -> GroupHom:
+    """`refinement_map` between Čech complexes already built, up to degree
+    p + 1 at least; the restrictions run from coarse to fine opens."""
+    fine, coarse, coeffs = fine_cx.covering, coarse_cx.covering, fine_cx.coefficients
     if fine.base != coarse.base:
         raise InputError("refinement requires coverings of the same space")
     for name in fine.order:
@@ -217,10 +249,6 @@ def refinement_map(
             raise InputError(f"no coarse member assigned to {name!r}")
         if not fine.members[name] <= coarse.members[big]:
             raise InputError(f"{name!r} is not contained in {big!r}: not a refinement witness")
-    # one coefficient cache: the restrictions run from coarse to fine opens
-    coeffs = _Coefficients(fine.base, sheaf, q)
-    fine_cx = _cech_complex(fine, coeffs)
-    coarse_cx = _cech_complex(coarse, coeffs)
     coarse_pos = {name: i for i, name in enumerate(coarse.order)}
 
     fmat = []
@@ -308,7 +336,7 @@ class ComparisonReport:
 def covering_comparison_report(c: Covering, sheaf: PosetSheaf) -> ComparisonReport:
     """Compute both pipelines and report the low-degree corner of the
     Čech-to-derived comparison for this covering."""
-    cech = cech_complex_sheaf(c, sheaf)
+    cech = _cech_complex(c, _Coefficients(c.base, sheaf, 0), 3)
     cech_h0, cech_h1, cech_h2 = (cech.homology(p).group for p in range(3))
     cech_h1h1 = cech_cohomology_hq(c, sheaf, 1, 1)
     cochains = _cohom.cochain_complex(c.base, sheaf)

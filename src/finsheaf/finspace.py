@@ -27,51 +27,54 @@ class FinitePoset:
         if len(set(self.elements)) != len(self.elements):
             raise InputError("element labels must be unique")
         self._index = {e: i for i, e in enumerate(self.elements)}
-        less = set()
-        pairs = [tuple(p) for p in relations]
-        for a, b in pairs:
+        succ = {e: set() for e in self.elements}
+        for a, b in (tuple(p) for p in relations):
             if a not in self._index or b not in self._index:
                 raise InputError(f"relation ({a},{b}) references unknown element")
             if a != b:
-                less.add((a, b))
-        # transitive closure
-        changed = True
-        while changed:
-            changed = False
-            for a, b in list(less):
-                for c, d in list(less):
-                    if b == c and (a, d) not in less:
-                        less.add((a, d))
-                        changed = True
-        for a, b in less:
-            if (b, a) in less:
-                raise InputError(f"relations contain a cycle through {a} and {b}")
-        self._less = frozenset(less)
-        above = {e: set() for e in self.elements}
+                succ[a].add(b)
+        # one depth-first pass: the up-set of a is the union over its direct
+        # successors s of {s} and the up-set of s; the covers of a are the
+        # successors that lie in no such up-set
+        above = {}
+        cover_sets = {}
+        rise = {}  # length of the longest chain of covers starting at a
+        on_path = set()
+        for root in self.elements:
+            if root in above:
+                continue
+            stack = [(root, iter(succ[root]))]
+            on_path.add(root)
+            while stack:
+                a, todo = stack[-1]
+                for b in todo:
+                    if b in on_path:
+                        raise InputError(f"relations contain a cycle through {a} and {b}")
+                    if b not in above:
+                        stack.append((b, iter(succ[b])))
+                        on_path.add(b)
+                        break
+                else:
+                    stack.pop()
+                    on_path.discard(a)
+                    via = set().union(*(above[b] for b in succ[a]))
+                    cover_sets[a] = succ[a] - via
+                    above[a] = frozenset(via | succ[a])
+                    rise[a] = 1 + max((rise[b] for b in cover_sets[a]), default=-1)
+        self._above = {e: above[e] for e in self.elements}
         below = {e: set() for e in self.elements}
-        for a, b in less:
-            above[a].add(b)
-            below[b].add(a)
-        self._above = {e: frozenset(s) for e, s in above.items()}
+        for a, up in above.items():
+            for b in up:
+                below[b].add(a)
         self._below = {e: frozenset(s) for e, s in below.items()}
+        self._less = frozenset((a, b) for a, up in above.items() for b in up)
         # up-sets in element order: chains extend along them
         self._above_ordered = {e: tuple(sorted(s, key=self._index.__getitem__)) for e, s in above.items()}
-        covers = []
-        for a, b in sorted(less, key=lambda ab: (self._index[ab[0]], self._index[ab[1]])):
-            if not any((a, c) in less and (c, b) in less for c in above[a]):
-                covers.append((a, b))
-        self.covers = tuple(covers)
+        self.covers = tuple(
+            (a, b) for a in self.elements for b in sorted(cover_sets[a], key=self._index.__getitem__)
+        )
         # height bound cuts chain enumeration early
-        self.height = self._compute_height()
-
-    def _compute_height(self) -> int:
-        depth = {}
-        for e in self._topo_order():
-            depth[e] = 1 + max((depth[c] for c, d in self.covers if d == e), default=0)
-        return max(depth.values(), default=0) - 1
-
-    def _topo_order(self):
-        return sorted(self.elements, key=lambda e: (len(self._below[e]), self._index[e]))
+        self.height = max(rise.values(), default=-1)
 
     def __len__(self):
         return len(self.elements)

@@ -10,10 +10,10 @@ the 2-cell "fn".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from .abgroup import GroupHom, IntMatrix, PresentedAbGroup, Subquotient, kernel_basis, smith_decompose
-from .cech import CechComplex, Covering, cech_complex_hq, refinement_map
+from .cech import CechComplex, Covering, _cech_complex, _Coefficients, _refinement_map
 from .cohom import cochain_complex
 from .errors import ContractViolation, InputError
 from .finspace import FinitePoset, OpenSet, RegularCWData, face_poset
@@ -219,8 +219,11 @@ def stage_covering(w: WedgeSpace, m: int) -> Covering:
     return Covering(w.poset, members, order)
 
 
-def _corner_complex(w: WedgeSpace, m: int) -> CechComplex:
-    return cech_complex_hq(stage_covering(w, m), gap_sheaf(w), 1)
+def _corner_complexes(w: WedgeSpace, stages: Iterable[int]) -> Dict[int, CechComplex]:
+    """The Čech complexes of the given stage coverings with coefficients
+    H¹(-, F), up to degree 2, all on one coefficient cache."""
+    coeffs = _Coefficients(w.poset, gap_sheaf(w), 1)
+    return {m: _cech_complex(stage_covering(w, m), coeffs, 2) for m in stages}
 
 
 def stage_readout(w: WedgeSpace, m: int) -> Tuple[PresentedAbGroup, IntMatrix, IntMatrix]:
@@ -231,7 +234,10 @@ def stage_readout(w: WedgeSpace, m: int) -> Tuple[PresentedAbGroup, IntMatrix, I
     inverse.  Well-defined because the degree-zero Čech term vanishes for
     stage coverings.
     """
-    cx = _corner_complex(w, m)
+    return _stage_readout(w, m, _corner_complexes(w, [m])[m])
+
+
+def _stage_readout(w: WedgeSpace, m: int, cx: CechComplex) -> Tuple[PresentedAbGroup, IntMatrix, IntMatrix]:
     if not cx.groups[0].is_trivial():
         raise ContractViolation("stage covering has nonvanishing degree-zero term")
     h = cx.homology(1)
@@ -291,15 +297,19 @@ class StageSystem:
 
 def stage_group(w: WedgeSpace, m: int) -> PresentedAbGroup:
     """Ȟ¹(stage-m covering, H¹(F)); isomorphic to Z^(N-m+1)."""
-    return _corner_complex(w, m).homology(1).group
+    return _corner_complexes(w, [m])[m].homology(1).group
 
 
 def stage_system(w: WedgeSpace) -> StageSystem:
+    return _stage_system(w, _corner_complexes(w, range(1, w.n + 2)))
+
+
+def _stage_system(w: WedgeSpace, complexes: Dict[int, CechComplex]) -> StageSystem:
     groups: Dict[int, PresentedAbGroup] = {}
     readouts: Dict[int, IntMatrix] = {}
     readbacks: Dict[int, IntMatrix] = {}
     for m in range(1, w.n + 2):
-        g, out, back = stage_readout(w, m)
+        g, out, back = _stage_readout(w, m, complexes[m])
         groups[m] = g
         readouts[m] = out
         readbacks[m] = back
@@ -311,10 +321,13 @@ def stage_refinement_inclusion(w: WedgeSpace, m: int, m2: int) -> GroupHom:
     (the stage-m covering refines the stage-m' covering)."""
     if not (1 <= m <= m2 <= w.n + 1):
         raise InputError("need 1 <= m <= m' <= N+1")
-    fine = stage_covering(w, m)
-    coarse = stage_covering(w, m2)
+    complexes = _corner_complexes(w, {m, m2})
+    return _stage_refinement_inclusion(complexes[m], complexes[m2], m2)
+
+
+def _stage_refinement_inclusion(fine_cx: CechComplex, coarse_cx: CechComplex, m2: int) -> GroupHom:
     assignment = {}
-    for name in fine.order:
+    for name in fine_cx.covering.order:
         if name == "U0":
             assignment[name] = "U0"
         elif name.startswith("D"):
@@ -322,7 +335,7 @@ def stage_refinement_inclusion(w: WedgeSpace, m: int, m2: int) -> GroupHom:
         else:
             k = int(name[1:])
             assignment[name] = name if k >= m2 else f"D{k}"
-    return refinement_map(fine, coarse, assignment, gap_sheaf(w), 1, 1)
+    return _refinement_map(fine_cx, coarse_cx, assignment, 1)
 
 
 @dataclass
@@ -342,8 +355,13 @@ class StageEvidence:
 
 
 def collect_stage_evidence(w: WedgeSpace) -> StageEvidence:
-    """Run the stage pipeline and record what the certificate may rely on."""
-    sys_ = stage_system(w)
+    """Run the stage pipeline and record what the certificate may rely on.
+
+    Each stage's Čech complex is built once, on one coefficient cache, and
+    serves both its readout and every refinement map it takes part in.
+    """
+    complexes = _corner_complexes(w, range(1, w.n + 2))
+    sys_ = _stage_system(w, complexes)
     forms = {m: sys_.groups[m].canonical for m in range(1, w.n + 2)}
     transitions = []
     pairs = [(m, m + 1) for m in range(1, w.n + 1)]
@@ -351,7 +369,7 @@ def collect_stage_evidence(w: WedgeSpace) -> StageEvidence:
     for m, m2 in pairs:
         t = sys_.transition(m, m2)
         krank = kernel_basis(t.matrix).cols
-        roundtrip = t.compose(stage_refinement_inclusion(w, m, m2))
+        roundtrip = t.compose(_stage_refinement_inclusion(complexes[m], complexes[m2], m2))
         transitions.append(
             {
                 "m": m,

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -7,6 +8,7 @@ from finsheaf.abgroup import GroupHom, PresentedAbGroup
 from finsheaf.cech import (
     Covering,
     _cech_complex,
+    _Coefficients,
     cech_cohomology,
     cech_cohomology_hq,
     cech_complex_hq,
@@ -16,7 +18,7 @@ from finsheaf.cech import (
     refinement_map,
 )
 from finsheaf.cohom import cohomology, restriction_induced
-from finsheaf.errors import InputError
+from finsheaf.errors import ContractViolation, InputError
 from finsheaf.finspace import FinitePoset, OpenSet
 from finsheaf.sheaf import constant_sheaf
 from finsheaf.wedge import build_wedge, canonical_covering, gap_sheaf, stage_covering
@@ -203,3 +205,51 @@ def test_stage_complex_builds_each_open_set_once(monkeypatch):
         cech_complex_hq(c, F, 1)
         assert len(built) == len(set(built))
         assert set(built) == {c.intersection(t) for t in nerve(c)}
+
+
+def test_truncated_complex_has_no_homology_at_its_top():
+    """Degree top has no outgoing differential stored; reading it as zero
+    would give a wrong group, so the complex refuses."""
+    w = build_wedge(3)
+    c = stage_covering(w, 3)
+    full = cech_complex_hq(c, gap_sheaf(w), 1)
+    assert full.top is None and len(full.groups) > 3
+    cut = _cech_complex(c, full.coefficients, 2)
+    assert cut.top == 2 and len(cut.groups) == 3
+    assert cut.homology(1).group.canonical == full.homology(1).group.canonical
+    for k in (2, 3):
+        with pytest.raises(ContractViolation):
+            cut.homology(k)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_truncated_cech_cohomology_matches_full_complex(n):
+    w = build_wedge(n)
+    F = gap_sheaf(w)
+    coverings = [canonical_covering(w)] + [stage_covering(w, m) for m in range(2, n + 2)]
+    for c in coverings:
+        for q in (0, 1, 2):
+            full = cech_complex_hq(c, F, q)
+            for p in (0, 1, 2):
+                want = full.homology(p).group
+                got = cech_cohomology_hq(c, F, q, p)
+                assert got.canonical == want.canonical
+                assert got.generator_count == want.generator_count
+
+
+def subset_filter(c, p):
+    """The nerve in degree p by testing every (p+1)-subset."""
+    return [t for t in combinations(c.order, p + 1) if c.intersection(t)]
+
+
+def test_nerve_tuples_match_the_subset_filter():
+    coverings = []
+    for n in (1, 3, 5):
+        w = build_wedge(n)
+        coverings += [canonical_covering(w)] + [stage_covering(w, m) for m in range(2, n + 2)]
+    rng = random.Random(61)
+    for _ in range(40):
+        coverings.append(random_covering(rng, random_poset(rng)))
+    for c in coverings:
+        for p in range(len(c.order) + 1):
+            assert c.tuples(p) == subset_filter(c, p)

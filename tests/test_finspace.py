@@ -137,3 +137,71 @@ def test_strict_chains_match_the_order_test_enumeration():
         p = FinitePoset(order, rels)
         for k in range(0, p.height + 2):
             assert p.strict_chains(k) == strict_chains_by_order_tests(p, k)
+
+
+def brute_closure(elements, relations):
+    """(strict order, covers, height) by Warshall closure, the cover test on
+    every pair and the longest cover path: the reference for the one-pass
+    closure in FinitePoset.__init__."""
+    less = {(a, b) for a, b in relations if a != b}
+    for c in elements:
+        for a in elements:
+            for b in elements:
+                if (a, c) in less and (c, b) in less:
+                    less.add((a, b))
+    covers = [
+        (a, b)
+        for a in elements
+        for b in elements
+        if (a, b) in less and not any((a, c) in less and (c, b) in less for c in elements)
+    ]
+    rise = {}
+    for a in sorted(elements, key=lambda e: sum((e, b) in less for b in elements)):
+        rise[a] = max((1 + rise[b] for x, b in covers if x == a), default=0)
+    return less, covers, max(rise.values(), default=-1)
+
+
+def random_generating_set(rng, max_elems=9):
+    """A random acyclic relation set, not transitively closed, on labels
+    listed in shuffled order, so element order is not a topological order."""
+    n = rng.randint(1, max_elems)
+    ranked = [f"e{i}" for i in range(n)]
+    rels = [(ranked[i], ranked[j]) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.3]
+    elements = ranked[:]
+    rng.shuffle(elements)
+    rng.shuffle(rels)
+    return elements, rels
+
+
+def test_one_pass_closure_against_brute_force():
+    rng = random.Random(47)
+    for _ in range(40):
+        elements, rels = random_generating_set(rng)
+        p = FinitePoset(elements, rels)
+        less, covers, height = brute_closure(elements, rels)
+        assert p._less == frozenset(less)
+        assert p.covers == tuple(covers)
+        assert p.height == height
+        for e in elements:
+            assert p.up_set(e) == {e} | {b for a, b in less if a == e}
+            assert p.down_set(e) == {e} | {a for a, b in less if b == e}
+        # subposet keeps the induced order of an arbitrary subset
+        kept = [e for e in elements if rng.random() < 0.6]
+        sub = p.subposet(kept)
+        assert sub.elements == tuple(kept)
+        assert sub._less == frozenset((a, b) for a, b in less if a in kept and b in kept)
+
+
+def test_one_pass_closure_rejects_every_cycle():
+    rng = random.Random(53)
+    for _ in range(20):
+        elements, rels = random_generating_set(rng)
+        p = FinitePoset(elements, rels)
+        if not p.covers:
+            continue
+        # close a loop through a chain of covers of any length
+        chain = max(p.strict_chains(p.height), key=len)
+        with pytest.raises(InputError):
+            FinitePoset(elements, rels + [(chain[-1], chain[0])])
+    with pytest.raises(InputError):
+        FinitePoset("abcd", [("a", "b"), ("b", "c"), ("c", "d"), ("d", "b")])

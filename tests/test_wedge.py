@@ -1,5 +1,6 @@
 import pytest
 
+from finsheaf import cohom
 from finsheaf.abgroup import GroupHom
 from finsheaf.cech import Covering
 from finsheaf.cohom import cohomology
@@ -169,3 +170,21 @@ def test_collect_stage_evidence():
     assert all(t["surjective"] for t in ev.transitions)
     assert all(t["kernel_rank"] == t["m2"] - t["m"] for t in ev.transitions)
     assert all(t["retraction_of_inclusion"] for t in ev.transitions)
+
+
+def test_stage_evidence_builds_each_open_set_once(monkeypatch):
+    """One coefficient cache and one Čech complex per stage serve every
+    readout and refinement map of the run."""
+    w = build_wedge(4)
+    built = []
+    original = cohom.cochain_complex
+
+    def counting(base, sheaf):
+        built.append(frozenset(base.elements))
+        return original(base, sheaf)
+
+    monkeypatch.setattr(cohom, "cochain_complex", counting)
+    collect_stage_evidence(w)
+    assert len(built) == len(set(built))
+    stages = [stage_covering(w, m) for m in range(1, w.n + 2)]
+    assert set(built) == {c.intersection(t) for c in stages for p in range(3) for t in c.tuples(p)}
