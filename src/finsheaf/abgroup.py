@@ -2,48 +2,59 @@
 
 Everything here works over plain Python ints, which are arbitrary precision,
 so Smith normal form never overflows no matter how badly the intermediate
-entries blow up.  Matrices are stored dense and immutable, but the Smith
-reduction is sparse: it eliminates on a sparse copy, unit pivots of least
-fill first, then entries of least absolute value.  Its unimodular transforms
-are kept as the recorded operations and applied to vectors directly; dense
-transform matrices are built only on use.  Groups are given by a generator
-count and an integer relation matrix, with the canonical form (rank +
-invariant factors) computed through Smith normal form.
+entries blow up.  Matrices are immutable and sparse: each row is a dict of
+its nonzero entries, so building, multiplying and comparing them costs time
+in proportion to the nonzeros.  The Smith reduction eliminates on a copy of
+those rows, unit pivots of least fill first, then entries of least absolute
+value, and keeps its unimodular transforms as the recorded operations.
+Groups are given by a generator count and an integer relation matrix, with
+the canonical form (rank + invariant factors) computed through Smith normal
+form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from heapq import heappop, heappush
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import ContractViolation, InputError
 
 
 class IntMatrix:
-    """Immutable dense integer matrix, row-major.
+    """Immutable sparse integer matrix: row i is the dict `_sparse[i]` of
+    its nonzero entries {column: entry}.
 
     Block matrices (cochain differentials, chain maps, direct sums) are built
     only through `from_blocks`, which adds signed blocks into a zero matrix.
+    `data` is the dense view, built on each use.
     """
 
-    __slots__ = ("rows", "cols", "data", "_hash")
+    __slots__ = ("rows", "cols", "_sparse", "_hash")
 
     def __init__(self, rows: int, cols: int, entries: Iterable[Iterable[int]]):
-        data = tuple(tuple(map(int, row)) for row in entries)
+        data = [tuple(map(int, row)) for row in entries]
         if len(data) != rows or any(len(r) != cols for r in data):
             raise InputError(f"expected {rows}x{cols} entries")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "data", data)
-        object.__setattr__(self, "_hash", None)
+        IntMatrix._of(rows, cols, [{j: a for j, a in enumerate(row) if a} for row in data], self)
+
+    @classmethod
+    def _of(cls, rows: int, cols: int, sparse: list, m: Optional["IntMatrix"] = None) -> "IntMatrix":
+        """The matrix with the given sparse rows, unchecked: the package
+        builds them itself, from ints, and never changes them afterwards."""
+        m = cls.__new__(cls) if m is None else m
+        object.__setattr__(m, "rows", rows)
+        object.__setattr__(m, "cols", cols)
+        object.__setattr__(m, "_sparse", sparse)
+        object.__setattr__(m, "_hash", None)
+        return m
 
     @classmethod
     def from_columns(cls, cols: Sequence[Sequence[int]], nrows: Optional[int] = None) -> "IntMatrix":
         if not cols:
             return cls.zero(nrows or 0, 0)
-        n = len(cols[0])
-        return cls(n, len(cols), [[c[i] for c in cols] for i in range(n)])
+        return cls(len(cols[0]), len(cols), zip(*cols))
 
     @classmethod
     def from_blocks(cls, rows: int, cols: int, blocks: Iterable[tuple]) -> "IntMatrix":
@@ -54,47 +65,47 @@ class IntMatrix:
         Blocks may overlap, and overlapping entries add up; a block that does
         not fit raises IndexError.
         """
-        out = [[0] * cols for _ in range(rows)]
+        out = [{} for _ in range(rows)]
         for r0, c0, sign, block in blocks:
-            for i, row in enumerate(block.data):
-                target = out[r0 + i]
-                for j, e in enumerate(row):
-                    if e:
-                        target[c0 + j] += sign * e
-        return cls(rows, cols, out)
+            if min(r0, c0) < 0 or r0 + block.rows > rows or c0 + block.cols > cols:
+                raise IndexError(f"{block.rows}x{block.cols} block at ({r0}, {c0}) does not fit {rows}x{cols}")
+            for i, row in enumerate(block._sparse, r0):
+                if row:
+                    _add_into(out[i], row, sign, c0)
+        return cls._of(rows, cols, out)
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls(n, n, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls._of(n, n, [{i: 1} for i in range(n)])
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls(rows, cols, [[0] * cols for _ in range(rows)])
+        return cls._of(rows, cols, [{} for _ in range(rows)])
 
     @classmethod
     def diagonal(cls, entries: Sequence[int], rows: Optional[int] = None, cols: Optional[int] = None) -> "IntMatrix":
         r = rows if rows is not None else len(entries)
         c = cols if cols is not None else len(entries)
-        m = [[0] * c for _ in range(r)]
-        for i, d in enumerate(entries):
-            m[i][i] = d
-        return cls(r, c, m)
+        if len(entries) > min(r, c):
+            raise IndexError(f"{len(entries)} diagonal entries do not fit {r}x{c}")
+        sparse = [{i: int(d)} if d else {} for i, d in enumerate(entries)]
+        return cls._of(r, c, sparse + [{} for _ in range(r - len(entries))])
+
+    @property
+    def data(self) -> tuple:
+        return tuple(tuple(row.get(j, 0) for j in range(self.cols)) for row in self._sparse)
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, IntMatrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.data == other.data
-        )
+        same_shape = isinstance(other, IntMatrix) and (self.rows, self.cols) == (other.rows, other.cols)
+        return same_shape and self._sparse == other._sparse
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.rows, self.cols, self.data))
+            self._hash = hash((self.rows, self.cols, tuple(frozenset(row.items()) for row in self._sparse)))
         return self._hash
 
     def __setattr__(self, name, value):
-        # only the cached hash may be set; __init__ sets the rest directly
+        # only the cached hash may be set; `_of` sets the rest directly
         if name != "_hash":
             raise AttributeError("IntMatrix is immutable")
         object.__setattr__(self, name, value)
@@ -106,43 +117,47 @@ class IntMatrix:
         if self.cols != other.rows:
             raise InputError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
         # each nonzero a = self[i][k] adds a * (row k of other) to row i
-        right = [[(j, b) for j, b in enumerate(row) if b] for row in other.data]
-        out = []
-        for row in self.data:
-            acc = [0] * other.cols
-            for k, a in enumerate(row):
-                if a:
-                    for j, b in right[k]:
-                        acc[j] += a * b
-            out.append(acc)
-        return IntMatrix(self.rows, other.cols, out)
+        right = other._sparse
+        out = [{} for _ in range(self.rows)]
+        for acc, row in zip(out, self._sparse):
+            for k, a in row.items():
+                if right[k]:
+                    _add_into(acc, right[k], a, 0)
+        return IntMatrix._of(self.rows, other.cols, out)
 
     def __neg__(self) -> "IntMatrix":
-        return IntMatrix(self.rows, self.cols, [[-e for e in row] for row in self.data])
+        return IntMatrix._of(self.rows, self.cols, [{j: -a for j, a in row.items()} for row in self._sparse])
+
+    def __sub__(self, other: "IntMatrix") -> "IntMatrix":
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise InputError(f"cannot subtract {other.rows}x{other.cols} from {self.rows}x{self.cols}")
+        return IntMatrix.from_blocks(self.rows, self.cols, [(0, 0, 1, self), (0, 0, -1, other)])
 
     def column(self, j: int) -> tuple:
-        return tuple(row[j] for row in self.data)
+        return tuple(row.get(j, 0) for row in self._sparse)
+
+    def nonzero_columns(self) -> list:
+        """(j, column j) for every column with a nonzero entry, by ascending j."""
+        return [(j, self.column(j)) for j in sorted({j for row in self._sparse for j in row})]
 
     def apply(self, vec: Sequence[int]) -> tuple:
         """Matrix-vector product."""
         if len(vec) != self.cols:
             raise InputError(f"vector length {len(vec)} != {self.cols} columns")
-        return tuple(sum(a * x for a, x in zip(row, vec)) for row in self.data)
+        return tuple(sum(a * vec[j] for j, a in row.items()) for row in self._sparse)
 
     def hstack(self, other: "IntMatrix") -> "IntMatrix":
         if self.rows != other.rows:
             raise InputError("hstack: row counts differ")
-        return IntMatrix(
-            self.rows,
-            self.cols + other.cols,
-            [ra + rb for ra, rb in zip(self.data, other.data)],
-        )
+        c = self.cols
+        glued = [{**a, **{c + j: e for j, e in b.items()}} if b else a for a, b in zip(self._sparse, other._sparse)]
+        return IntMatrix._of(self.rows, c + other.cols, glued)
 
     def submatrix_rows(self, row_indices: Sequence[int]) -> "IntMatrix":
-        return IntMatrix(len(row_indices), self.cols, [self.data[i] for i in row_indices])
+        return IntMatrix._of(len(row_indices), self.cols, [self._sparse[i] for i in row_indices])
 
     def is_zero(self) -> bool:
-        return all(e == 0 for row in self.data for e in row)
+        return not any(self._sparse)
 
     def det(self) -> int:
         """Exact determinant by fraction-free (Bareiss) elimination."""
@@ -171,6 +186,17 @@ class IntMatrix:
         return sign * a[n - 1][n - 1]
 
 
+def _add_into(target: dict, row: dict, q: int, offset: int) -> None:
+    """target += q * row, with row's columns shifted by offset; zeros dropped."""
+    for j, e in row.items():
+        j += offset
+        v = target.get(j, 0) + q * e
+        if v:
+            target[j] = v
+        else:
+            target.pop(j, None)
+
+
 def block_diag(blocks: Sequence[IntMatrix]) -> IntMatrix:
     placed = []
     r0 = c0 = 0
@@ -187,9 +213,11 @@ class SmithDecomposition:
     The decomposition is kept as the reduction that produced it.  With E
     the recorded row operations and F the recorded column operations,
     P and Q the orders that bring the pivot rows and columns first and S
-    the pivot signs, U = S·P·E and V = F·Q.  `apply_U`, `apply_U_inv`,
-    `apply_V` and `apply_V_inv` apply a transform to one vector; the dense
-    `U`, `D`, `V`, `U_inv` and `V_inv` are built on first access.
+    the pivot signs, U = S·P·E and V = F·Q.  Each transform or inverse is
+    applied by one pass of its operations over sparse rows (`_transform`):
+    `apply_U` and the like pass one vector, while the matrices `U`, `V`,
+    `U_inv` and `V_inv`, built on first access, and kernel bases pass all
+    their columns at once.
     """
 
     def __init__(self, shape, row_ops, col_ops, row_order, col_order, signs, diagonal):
@@ -205,131 +233,175 @@ class SmithDecomposition:
     def num_nonzero(self) -> int:
         return sum(1 for d in self.diagonal if d != 0)
 
-    @staticmethod
-    def _vector(vec: Sequence[int], n: int) -> list:
+    def _transform(self, name: str, seeds: Iterable[tuple]) -> list:
+        """The sparse rows of T @ X, for T the transform `name` and X the
+        matrix with entry v at each (i, k, v) of seeds.
+
+        T is a signed reordering `before`, then row operations, then a
+        signed reordering `after`: position t goes to, or comes from, the
+        row and sign at index t."""
+        n = self.shape[name[0] == "V"]
+        if name[0] == "U":
+            order = [(i, self._signs[t] if t < len(self._signs) else 1) for t, i in enumerate(self._row_order)]
+            if name == "U":  # S·P·E
+                before, ops, after = None, self._row_ops, order
+            else:  # E⁻¹·Pᵀ·S
+                before, ops, after = order, ((k, i, -q) for k, i, q in reversed(self._row_ops)), None
+        else:
+            order = [(j, 1) for j in self._col_order]
+            if name == "V":  # F·Q
+                before, ops, after = order, ((j, l, q) for l, j, q in reversed(self._col_ops)), None
+            else:  # Qᵀ·F⁻¹
+                before, ops, after = None, ((j, l, -q) for l, j, q in self._col_ops), order
+        rows = [{} for _ in range(n)]
+        for i, k, v in seeds:
+            if before is not None:
+                i, s = before[i]
+                v *= s
+            rows[i][k] = v
+        for a, b, q in ops:
+            if rows[b]:
+                _add_into(rows[a], rows[b], q, 0)
+        if after is None:
+            return rows
+        return [rows[i] if s > 0 else {k: -v for k, v in rows[i].items()} for i, s in after]
+
+    def _apply(self, name: str, vec: Sequence[int]) -> list:
+        n = self.shape[name[0] == "V"]
         if len(vec) != n:
             raise InputError(f"vector length {len(vec)} != {n}")
-        return list(vec)
+        return [row.get(0, 0) for row in self._transform(name, ((i, 0, v) for i, v in enumerate(vec) if v))]
 
-    def _signed(self, vec: list) -> list:
-        for t, s in enumerate(self._signs):
-            if s < 0:
-                vec[t] = -vec[t]
-        return vec
+    def _columns(self, name: str, first: int = 0) -> IntMatrix:
+        """Columns first, first + 1, ... of the transform `name`."""
+        n = self.shape[name[0] == "V"]
+        return IntMatrix._of(n, n - first, self._transform(name, ((t, t - first, 1) for t in range(first, n))))
 
     def apply_U(self, vec: Sequence[int]) -> list:
-        y = self._vector(vec, self.shape[0])
-        for k, i, q in self._row_ops:
-            if y[i]:
-                y[k] += q * y[i]
-        return self._signed([y[i] for i in self._row_order])
+        return self._apply("U", vec)
 
     def apply_U_inv(self, vec: Sequence[int]) -> list:
-        w = self._signed(self._vector(vec, self.shape[0]))
-        y = [0] * self.shape[0]
-        for t, i in enumerate(self._row_order):
-            y[i] = w[t]
-        for k, i, q in reversed(self._row_ops):
-            if y[i]:
-                y[k] -= q * y[i]
-        return y
+        return self._apply("U_inv", vec)
 
     def apply_V(self, vec: Sequence[int]) -> list:
-        w = self._vector(vec, self.shape[1])
-        x = [0] * self.shape[1]
-        for t, j in enumerate(self._col_order):
-            x[j] = w[t]
-        for l, j, q in reversed(self._col_ops):
-            if x[l]:
-                x[j] += q * x[l]
-        return x
+        return self._apply("V", vec)
 
     def apply_V_inv(self, vec: Sequence[int]) -> list:
-        x = self._vector(vec, self.shape[1])
-        for l, j, q in self._col_ops:
-            if x[l]:
-                x[j] -= q * x[l]
-        return [x[j] for j in self._col_order]
+        return self._apply("V_inv", vec)
 
-    @staticmethod
-    def _dense(apply: Callable[[list], list], n: int) -> IntMatrix:
-        columns = [apply([1 if i == k else 0 for i in range(n)]) for k in range(n)]
-        return IntMatrix(n, n, zip(*columns))
+    U = cached_property(lambda self: self._columns("U"))
+    U_inv = cached_property(lambda self: self._columns("U_inv"))
+    V = cached_property(lambda self: self._columns("V"))
+    V_inv = cached_property(lambda self: self._columns("V_inv"))
+    D = cached_property(lambda self: IntMatrix.diagonal(self.diagonal, *self.shape))
 
-    @cached_property
-    def U(self) -> IntMatrix:
-        return self._dense(self.apply_U, self.shape[0])
 
-    @cached_property
-    def U_inv(self) -> IntMatrix:
-        return self._dense(self.apply_U_inv, self.shape[0])
+class _WorkingRows:
+    """The rows `smith_decompose` eliminates on, and its choice of pivot.
 
-    @cached_property
-    def V(self) -> IntMatrix:
-        return self._dense(self.apply_V, self.shape[1])
+    `rows` maps each nonzero row to its {column: entry} dict, copied in
+    ascending column order; `where` maps each column to its rows.  `pivot`
+    picks the ±1 entry of least fill, (row count - 1)·(column count - 1),
+    the first in row order among equals and then the first in its row; with
+    no unit entry, the first entry of least absolute value.  This is
+    Markowitz's rule, without a rescan of every entry per pivot: each row's
+    best unit entry is kept, with a heap of (fill, row, column) over them,
+    and is recomputed only for the rows in `changed` and the rows of the
+    columns in `touched`, whose counts changed, since the last pick.
+    """
 
-    @cached_property
-    def V_inv(self) -> IntMatrix:
-        return self._dense(self.apply_V_inv, self.shape[1])
+    def __init__(self, M: IntMatrix):
+        self.rows = {i: dict(sorted(row.items())) for i, row in enumerate(M._sparse) if row}
+        self.where = {}
+        for i, row in self.rows.items():
+            for j in row:
+                self.where.setdefault(j, set()).add(i)
+        self.best = {}  # row -> (fill, column) of its best unit entry
+        self.heap = []
+        self.changed, self.touched = set(self.rows), set()
 
-    @cached_property
-    def D(self) -> IntMatrix:
-        return IntMatrix.diagonal(self.diagonal, *self.shape)
+    def add(self, k: int, i: int, q: int) -> None:
+        """Row k += q * row i; row k is dropped when it becomes zero."""
+        rows, where, target = self.rows, self.where, self.rows[k]
+        for l, e in rows[i].items():
+            v = target.get(l, 0) + q * e
+            if v:
+                if l not in target:
+                    where[l].add(k)
+                    self.touched.add(l)
+                target[l] = v
+            else:
+                del target[l]
+                where[l].discard(k)
+                self.touched.add(l)
+        self.changed.add(k)
+        if not target:
+            del rows[k]
+
+    def pivot(self) -> Optional[tuple]:
+        """(row, column) of the next pivot; None when no entry is left."""
+        rows, where, best, heap = self.rows, self.where, self.best, self.heap
+        for l in self.touched:
+            self.changed.update(where.get(l, ()))
+        for i in self.changed:
+            found = None
+            entries = rows.get(i, {})
+            spare = len(entries) - 1
+            for j, a in entries.items():
+                if a == 1 or a == -1:
+                    fill = spare * (len(where[j]) - 1)
+                    if found is None or fill < found[0]:
+                        found = (fill, j)
+                        if not fill:
+                            break
+            if found is None:
+                best.pop(i, None)
+            elif found != best.get(i):
+                best[i] = found
+                heappush(heap, (found[0], i, found[1]))
+        self.changed.clear()
+        self.touched.clear()
+        while heap:
+            fill, i, j = heap[0]
+            if best.get(i) == (fill, j):
+                return i, j
+            heappop(heap)
+        if rows:
+            return min(((i, j) for i, entries in rows.items() for j in entries), key=lambda ij: abs(rows[ij[0]][ij[1]]))
+        return None
 
 
 def smith_decompose(M: IntMatrix) -> SmithDecomposition:
     """The Smith form of M, by one sparse reduction.
 
-    M is copied as rows of {column: entry} dicts, with the rows of each
-    column indexed.  Each step takes a pivot p (see `_pivot`) and clears its
-    column with floor-quotient row operations, then its row with
-    floor-quotient column operations; once the column is clear these touch
-    only the pivot row, so they are recorded, not carried out.  A nonzero
-    remainder is smaller than p, and the next step takes a pivot again.  A
-    pivot with its row and column clear is kept when it divides every entry
-    left; otherwise a row holding a non-multiple is added to the pivot row.
-    So each kept pivot divides the ones after it, the units come first, and
-    D needs no sorting.
+    Each step takes a pivot p (see `_WorkingRows`) and clears its column
+    with floor-quotient row operations, then its row with floor-quotient
+    column operations; once the column is clear these touch only the pivot
+    row, so they are recorded, not carried out.  A nonzero remainder is
+    smaller than p, and the next step takes a pivot again.  A pivot with its
+    row and column clear is kept when it divides every entry left; otherwise
+    a row holding a non-multiple is added to the pivot row.  So each kept
+    pivot divides the ones after it, the units come first, and D needs no
+    sorting.
     """
     r, c = M.rows, M.cols
-    rows = {}
-    where = {}  # column -> rows with a nonzero entry in it
-    for i, row in enumerate(M.data):
-        entries = {j: a for j, a in enumerate(row) if a}
-        if entries:
-            rows[i] = entries
-            for j in entries:
-                where.setdefault(j, set()).add(i)
+    work = _WorkingRows(M)
+    rows, where = work.rows, work.where
     row_ops, col_ops, pivots = [], [], []
     while True:
-        pivot = _pivot(rows, where)
+        pivot = work.pivot()
         if pivot is None:
             break
         i, j = pivot
-        prow = rows[i]
-        p = prow[j]
-        left = False  # a nonzero remainder in column j
+        p = rows[i][j]
         for k in where[j] - {i}:
-            target = rows[k]
-            q = -(target[j] // p)
+            q = -(rows[k][j] // p)
             row_ops.append((k, i, q))
-            for l, e in prow.items():
-                v = target.get(l, 0) + q * e
-                if v:
-                    if l not in target:
-                        where[l].add(k)
-                    target[l] = v
-                else:
-                    del target[l]
-                    where[l].discard(k)
-            if not target:
-                del rows[k]
-            elif j in target:
-                left = True
-        if left:
-            continue
+            work.add(k, i, q)
+        if len(where[j]) > 1:
+            continue  # a nonzero remainder in column j
         remainders = {}
-        for l, e in prow.items():
+        for l, e in rows[i].items():
             if l != j:
                 q = -(e // p)
                 col_ops.append((l, j, q))
@@ -338,23 +410,22 @@ def smith_decompose(M: IntMatrix) -> SmithDecomposition:
                     remainders[l] = e
                 else:
                     where[l].discard(i)
-        prow = rows[i] = {j: p, **remainders}
+                    work.touched.add(l)
+        rows[i] = {j: p, **remainders}
+        work.changed.add(i)
         if remainders:
             continue
         if p != 1 and p != -1:
             bad = next((k for k, entries in rows.items() if any(a % p for a in entries.values())), None)
             if bad is not None:
                 row_ops.append((i, bad, 1))
-                for l, e in rows[bad].items():
-                    prow[l] = e
-                    where[l].add(i)
+                work.add(i, bad, 1)
                 continue
         del rows[i]
         del where[j]
         pivots.append((i, j, p))
 
-    pivot_rows = [i for i, _, _ in pivots]
-    pivot_cols = [j for _, j, _ in pivots]
+    pivot_rows, pivot_cols = [i for i, _, _ in pivots], [j for _, j, _ in pivots]
     taken_rows, taken_cols = set(pivot_rows), set(pivot_cols)
     return SmithDecomposition(
         shape=(r, c),
@@ -367,25 +438,6 @@ def smith_decompose(M: IntMatrix) -> SmithDecomposition:
     )
 
 
-def _pivot(rows: dict, where: dict) -> Optional[tuple]:
-    """The ±1 entry of least fill, (row count - 1)·(column count - 1), the
-    first in row order among equals; with no unit entry, the first entry of
-    least absolute value; None when no entry is left."""
-    best, best_fill = None, None
-    for i, entries in rows.items():
-        spare = len(entries) - 1
-        for j, a in entries.items():
-            if a == 1 or a == -1:
-                fill = spare * (len(where[j]) - 1)
-                if not fill:
-                    return i, j
-                if best is None or fill < best_fill:
-                    best, best_fill = (i, j), fill
-    if best is None and rows:
-        best = min(((i, j) for i, entries in rows.items() for j in entries), key=lambda ij: abs(rows[ij[0]][ij[1]]))
-    return best
-
-
 def smith_normal_form(M: IntMatrix):
     """(U, D, V) with U @ M @ V == D, U and V unimodular, D in SNF."""
     s = smith_decompose(M)
@@ -396,10 +448,7 @@ def kernel_basis(M: IntMatrix) -> IntMatrix:
     """Columns form a Z-basis of {x : M @ x = 0}: the identity when M has
     no rows, empty when it has no columns."""
     s = smith_decompose(M)
-    n = M.cols
-    return IntMatrix.from_columns(
-        [s.apply_V([1 if i == k else 0 for i in range(n)]) for k in range(s.num_nonzero, n)], nrows=n
-    )
+    return s._columns("V", s.num_nonzero)
 
 
 def solve(M: IntMatrix, b: Sequence[int]) -> Optional[tuple]:
@@ -414,19 +463,13 @@ def solve(M: IntMatrix, b: Sequence[int]) -> Optional[tuple]:
 def _smith_solve(s: SmithDecomposition, b: Sequence[int]) -> Optional[list]:
     """z with D @ z == U @ b for the decomposition s = (U, D, V) of some M,
     or None when there is none; x = V @ z then solves M @ x == b."""
-    ub = s.apply_U(b)
-    diag = s.diagonal
     z = [0] * s.shape[1]
-    for i, e in enumerate(ub):
-        d = diag[i] if i < len(diag) else 0
-        if d == 0:
-            if e != 0:
-                return None
-        else:
-            q, r = divmod(e, d)
-            if r != 0:
-                return None
-            z[i] = q
+    for i, e in enumerate(s.apply_U(b)):
+        d = s.diagonal[i] if i < len(s.diagonal) else 0
+        if e % d if d else e:
+            return None
+        if d:
+            z[i] = e // d
     return z
 
 
@@ -471,10 +514,8 @@ class PresentedAbGroup:
     @cached_property
     def canonical(self) -> tuple:
         """(rank, invariant_factors)."""
-        diag = self._smith.diagonal
-        nonzero = [d for d in diag if d != 0]
-        rank = self.generator_count - len(nonzero)
-        return rank, tuple(d for d in nonzero if d > 1)
+        nonzero = self._smith.diagonal[: self._smith.num_nonzero]  # nonzero entries come first
+        return self.generator_count - len(nonzero), tuple(d for d in nonzero if d > 1)
 
     @property
     def rank(self) -> int:
@@ -502,9 +543,8 @@ class PresentedAbGroup:
     @cached_property
     def _coordinate_layout(self):
         diag = self._smith.diagonal
-        nonzero = len([d for d in diag if d != 0])
-        torsion = [i for i in range(nonzero) if diag[i] > 1]
-        free = list(range(nonzero, self.generator_count))
+        torsion = [i for i in range(self._smith.num_nonzero) if diag[i] > 1]
+        free = list(range(self._smith.num_nonzero, self.generator_count))
         return torsion, free
 
     def to_canonical(self, vec: Sequence[int]) -> tuple:
@@ -522,9 +562,7 @@ class PresentedAbGroup:
         if len(coords) != len(torsion) + len(free):
             raise InputError("coordinate length does not match canonical generators")
         z = [0] * self.generator_count
-        for i, val in zip(torsion, coords[: len(torsion)]):
-            z[i] = val
-        for i, val in zip(free, coords[len(torsion):]):
+        for i, val in zip(torsion + free, coords):
             z[i] = val
         return tuple(self._smith.apply_U_inv(z))
 
@@ -577,8 +615,7 @@ class GroupHom:
         if matrix.rows != target.generator_count or matrix.cols != source.generator_count:
             raise InputError("hom matrix dimensions do not match the groups")
         if check:
-            for j in range(source.relations.cols):
-                image = matrix.apply(source.relations.column(j))
+            for _, image in (matrix @ source.relations).nonzero_columns():
                 if not target.contains_in_relations(image):
                     raise InputError("matrix does not map source relations into target relations")
         self.source = source
@@ -601,11 +638,8 @@ class GroupHom:
         """Equality as maps of groups (componentwise modulo target relations)."""
         if self.matrix.cols != other.matrix.cols or self.matrix.rows != other.matrix.rows:
             return False
-        for j in range(self.matrix.cols):
-            diff = [a - b for a, b in zip(self.matrix.column(j), other.matrix.column(j))]
-            if not self.target.contains_in_relations(diff):
-                return False
-        return True
+        differences = (self.matrix - other.matrix).nonzero_columns() if self.matrix != other.matrix else []
+        return all(self.target.contains_in_relations(d) for _, d in differences)
 
     def is_surjective(self) -> bool:
         return cokernel(self.matrix.hstack(self.target.relations)).is_trivial()
@@ -693,11 +727,7 @@ class Subquotient:
         """The map self.group -> target.group sending each canonical generator
         to the class of chain_map applied to its representative cycle."""
         n = self.group.generator_count
-        cols = []
-        for i in range(n):
-            coords = [0] * n
-            coords[i] = 1
-            cols.append(list(target.class_of(chain_map(self.rep_of(coords)))))
+        cols = [target.class_of(chain_map(self.rep_of([int(i == k) for i in range(n)]))) for k in range(n)]
         return GroupHom(self.group, target.group, IntMatrix.from_columns(cols, nrows=target.group.generator_count))
 
 
@@ -743,10 +773,9 @@ class ChainComplexData:
             if m.cols != self.groups[i].generator_count or m.rows != self.groups[i + 1].generator_count:
                 raise InputError(f"differential {i} has wrong dimensions")
         for i in range(len(self.maps) - 1):
-            comp = self.maps[i + 1] @ self.maps[i]
             tgt = self.groups[i + 2]
-            for j in range(comp.cols):
-                if not tgt.contains_in_relations(comp.column(j)):
+            for _, col in (self.maps[i + 1] @ self.maps[i]).nonzero_columns():
+                if not tgt.contains_in_relations(col):
                     raise ContractViolation(f"d∘d != 0 between degrees {i} and {i + 2}")
 
     def group(self, k: int) -> PresentedAbGroup:
@@ -785,8 +814,7 @@ def check_chain_map(f: Sequence[IntMatrix], source: ChainComplexData, target: Ch
             continue  # nothing to compare in a trivial group
         left = _chain_component(f, k + 1, source, target) @ source.differential(k)
         right = target.differential(k) @ _chain_component(f, k, source, target)
-        for j in range(left.cols):
-            diff = [a - b for a, b in zip(left.column(j), right.column(j))]
+        for _, diff in (left - right).nonzero_columns():
             if not tgt.contains_in_relations(diff):
                 raise ContractViolation(f"chain map does not commute with d in degree {k}")
 

@@ -47,6 +47,7 @@ class Covering:
             union |= s
         if union != set(base.elements):
             raise InputError("members do not cover the space")
+        self._meets: Dict[tuple, frozenset] = {}  # intersection of each tuple `tuples` gave
 
     def intersection(self, names: Sequence[str]) -> frozenset:
         out = None
@@ -61,7 +62,8 @@ class Covering:
 
         Depth-first over the member order, extending only tuples whose
         running intersection is nonempty, so the work follows the output
-        rather than all (p+1)-subsets.
+        rather than all (p+1)-subsets.  The intersection of each tuple
+        returned is kept for the Čech complexes built on them.
         """
         out: List[tuple] = []
         order = self.order
@@ -69,6 +71,7 @@ class Covering:
         def extend(t: tuple, common: frozenset, start: int) -> None:
             if len(t) == p + 1:
                 out.append(t)
+                self._meets[t] = common
                 return
             for i in range(start, len(order) - p + len(t)):
                 meet = common & self.members[order[i]]
@@ -137,7 +140,7 @@ class _Coefficients:
 
 class CechComplex(ChainComplexData):
     """Alternating Čech complex; block layout records, per degree, the index
-    tuple, the coefficient group, and its offset.
+    tuple, its offset, its coefficient group and the intersection it sits on.
 
     A complex truncated at degree `top` stores degrees 0..top only, so its
     homology is known below `top` alone; `top` is None for the full complex.
@@ -146,7 +149,7 @@ class CechComplex(ChainComplexData):
     def __init__(self, covering, coefficients, groups, maps, block_layout, top=None):
         self.covering = covering
         self.coefficients = coefficients
-        self.block_layout = block_layout  # per degree: list of (tuple, offset, group)
+        self.block_layout = block_layout  # per degree: list of (tuple, offset, group, intersection)
         self.top = top
         super().__init__(groups, maps)
 
@@ -161,7 +164,7 @@ class CechComplex(ChainComplexData):
         return self.block_layout[p] if 0 <= p < len(self.block_layout) else []
 
     def block_offset(self, p: int, names: tuple) -> Tuple[int, PresentedAbGroup]:
-        for t, off, g in self.block_layout[p]:
+        for t, off, g, _ in self.block_layout[p]:
             if t == names:
                 return off, g
         raise InputError(f"no block for {names} in degree {p}")
@@ -175,31 +178,32 @@ def cech_complex_hq(c: Covering, sheaf: PosetSheaf, q: int) -> CechComplex:
 def _cech_complex(c: Covering, coeffs: _Coefficients, top: Optional[int] = None) -> CechComplex:
     """The Čech complex of the covering with the given coefficient cache,
     in degrees 0..top only when `top` is given (Ȟ^p needs top = p + 1)."""
-    layout: List[List[Tuple[tuple, int, PresentedAbGroup]]] = []
+    layout: List[List[Tuple[tuple, int, PresentedAbGroup, frozenset]]] = []
     p = 0
     while p < len(c.order) and (top is None or p <= top):
         tups = c.tuples(p)
         entries = []
         off = 0
         for t in tups:
-            g = coeffs.group(c.intersection(t))
-            entries.append((t, off, g))
+            meet = c._meets[t]
+            g = coeffs.group(meet)
+            entries.append((t, off, g, meet))
             off += g.generator_count
         layout.append(entries)
         if not tups:
             break
         p += 1
-    groups = [direct_sum([g for _, _, g in entries]) for entries in layout]
+    groups = [direct_sum([g for _, _, g, _ in entries]) for entries in layout]
     maps = []
     for k in range(len(groups) - 1):
-        src_index = {t: off for t, off, _ in layout[k]}
+        src_index = {t: (off, meet) for t, off, _, meet in layout[k]}
         blocks = []
-        for t, toff, _ in layout[k + 1]:
+        for t, toff, _, meet in layout[k + 1]:
             for i in range(len(t)):
-                face = t[:i] + t[i + 1:]
-                soff = src_index.get(face)
-                if soff is not None:
-                    res = coeffs.restriction(c.intersection(face), c.intersection(t)).matrix
+                face = src_index.get(t[:i] + t[i + 1:])
+                if face is not None:
+                    soff, big = face
+                    res = coeffs.restriction(big, meet).matrix
                     blocks.append((toff, soff, -1 if i % 2 else 1, res))
         maps.append(IntMatrix.from_blocks(groups[k + 1].generator_count, groups[k].generator_count, blocks))
     return CechComplex(c, coeffs, groups, maps, layout, top)
@@ -253,9 +257,9 @@ def _refinement_map(fine_cx: CechComplex, coarse_cx: CechComplex, assignment: Di
 
     fmat = []
     for k in range(len(coarse_cx.groups)):
-        src_index = {t: off for t, off, _ in coarse_cx.blocks(k)}
+        src_index = {t: (off, meet) for t, off, _, meet in coarse_cx.blocks(k)}
         blocks = []
-        for t, toff, _ in fine_cx.blocks(k):
+        for t, toff, _, meet in fine_cx.blocks(k):
             mapped = [assignment[n] for n in t]
             if len(set(mapped)) < len(mapped):
                 continue  # degenerate tuple, zero in the alternating complex
@@ -268,10 +272,11 @@ def _refinement_map(fine_cx: CechComplex, coarse_cx: CechComplex, assignment: Di
                 for j in range(i + 1, len(perm)):
                     if perm[i] > perm[j]:
                         sign = -sign
-            soff = src_index.get(sorted_tuple)
-            if soff is None:
+            source = src_index.get(sorted_tuple)
+            if source is None:
                 continue
-            res = coeffs.restriction(coarse.intersection(sorted_tuple), fine.intersection(t)).matrix
+            soff, big = source
+            res = coeffs.restriction(big, meet).matrix
             blocks.append((toff, soff, sign, res))
         fmat.append(IntMatrix.from_blocks(fine_cx.degree_rank(k), coarse_cx.degree_rank(k), blocks))
     return induced_on_homology(fmat, coarse_cx, fine_cx, p)

@@ -136,7 +136,7 @@ class FinitePoset:
             if p not in self._index:
                 raise InputError(f"unknown element {p!r}")
         kept = tuple(e for e in self.elements if e in s)
-        rels = [(a, b) for (a, b) in self._less if a in s and b in s]
+        rels = [(a, b) for a in kept for b in self._above[a] if b in s]
         return FinitePoset(kept, rels)
 
     def open_subspace(self, members: Iterable[str]) -> "FinitePoset":

@@ -260,7 +260,7 @@ def _stage_readout(w: WedgeSpace, m: int, cx: CechComplex) -> Tuple[PresentedAbG
     # exact inverse of a unimodular matrix via the Smith decomposition
     s = smith_decompose(readout)
     # readout = U_inv D V_inv with D unimodular diagonal (+-1)
-    dinv = IntMatrix.diagonal([s.D.data[i][i] for i in range(s.D.rows)])
+    dinv = IntMatrix.diagonal(s.diagonal)
     readback = s.V @ dinv @ s.U
     if not (readout @ readback == IntMatrix.identity(readout.rows)):
         raise ContractViolation("failed to invert the readout matrix")

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import dense_smith_diagonal
 
-from finsheaf import cli, wedge
+from finsheaf import abgroup, cli, wedge
 from finsheaf.abgroup import (
     ChainComplexData,
     GroupHom,
@@ -24,6 +24,7 @@ from finsheaf.abgroup import (
     smith_normal_form,
     solve,
 )
+from finsheaf.cech import cech_complex_hq
 from finsheaf.cohom import cochain_complex, cohomology
 from finsheaf.errors import ContractViolation, InputError
 from finsheaf.sheaf import constant_sheaf
@@ -308,3 +309,165 @@ def test_wedge_complexes_stay_on_the_unit_pivot_path():
     w = wedge.build_wedge(8)
     F = wedge.gap_sheaf(w)
     assert [cohomology(w.poset, F, q).canonical for q in range(3)] == [(0, ()), (0, ()), (8, ())]
+
+
+# -- sparse matrices against a dense reference ---------------------------------
+
+
+def dense_product(a, b, inner, cols):
+    return [[sum(a[i][k] * b[k][j] for k in range(inner)) for j in range(cols)] for i in range(len(a))]
+
+
+def dense_blocks(rows, cols, blocks):
+    out = [[0] * cols for _ in range(rows)]
+    for r0, c0, sign, block in blocks:
+        for i, row in enumerate(block):
+            for j, e in enumerate(row):
+                out[r0 + i][c0 + j] += sign * e
+    return out
+
+
+def stores_no_zero(m):
+    return all(a != 0 and 0 <= j < m.cols for row in m._sparse for j, a in row.items()) and len(m._sparse) == m.rows
+
+
+def dense_entries(r, c):
+    return st.lists(
+        st.lists(st.one_of(st.just(0), st.just(0), st.integers(-4, 4)), min_size=c, max_size=c), min_size=r, max_size=r
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 5), st.integers(0, 5), st.integers(0, 5), st.data())
+def test_sparse_operations_agree_with_dense_reference(r, k, c, data):
+    a, b, a2 = data.draw(dense_entries(r, k)), data.draw(dense_entries(k, c)), data.draw(dense_entries(r, k))
+    ma, mb, ma2 = IntMatrix(r, k, a), IntMatrix(k, c, b), IntMatrix(r, k, a2)
+    assert ma.data == tuple(map(tuple, a))
+    results = {
+        "product": (ma @ mb, dense_product(a, b, k, c)),
+        "negation": (-ma, [[-e for e in row] for row in a]),
+        "difference": (ma - ma2, [[x - y for x, y in zip(p, q)] for p, q in zip(a, a2)]),
+        "hstack": (ma.hstack(ma2), [p + q for p, q in zip(a, a2)]),
+    }
+    picked = data.draw(st.lists(st.integers(0, r - 1), max_size=6)) if r else []
+    results["submatrix_rows"] = (ma.submatrix_rows(picked), [a[i] for i in picked])
+    for name, (got, want) in results.items():
+        assert got.data == tuple(map(tuple, want)), name
+        assert stores_no_zero(got), name
+        assert got.is_zero() == all(e == 0 for row in want for e in row), name
+    for j in range(k):
+        assert ma.column(j) == tuple(row[j] for row in a)
+    assert ma.nonzero_columns() == [(j, ma.column(j)) for j in range(k) if any(row[j] for row in a)]
+    vec = data.draw(st.lists(st.integers(-5, 5), min_size=k, max_size=k))
+    assert ma.apply(vec) == tuple(sum(x * y for x, y in zip(row, vec)) for row in a)
+    with pytest.raises(InputError):
+        ma - IntMatrix.zero(r + 1, k)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 6), st.data())
+def test_from_blocks_with_overlapping_and_cancelling_blocks(rows, cols, data):
+    blocks, dense = [], []
+    for _ in range(data.draw(st.integers(0, 5))):
+        r0, c0 = data.draw(st.integers(0, rows - 1)), data.draw(st.integers(0, cols - 1))
+        br, bc = data.draw(st.integers(0, rows - r0)), data.draw(st.integers(0, cols - c0))
+        entries = data.draw(dense_entries(br, bc))
+        sign = data.draw(st.sampled_from((1, -1)))
+        blocks.append((r0, c0, sign, IntMatrix(br, bc, entries)))
+        dense.append((r0, c0, sign, entries))
+        if data.draw(st.booleans()):  # the same block again with the other sign cancels it
+            blocks.append((r0, c0, -sign, IntMatrix(br, bc, entries)))
+            dense.append((r0, c0, -sign, entries))
+    m = IntMatrix.from_blocks(rows, cols, blocks)
+    assert m.data == tuple(map(tuple, dense_blocks(rows, cols, dense)))
+    assert stores_no_zero(m)
+    with pytest.raises(IndexError):
+        IntMatrix.from_blocks(rows, cols, [(0, 1, 1, IntMatrix.zero(1, cols))])
+    with pytest.raises(IndexError):
+        IntMatrix.from_blocks(rows, cols, [(rows, 0, 1, IntMatrix.zero(1, 1))])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 6), st.integers(0, 6), st.data())
+def test_equal_matrices_built_by_different_routes_are_equal_and_hash_equal(r, c, data):
+    dense = data.draw(dense_entries(r, c))
+    other = data.draw(dense_entries(r, c))
+    m = IntMatrix(r, c, dense)
+    routes = [
+        IntMatrix(r, c, m.data),
+        # m + other - other, with the blocks in both orders: rows built in different insertion orders
+        IntMatrix.from_blocks(r, c, [(0, 0, 1, IntMatrix(r, c, other)), (0, 0, 1, m), (0, 0, -1, IntMatrix(r, c, other))]),
+        IntMatrix.from_blocks(r, c, [(0, 0, -1, IntMatrix(r, c, other)), (0, 0, 1, m), (0, 0, 1, IntMatrix(r, c, other))]),
+        IntMatrix.from_columns([m.column(j) for j in range(c)], nrows=r) if c else IntMatrix.zero(r, 0),
+        IntMatrix.identity(r) @ m,
+        m @ IntMatrix.identity(c),
+        -(-m),
+    ]
+    for built in routes:
+        assert built == m and hash(built) == hash(m)
+        assert stores_no_zero(built)
+    assert (m == IntMatrix(r, c, other)) == (tuple(map(tuple, dense)) == tuple(map(tuple, other)))
+
+
+# -- the incremental pivot against the full scan it replaced -------------------
+
+
+def full_scan_pivot(rows, where):
+    """The ±1 entry of least fill, (row count - 1)·(column count - 1), the
+    first in row order among equals; with no unit entry, the first entry of
+    least absolute value; None when no entry is left.  Every entry is
+    scanned for every pivot."""
+    best, best_fill = None, None
+    for i, entries in rows.items():
+        spare = len(entries) - 1
+        for j, a in entries.items():
+            if a == 1 or a == -1:
+                fill = spare * (len(where[j]) - 1)
+                if not fill:
+                    return i, j
+                if best is None or fill < best_fill:
+                    best, best_fill = (i, j), fill
+    if best is None and rows:
+        best = min(((i, j) for i, entries in rows.items() for j in entries), key=lambda ij: abs(rows[ij[0]][ij[1]]))
+    return best
+
+
+class FullScanRows(abgroup._WorkingRows):
+    def pivot(self):
+        self.changed.clear()
+        self.touched.clear()
+        return full_scan_pivot(self.rows, self.where)
+
+
+def decompose_by_full_scan(monkeypatch, m):
+    with monkeypatch.context() as patched:
+        patched.setattr(abgroup, "_WorkingRows", FullScanRows)
+        return smith_decompose(m)
+
+
+def pivot_oracle_matrices():
+    rng = random.Random(4141)
+    for n in range(240):
+        r, c = rng.randint(1, 24), rng.randint(1, 24)
+        rows = [[0] * c for _ in range(r)]
+        for _ in range(rng.randint(0, 3 * (r + c))):
+            rows[rng.randrange(r)][rng.randrange(c)] = rng.choice((1, -1))
+        if n % 2:  # mixed: non-unit entries too, some rows without units
+            for _ in range(rng.randint(1, r + c)):
+                rows[rng.randrange(r)][rng.randrange(c)] = rng.choice((2, -2, 3, -3, 4, 6, -9))
+        yield IntMatrix(r, c, rows)
+    for n in (4, 8):
+        w = wedge.build_wedge(n)
+        for sheaf in (wedge.gap_sheaf(w), wedge.skeleton_sheaf(w), constant_sheaf(w.poset, PresentedAbGroup.free(1))):
+            yield from cochain_complex(w.poset, sheaf).maps
+        yield from cech_complex_hq(wedge.canonical_covering(w), wedge.gap_sheaf(w), 1).maps
+
+
+def test_incremental_pivot_matches_the_full_scan(monkeypatch):
+    count = 0
+    for m in pivot_oracle_matrices():
+        fast, slow = smith_decompose(m), decompose_by_full_scan(monkeypatch, m)
+        assert fast.diagonal == slow.diagonal
+        assert fast.U == slow.U and fast.V == slow.V
+        count += 1
+    assert count >= 240

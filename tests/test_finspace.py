@@ -192,6 +192,29 @@ def test_one_pass_closure_against_brute_force():
         assert sub._less == frozenset((a, b) for a, b in less if a in kept and b in kept)
 
 
+def subposet_by_whole_relation_filter(p, members):
+    """The induced order as `subposet` once built it: every relation of the
+    whole poset, kept when both ends are members."""
+    s = set(members)
+    kept = tuple(e for e in p.elements if e in s)
+    return FinitePoset(kept, [(a, b) for (a, b) in p._less if a in s and b in s])
+
+
+def test_subposet_from_up_sets_matches_the_whole_relation_filter():
+    rng = random.Random(61)
+    for _ in range(40):
+        elements, rels = random_generating_set(rng, max_elems=12)
+        p = FinitePoset(elements, rels)
+        subsets = [[e for e in elements if rng.random() < 0.5] for _ in range(4)]
+        subsets += [p.up_set(e) for e in elements] + [p.down_set(e) for e in elements] + [elements, []]
+        for members in subsets:
+            got, want = p.subposet(members), subposet_by_whole_relation_filter(p, members)
+            assert got.elements == want.elements
+            assert got._less == want._less
+            assert got.covers == want.covers
+            assert got.height == want.height
+
+
 def test_one_pass_closure_rejects_every_cycle():
     rng = random.Random(53)
     for _ in range(20):

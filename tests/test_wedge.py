@@ -188,3 +188,25 @@ def test_stage_evidence_builds_each_open_set_once(monkeypatch):
     assert len(built) == len(set(built))
     stages = [stage_covering(w, m) for m in range(1, w.n + 2)]
     assert set(built) == {c.intersection(t) for c in stages for p in range(3) for t in c.tuples(p)}
+
+
+def test_stage_evidence_intersects_each_nerve_tuple_at_most_once(monkeypatch):
+    """Faces and refinement maps read each tuple's intersection from the
+    Čech layout, where the nerve enumeration put it."""
+    enumerated, intersections = [], []
+    tuples, intersection = Covering.tuples, Covering.intersection
+
+    def counting_tuples(self, p):
+        out = tuples(self, p)
+        enumerated.extend(out)
+        return out
+
+    def counting_intersection(self, names):
+        intersections.append(tuple(names))
+        return intersection(self, names)
+
+    monkeypatch.setattr(Covering, "tuples", counting_tuples)
+    monkeypatch.setattr(Covering, "intersection", counting_intersection)
+    collect_stage_evidence(build_wedge(4))
+    assert enumerated
+    assert len(intersections) <= len(enumerated)
