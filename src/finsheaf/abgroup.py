@@ -286,9 +286,6 @@ class SmithDecomposition:
     def apply_V(self, vec: Sequence[int]) -> list:
         return self._apply("V", vec)
 
-    def apply_V_inv(self, vec: Sequence[int]) -> list:
-        return self._apply("V_inv", vec)
-
     U = cached_property(lambda self: self._columns("U"))
     U_inv = cached_property(lambda self: self._columns("U_inv"))
     V = cached_property(lambda self: self._columns("V"))
@@ -520,10 +517,6 @@ class PresentedAbGroup:
     @property
     def rank(self) -> int:
         return self.canonical[0]
-
-    @property
-    def invariant_factors(self) -> tuple:
-        return self.canonical[1]
 
     def is_trivial(self) -> bool:
         return self.canonical == (0, ())
@@ -795,6 +788,75 @@ class ChainComplexData:
         return Subquotient(
             self.group(k), self.differential(k - 1), self.differential(k), self.group(k + 1).relations
         )
+
+
+class FaceComplex(ChainComplexData):
+    """A complex whose degree-k summands sit on increasing (k+1)-tuples: the
+    strict chains of a poset, or the simplices of a Čech nerve.
+
+    `summands(k)` lists (tuple, offset, group, data) in degree k.  A subclass
+    supplies `block(source data, target data)`, the matrix between two
+    summands; the differential is the alternating face sum, which sends the
+    summand of t with its i-th entry dropped to the summand of t by
+    (-1)^i times that block.
+    """
+
+    def __init__(self, summands: Sequence[Sequence[tuple]]):
+        """`summands[k]` lists (tuple, group, data) in degree k, in order."""
+        self._summands = []  # per degree: {tuple: (tuple, offset, group, data)} in order
+        for entries in summands:
+            placed = {}
+            off = 0
+            for t, g, data in entries:
+                placed[t] = (t, off, g, data)
+                off += g.generator_count
+            self._summands.append(placed)
+        groups = [direct_sum([g for _, _, g, _ in placed.values()]) for placed in self._summands]
+        maps = []
+        for k in range(len(groups) - 1):
+            faces = self._summands[k]
+            blocks = []
+            for t, off, _, data in self._summands[k + 1].values():
+                for i in range(len(t)):
+                    face = faces.get(t[:i] + t[i + 1:])
+                    if face is not None:
+                        blocks.append((off, face[1], -1 if i % 2 else 1, self.block(face[3], data)))
+            maps.append(IntMatrix.from_blocks(groups[k + 1].generator_count, groups[k].generator_count, blocks))
+        super().__init__(groups, maps)
+
+    def block(self, source_data, target_data) -> IntMatrix:
+        raise NotImplementedError
+
+    def summands(self, k: int) -> Iterable[tuple]:
+        """The (tuple, offset, group, data) of degree k; none outside the stored degrees."""
+        return self._summands[k].values() if 0 <= k < len(self._summands) else ()
+
+    def summand(self, k: int, t: tuple) -> Optional[tuple]:
+        """The (tuple, offset, group, data) of t in degree k, or None."""
+        return self._summands[k].get(t) if 0 <= k < len(self._summands) else None
+
+
+def face_chain_map(
+    source: FaceComplex,
+    target: FaceComplex,
+    rule: Callable[[tuple], Optional[tuple]],
+    block: Callable[[object, object], IntMatrix],
+) -> list:
+    """Per degree k of source, the map from degree k of source to degree k of
+    target.  `rule(t)` names the (source tuple, sign) that feeds the target
+    tuple t, or None; the map adds sign * block(source data, target data)
+    there, and nothing where source lists no such tuple."""
+    mats = []
+    for k in range(len(source.groups)):
+        blocks = []
+        for t, off, _, data in target.summands(k):
+            fed = rule(t)
+            if fed is not None:
+                found = source.summand(k, fed[0])
+                if found is not None:
+                    blocks.append((off, found[1], fed[1], block(found[3], data)))
+        mats.append(IntMatrix.from_blocks(target.degree_rank(k), source.degree_rank(k), blocks))
+    return mats
 
 
 def _chain_component(f: Sequence[IntMatrix], k: int, source: ChainComplexData, target: ChainComplexData) -> IntMatrix:

@@ -13,12 +13,13 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .abgroup import (
-    ChainComplexData,
+    FaceComplex,
     GroupHom,
     IntMatrix,
     PresentedAbGroup,
     Subquotient,
     direct_sum,
+    face_chain_map,
     induced_on_homology,
 )
 from .errors import ContractViolation, InputError
@@ -108,10 +109,9 @@ class _Coefficients:
     again, is computed once.
     """
 
-    def __init__(self, base: FinitePoset, sheaf: PosetSheaf, q: int):
+    def __init__(self, sheaf: PosetSheaf, q: int):
         if q < 0:
             raise InputError("coefficient degree must be >= 0")
-        self.base = base
         self.sheaf = sheaf
         self.q = q
         self._complexes: Dict[frozenset, Tuple[_cohom.CochainComplex, Subquotient]] = {}
@@ -120,7 +120,8 @@ class _Coefficients:
     def _complex(self, members: frozenset) -> Tuple[_cohom.CochainComplex, Subquotient]:
         got = self._complexes.get(members)
         if got is None:
-            cx = _cohom.cochain_complex(self.base.subposet(members), self.sheaf.restricted_to(members))
+            sub = self.sheaf.restricted_to(members)
+            cx = _cohom.cochain_complex(sub.base, sub)
             got = (cx, cx.homology(self.q))
             self._complexes[members] = got
         return got
@@ -138,20 +139,31 @@ class _Coefficients:
         return got
 
 
-class CechComplex(ChainComplexData):
-    """Alternating Čech complex; block layout records, per degree, the index
-    tuple, its offset, its coefficient group and the intersection it sits on.
+class CechComplex(FaceComplex):
+    """Alternating Čech complex of a covering on a coefficient cache: the
+    summand of an index tuple is the coefficient group on its intersection,
+    and its data is that intersection.
 
     A complex truncated at degree `top` stores degrees 0..top only, so its
-    homology is known below `top` alone; `top` is None for the full complex.
+    homology is known below `top` alone (Ȟ^p needs top = p + 1); `top` is
+    None for the full complex.
     """
 
-    def __init__(self, covering, coefficients, groups, maps, block_layout, top=None):
+    def __init__(self, covering: Covering, coefficients: _Coefficients, top: Optional[int] = None):
         self.covering = covering
         self.coefficients = coefficients
-        self.block_layout = block_layout  # per degree: list of (tuple, offset, group, intersection)
         self.top = top
-        super().__init__(groups, maps)
+        summands = []
+        degrees = len(covering.order) if top is None else min(len(covering.order), top + 1)
+        for p in range(degrees):
+            meets = [(t, covering._meets[t]) for t in covering.tuples(p)]
+            summands.append([(t, coefficients.group(meet), meet) for t, meet in meets])
+            if not meets:
+                break
+        super().__init__(summands)
+
+    def block(self, big: frozenset, small: frozenset) -> IntMatrix:
+        return self.coefficients.restriction(big, small).matrix
 
     def homology(self, k: int) -> Subquotient:
         # past the top the differential is missing, not zero
@@ -159,54 +171,10 @@ class CechComplex(ChainComplexData):
             raise ContractViolation(f"Čech complex truncated at degree {self.top} has no homology in degree {k}")
         return super().homology(k)
 
-    def blocks(self, p: int) -> list:
-        """The layout of degree p; empty outside the stored degrees."""
-        return self.block_layout[p] if 0 <= p < len(self.block_layout) else []
-
-    def block_offset(self, p: int, names: tuple) -> Tuple[int, PresentedAbGroup]:
-        for t, off, g, _ in self.block_layout[p]:
-            if t == names:
-                return off, g
-        raise InputError(f"no block for {names} in degree {p}")
-
 
 def cech_complex_hq(c: Covering, sheaf: PosetSheaf, q: int) -> CechComplex:
     """The Čech complex of the covering with coefficients V -> H^q(V, F)."""
-    return _cech_complex(c, _Coefficients(c.base, sheaf, q))
-
-
-def _cech_complex(c: Covering, coeffs: _Coefficients, top: Optional[int] = None) -> CechComplex:
-    """The Čech complex of the covering with the given coefficient cache,
-    in degrees 0..top only when `top` is given (Ȟ^p needs top = p + 1)."""
-    layout: List[List[Tuple[tuple, int, PresentedAbGroup, frozenset]]] = []
-    p = 0
-    while p < len(c.order) and (top is None or p <= top):
-        tups = c.tuples(p)
-        entries = []
-        off = 0
-        for t in tups:
-            meet = c._meets[t]
-            g = coeffs.group(meet)
-            entries.append((t, off, g, meet))
-            off += g.generator_count
-        layout.append(entries)
-        if not tups:
-            break
-        p += 1
-    groups = [direct_sum([g for _, _, g, _ in entries]) for entries in layout]
-    maps = []
-    for k in range(len(groups) - 1):
-        src_index = {t: (off, meet) for t, off, _, meet in layout[k]}
-        blocks = []
-        for t, toff, _, meet in layout[k + 1]:
-            for i in range(len(t)):
-                face = src_index.get(t[:i] + t[i + 1:])
-                if face is not None:
-                    soff, big = face
-                    res = coeffs.restriction(big, meet).matrix
-                    blocks.append((toff, soff, -1 if i % 2 else 1, res))
-        maps.append(IntMatrix.from_blocks(groups[k + 1].generator_count, groups[k].generator_count, blocks))
-    return CechComplex(c, coeffs, groups, maps, layout, top)
+    return CechComplex(c, _Coefficients(sheaf, q))
 
 
 def cech_complex_sheaf(c: Covering, sheaf: PosetSheaf) -> CechComplex:
@@ -217,7 +185,7 @@ def cech_complex_sheaf(c: Covering, sheaf: PosetSheaf) -> CechComplex:
 def cech_cohomology_hq(c: Covering, sheaf: PosetSheaf, q: int, p: int) -> PresentedAbGroup:
     if p < 0:
         raise InputError("degree must be >= 0")
-    return _cech_complex(c, _Coefficients(c.base, sheaf, q), p + 1).homology(p).group
+    return CechComplex(c, _Coefficients(sheaf, q), p + 1).homology(p).group
 
 
 def cech_cohomology(c: Covering, sheaf: PosetSheaf, p: int) -> PresentedAbGroup:
@@ -237,14 +205,14 @@ def refinement_map(
     The assignment must witness the refinement: each fine member contained
     in its assigned coarse member.
     """
-    coeffs = _Coefficients(fine.base, sheaf, q)
-    return _refinement_map(_cech_complex(fine, coeffs, p + 1), _cech_complex(coarse, coeffs, p + 1), assignment, p)
+    coeffs = _Coefficients(sheaf, q)
+    return _refinement_map(CechComplex(fine, coeffs, p + 1), CechComplex(coarse, coeffs, p + 1), assignment, p)
 
 
 def _refinement_map(fine_cx: CechComplex, coarse_cx: CechComplex, assignment: Dict[str, str], p: int) -> GroupHom:
     """`refinement_map` between Čech complexes already built, up to degree
     p + 1 at least; the restrictions run from coarse to fine opens."""
-    fine, coarse, coeffs = fine_cx.covering, coarse_cx.covering, fine_cx.coefficients
+    fine, coarse = fine_cx.covering, coarse_cx.covering
     if fine.base != coarse.base:
         raise InputError("refinement requires coverings of the same space")
     for name in fine.order:
@@ -255,30 +223,16 @@ def _refinement_map(fine_cx: CechComplex, coarse_cx: CechComplex, assignment: Di
             raise InputError(f"{name!r} is not contained in {big!r}: not a refinement witness")
     coarse_pos = {name: i for i, name in enumerate(coarse.order)}
 
-    fmat = []
-    for k in range(len(coarse_cx.groups)):
-        src_index = {t: (off, meet) for t, off, _, meet in coarse_cx.blocks(k)}
-        blocks = []
-        for t, toff, _, meet in fine_cx.blocks(k):
-            mapped = [assignment[n] for n in t]
-            if len(set(mapped)) < len(mapped):
-                continue  # degenerate tuple, zero in the alternating complex
-            order_key = sorted(range(len(mapped)), key=lambda i: coarse_pos[mapped[i]])
-            sorted_tuple = tuple(mapped[i] for i in order_key)
-            # parity of the sorting permutation
-            perm = list(order_key)
-            sign = 1
-            for i in range(len(perm)):
-                for j in range(i + 1, len(perm)):
-                    if perm[i] > perm[j]:
-                        sign = -sign
-            source = src_index.get(sorted_tuple)
-            if source is None:
-                continue
-            soff, big = source
-            res = coeffs.restriction(big, meet).matrix
-            blocks.append((toff, soff, sign, res))
-        fmat.append(IntMatrix.from_blocks(fine_cx.degree_rank(k), coarse_cx.degree_rank(k), blocks))
+    def coarse_tuple(t: tuple) -> Optional[tuple]:
+        """The sorted image of t and the parity of its sorting permutation."""
+        mapped = [assignment[n] for n in t]
+        if len(set(mapped)) < len(mapped):
+            return None  # degenerate tuple, zero in the alternating complex
+        perm = sorted(range(len(mapped)), key=lambda i: coarse_pos[mapped[i]])
+        inversions = sum(a > b for i, a in enumerate(perm) for b in perm[i + 1:])
+        return tuple(mapped[i] for i in perm), (-1) ** inversions
+
+    fmat = face_chain_map(coarse_cx, fine_cx, coarse_tuple, fine_cx.block)
     return induced_on_homology(fmat, coarse_cx, fine_cx, p)
 
 
@@ -341,7 +295,7 @@ class ComparisonReport:
 def covering_comparison_report(c: Covering, sheaf: PosetSheaf) -> ComparisonReport:
     """Compute both pipelines and report the low-degree corner of the
     Čech-to-derived comparison for this covering."""
-    cech = _cech_complex(c, _Coefficients(c.base, sheaf, 0), 3)
+    cech = CechComplex(c, _Coefficients(sheaf, 0), 3)
     cech_h0, cech_h1, cech_h2 = (cech.homology(p).group for p in range(3))
     cech_h1h1 = cech_cohomology_hq(c, sheaf, 1, 1)
     cochains = _cohom.cochain_complex(c.base, sheaf)

@@ -16,12 +16,13 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .abgroup import (
     ChainComplexData,
+    FaceComplex,
     GroupHom,
     IntMatrix,
     PresentedAbGroup,
     Subquotient,
     check_chain_map,
-    direct_sum,
+    face_chain_map,
     solve,
 )
 from .errors import ContractViolation, InputError
@@ -29,20 +30,25 @@ from .finspace import FinitePoset, OpenSet
 from .sheaf import PosetSheaf, SheafMorphism, constant_sheaf, extension_by_zero, is_exact
 
 
-class CochainComplex(ChainComplexData):
-    """Strict-chain cochain complex of a sheaf, with the chain bookkeeping
-    needed to build chain-level maps (projections, stalkwise morphisms)."""
+class CochainComplex(FaceComplex):
+    """Strict-chain cochain complex of a sheaf: the summand of a chain is the
+    stalk at its end, and its data is that end.  Chains whose end has no
+    generators are left out."""
 
-    def __init__(self, base, sheaf, groups, maps, chain_layout):
+    def __init__(self, base: FinitePoset, sheaf: PosetSheaf):
         self.base = base
         self.sheaf = sheaf
-        # per degree: list of (chain, offset, rank); only nonzero stalks listed
-        self.chain_layout = chain_layout
-        super().__init__(groups, maps)
+        stalks = sheaf.stalks
+        super().__init__(
+            [
+                [(c, stalks[c[-1]], c[-1]) for c in base.strict_chains(k) if stalks[c[-1]].generator_count]
+                for k in range(max(base.height, 0) + 1)
+            ]
+        )
 
-    def chains(self, k: int) -> list:
-        """The layout of degree k; empty outside the stored degrees."""
-        return self.chain_layout[k] if 0 <= k < len(self.chain_layout) else []
+    def block(self, face_end: str, chain_end: str) -> IntMatrix:
+        # identity unless the face drops the last element
+        return self.sheaf.restrict(face_end, chain_end)
 
 
 def cochain_complex(base: FinitePoset, sheaf: PosetSheaf) -> CochainComplex:
@@ -51,39 +57,7 @@ def cochain_complex(base: FinitePoset, sheaf: PosetSheaf) -> CochainComplex:
     so stalks with torsion carry through to the cohomology."""
     if sheaf.base != base:
         raise InputError("sheaf is not defined on the given poset")
-    top = base.height
-    layout: List[List[Tuple[tuple, int, int]]] = []
-    index: List[Dict[tuple, int]] = []
-    for k in range(top + 1):
-        entries = []
-        offset = 0
-        idx = {}
-        for chain in base.strict_chains(k):
-            r = sheaf.stalks[chain[-1]].generator_count
-            if r == 0:
-                continue
-            idx[chain] = offset
-            entries.append((chain, offset, r))
-            offset += r
-        layout.append(entries)
-        index.append(idx)
-    groups = [direct_sum([sheaf.stalks[chain[-1]] for chain, _, _ in entries]) for entries in layout]
-    if not groups:
-        groups = [PresentedAbGroup.trivial()]
-        layout = [[]]
-    maps = []
-    for k in range(len(groups) - 1):
-        blocks = []
-        for chain, off, _ in layout[k + 1]:
-            for i in range(len(chain)):
-                face = chain[:i] + chain[i + 1:]
-                src_off = index[k].get(face)
-                if src_off is not None:
-                    # identity unless the face drops the last element
-                    rmat = sheaf.restrict(face[-1], chain[-1])
-                    blocks.append((off, src_off, -1 if i % 2 else 1, rmat))
-        maps.append(IntMatrix.from_blocks(groups[k + 1].generator_count, groups[k].generator_count, blocks))
-    return CochainComplex(base, sheaf, groups, maps, layout)
+    return CochainComplex(base, sheaf)
 
 
 def cohomology(base: FinitePoset, sheaf: PosetSheaf, q: int) -> PresentedAbGroup:
@@ -96,6 +70,10 @@ def cohomology(base: FinitePoset, sheaf: PosetSheaf, q: int) -> PresentedAbGroup
     return cochain_complex(base, sheaf).homology(q).group
 
 
+def _same_chain(chain: tuple) -> tuple:
+    return chain, 1
+
+
 def stalkwise_chain_map(
     source: CochainComplex, target: CochainComplex, components: Mapping[str, IntMatrix]
 ) -> List[IntMatrix]:
@@ -103,16 +81,7 @@ def stalkwise_chain_map(
     components[p] on the summand of every chain ending at p that both
     complexes list.  With identity components on a subspace W of V it is the
     projection C^k(V) -> C^k(W) keeping the chains inside W."""
-    mats = []
-    for k in range(len(source.groups)):
-        tgt_index = {chain: off for chain, off, _ in target.chains(k)}
-        blocks = [
-            (tgt_index[chain], soff, 1, components[chain[-1]])
-            for chain, soff, _ in source.chains(k)
-            if chain in tgt_index
-        ]
-        mats.append(IntMatrix.from_blocks(target.degree_rank(k), source.degree_rank(k), blocks))
-    return mats
+    return face_chain_map(source, target, _same_chain, lambda _, end: components[end])
 
 
 def restriction_on_homology(
@@ -121,7 +90,7 @@ def restriction_on_homology(
     """The map H^q(V,F) -> H^q(W,F) induced by W ⊆ V, from the cochain
     complexes of F on V and on W and their degree-q homologies.  The
     projection keeping the chains inside W is checked to be a chain map."""
-    f = stalkwise_chain_map(source, target, {p: target.sheaf.restrict(p, p) for p in target.base.elements})
+    f = face_chain_map(source, target, _same_chain, target.block)
     check_chain_map(f, source, target)
     # f lists every degree of source; above them H^q(V,F) has no generators
     return source_h.induced_map(target_h, lambda rep: f[q].apply(rep))
@@ -135,8 +104,8 @@ def restriction_induced(
         raise InputError("W must be contained in V")
     if V.parent != base or W.parent != base:
         raise InputError("open sets must live on the given poset")
-    src_cx = cochain_complex(base.subposet(V.members), sheaf.restricted_to(V.members))
-    tgt_cx = cochain_complex(base.subposet(W.members), sheaf.restricted_to(W.members))
+    src, tgt = sheaf.restricted_to(V.members), sheaf.restricted_to(W.members)
+    src_cx, tgt_cx = cochain_complex(src.base, src), cochain_complex(tgt.base, tgt)
     return restriction_on_homology(src_cx, src_cx.homology(q), tgt_cx, tgt_cx.homology(q), q)
 
 
@@ -180,6 +149,8 @@ def les_of_short_exact(
     """
     if len(ses) != 2:
         raise InputError("a short exact sequence is given by two morphisms A->B and B->C")
+    if V.parent != base or ses[0].source.base != base:
+        raise InputError("the open set and the sequence must live on the given poset")
     sub = [m.restricted_to(V.members) for m in ses]
     verdict = is_exact(sub)
     if not verdict.exact:
@@ -187,12 +158,7 @@ def les_of_short_exact(
             f"input sequence is not exact over V (fails at {verdict.failing_element})"
         )
     fa, fb = sub
-    space = base.subposet(V.members)
-    cxs = [
-        cochain_complex(space, fa.source),
-        cochain_complex(space, fa.target),
-        cochain_complex(space, fb.target),
-    ]
+    cxs = [cochain_complex(sheaf.base, sheaf) for sheaf in (fa.source, fa.target, fb.target)]
     maxdeg = max(len(c.groups) for c in cxs)
     fmat = stalkwise_chain_map(cxs[0], cxs[1], fa.components)
     gmat = stalkwise_chain_map(cxs[1], cxs[2], fb.components)

@@ -221,9 +221,6 @@ class OpenSet:
     def __repr__(self):
         return f"OpenSet({sorted(self.members)})"
 
-    def subspace(self) -> FinitePoset:
-        return self.parent.subposet(self.members)
-
 
 class RegularCWData:
     """Cells of a regular CW complex: dimension tags plus face incidences.

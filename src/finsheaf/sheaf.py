@@ -70,26 +70,21 @@ class PosetSheaf:
         return m
 
     def _check_functorial(self) -> None:
-        # all factorizations p < m < q must agree with the direct composite
-        for p in self.base.elements:
+        # Every cover map respects relations, and for every cover p < m and
+        # every q above m the composite through m agrees with restrict(p, q).
+        # By induction on the length of [p, q], every factorization p < m < q
+        # then agrees and every composite respects relations.
+        for p, m in self.base.covers:
+            cover = self.cover_maps[(p, m)]
+            for j in range(self.stalks[p].relations.cols):
+                if not self.stalks[m].contains_in_relations(cover.apply(self.stalks[p].relations.column(j))):
+                    raise ContractViolation(f"restriction ({p},{m}) does not respect relations")
             for q in self.base.elements:
-                if not self.base.lt(p, q):
-                    continue
-                direct = GroupHom(self.stalks[p], self.stalks[q], self.restrict(p, q), check=False)
-                for m in self.base.elements:
-                    if self.base.lt(p, m) and self.base.lt(m, q):
-                        via = self.restrict(m, q) @ self.restrict(p, m)
-                        if not direct.equals_as_hom(
-                            GroupHom(self.stalks[p], self.stalks[q], via, check=False)
-                        ):
-                            raise ContractViolation(
-                                f"restriction maps not functorial along {p} < {m} < {q}"
-                            )
-                # restriction must respect stalk relations
-                for j in range(self.stalks[p].relations.cols):
-                    img = direct.matrix.apply(self.stalks[p].relations.column(j))
-                    if not self.stalks[q].contains_in_relations(img):
-                        raise ContractViolation(f"restriction ({p},{q}) does not respect relations")
+                if self.base.lt(m, q):
+                    direct = GroupHom(self.stalks[p], self.stalks[q], self.restrict(p, q), check=False)
+                    via = GroupHom(self.stalks[p], self.stalks[q], self.restrict(m, q) @ cover, check=False)
+                    if not direct.equals_as_hom(via):
+                        raise ContractViolation(f"restriction maps not functorial along {p} < {m} < {q}")
 
     def restricted_to(self, members: Iterable[str]) -> "PosetSheaf":
         """The sheaf induced on a subspace (restriction of the functor)."""

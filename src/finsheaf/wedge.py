@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Tuple
 
 from .abgroup import GroupHom, IntMatrix, PresentedAbGroup, Subquotient, kernel_basis, smith_decompose
-from .cech import CechComplex, Covering, _cech_complex, _Coefficients, _refinement_map
+from .cech import CechComplex, Covering, _Coefficients, _refinement_map
 from .cohom import cochain_complex
 from .errors import ContractViolation, InputError
 from .finspace import FinitePoset, OpenSet, RegularCWData, face_poset
@@ -26,10 +26,6 @@ class WedgeSpace:
     poset: FinitePoset
     skeleton: frozenset  # the 1-skeleton: x, v_n, a_n, b_n
     open_u: frozenset  # union of the open 2-cells: the f_n
-
-    def disk(self, k: int) -> frozenset:
-        """The closed 2-cell of disk k (as a subset of the poset)."""
-        return frozenset({"x", f"v{k}", f"a{k}", f"b{k}", f"f{k}"})
 
     def zero_cells(self) -> List[str]:
         return ["x"] + [f"v{k}" for k in range(1, self.n + 1)]
@@ -222,22 +218,18 @@ def stage_covering(w: WedgeSpace, m: int) -> Covering:
 def _corner_complexes(w: WedgeSpace, stages: Iterable[int]) -> Dict[int, CechComplex]:
     """The Čech complexes of the given stage coverings with coefficients
     H¹(-, F), up to degree 2, all on one coefficient cache."""
-    coeffs = _Coefficients(w.poset, gap_sheaf(w), 1)
-    return {m: _cech_complex(stage_covering(w, m), coeffs, 2) for m in stages}
-
-
-def stage_readout(w: WedgeSpace, m: int) -> Tuple[PresentedAbGroup, IntMatrix, IntMatrix]:
-    """(group, readout, readback) for the stage-m corner group.
-
-    `readout` maps canonical generators of Ȟ¹ to the live disk coordinates
-    (the blocks at the pairs (U0, U_k), k >= m); `readback` is its exact
-    inverse.  Well-defined because the degree-zero Čech term vanishes for
-    stage coverings.
-    """
-    return _stage_readout(w, m, _corner_complexes(w, [m])[m])
+    coeffs = _Coefficients(gap_sheaf(w), 1)
+    return {m: CechComplex(stage_covering(w, m), coeffs, 2) for m in stages}
 
 
 def _stage_readout(w: WedgeSpace, m: int, cx: CechComplex) -> Tuple[PresentedAbGroup, IntMatrix, IntMatrix]:
+    """(group, readout, readback) for the stage-m corner group.
+
+    `readout` maps canonical generators of Ȟ¹ to the live disk coordinates
+    (the summands at the pairs (U0, U_k), k >= m); `readback` is its exact
+    inverse.  Well-defined because the degree-zero Čech term vanishes for
+    stage coverings.
+    """
     if not cx.groups[0].is_trivial():
         raise ContractViolation("stage covering has nonvanishing degree-zero term")
     h = cx.homology(1)
@@ -245,10 +237,10 @@ def _stage_readout(w: WedgeSpace, m: int, cx: CechComplex) -> Tuple[PresentedAbG
     live = [("U0", f"U{k}") for k in range(m, w.n + 1)]
     rows = []
     for pair in live:
-        off, g = cx.block_offset(1, pair)
-        if g.canonical != (1, ()):
+        summand = cx.summand(1, pair)
+        if summand is None or summand[2].canonical != (1, ()):
             raise ContractViolation(f"live block {pair} is not infinite cyclic")
-        rows.append(off)
+        rows.append(summand[1])
     # Z^len(live) in a single degree: classes are the live coordinates themselves
     coordinates = Subquotient(PresentedAbGroup.free(len(live)), None, None)
     readout = h.induced_map(coordinates, lambda rep: [rep[r] for r in rows]).matrix

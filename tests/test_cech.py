@@ -3,11 +3,11 @@ from itertools import combinations
 
 import pytest
 
-from finsheaf import cohom
-from finsheaf.abgroup import GroupHom, PresentedAbGroup
+from finsheaf import cech, cohom, finspace
+from finsheaf.abgroup import GroupHom, IntMatrix, PresentedAbGroup
 from finsheaf.cech import (
+    CechComplex,
     Covering,
-    _cech_complex,
     _Coefficients,
     cech_cohomology,
     cech_cohomology_hq,
@@ -21,7 +21,7 @@ from finsheaf.cohom import cohomology, restriction_induced
 from finsheaf.errors import ContractViolation, InputError
 from finsheaf.finspace import FinitePoset, OpenSet
 from finsheaf.sheaf import constant_sheaf
-from finsheaf.wedge import build_wedge, canonical_covering, gap_sheaf, stage_covering
+from finsheaf.wedge import build_wedge, canonical_covering, gap_sheaf, stage_covering, stage_refinement_inclusion
 
 Z = PresentedAbGroup.free(1)
 
@@ -183,7 +183,7 @@ def test_cached_restrictions_match_uncached(n):
                 assert cached.target.canonical == fresh.target.canonical
                 assert cached.equals_as_hom(fresh)
                 assert cached.matrix == fresh.matrix
-            warm = _cech_complex(c, coeffs)
+            warm = CechComplex(c, coeffs)
             assert warm.maps == cold.maps
             assert warm.groups == cold.groups
 
@@ -214,7 +214,7 @@ def test_truncated_complex_has_no_homology_at_its_top():
     c = stage_covering(w, 3)
     full = cech_complex_hq(c, gap_sheaf(w), 1)
     assert full.top is None and len(full.groups) > 3
-    cut = _cech_complex(c, full.coefficients, 2)
+    cut = CechComplex(c, full.coefficients, 2)
     assert cut.top == 2 and len(cut.groups) == 3
     assert cut.homology(1).group.canonical == full.homology(1).group.canonical
     for k in (2, 3):
@@ -253,3 +253,141 @@ def test_nerve_tuples_match_the_subset_filter():
     for c in coverings:
         for p in range(len(c.order) + 1):
             assert c.tuples(p) == subset_filter(c, p)
+
+
+def test_coefficients_build_one_poset_per_open_set(monkeypatch):
+    w = build_wedge(4)
+    F = gap_sheaf(w)
+    c = canonical_covering(w)
+    opens = {c.intersection(t) for t in nerve(c)}
+    built = []
+    original = finspace.FinitePoset.__init__
+
+    def counting(self, elements, relations=()):
+        built.append(self)
+        original(self, elements, relations)
+
+    monkeypatch.setattr(finspace.FinitePoset, "__init__", counting)
+    cech_complex_hq(c, F, 1)
+    assert len(built) == len(opens)
+    assert {frozenset(p.elements) for p in built} == opens
+
+
+# -- reference loops ----------------------------------------------------------
+# The alternating Čech complex and its refinement chain maps built by their
+# own loops over a layout of (tuple, offset, group, intersection) per degree,
+# independent of the shared face-complex builder.
+
+
+def reference_cech_complex(c, coeffs, top=None):
+    """(layout, differentials) of the Čech complex, in degrees 0..top."""
+    layout = []
+    p = 0
+    while p < len(c.order) and (top is None or p <= top):
+        tups = c.tuples(p)
+        entries = []
+        off = 0
+        for t in tups:
+            meet = c.intersection(t)
+            g = coeffs.group(meet)
+            entries.append((t, off, g, meet))
+            off += g.generator_count
+        layout.append(entries)
+        if not tups:
+            break
+        p += 1
+    maps = []
+    for k in range(len(layout) - 1):
+        src_index = {t: (off, meet) for t, off, _, meet in layout[k]}
+        blocks = []
+        for t, toff, _, meet in layout[k + 1]:
+            for i in range(len(t)):
+                face = src_index.get(t[:i] + t[i + 1:])
+                if face is not None:
+                    soff, big = face
+                    blocks.append((toff, soff, -1 if i % 2 else 1, coeffs.restriction(big, meet).matrix))
+        maps.append(IntMatrix.from_blocks(layout_rank(layout, k + 1), layout_rank(layout, k), blocks))
+    return layout, maps
+
+
+def layout_rank(layout, k):
+    return sum(g.generator_count for _, _, g, _ in layout[k]) if k < len(layout) else 0
+
+
+def reference_refinement_chain_map(fine_cx, coarse_cx, assignment):
+    """Per degree of the coarse complex, the map to the fine one: each fine
+    tuple takes the restriction of its sorted image under the assignment,
+    signed by the parity of the sort; degenerate images contribute zero."""
+    coarse, coeffs = coarse_cx.covering, fine_cx.coefficients
+    fine_layout = reference_cech_complex(fine_cx.covering, coeffs, fine_cx.top)[0]
+    coarse_layout = reference_cech_complex(coarse, coeffs, coarse_cx.top)[0]
+    coarse_pos = {name: i for i, name in enumerate(coarse.order)}
+    fmat = []
+    for k in range(len(coarse_layout)):
+        src_index = {t: (off, meet) for t, off, _, meet in coarse_layout[k]}
+        blocks = []
+        for t, toff, _, meet in fine_layout[k] if k < len(fine_layout) else []:
+            mapped = [assignment[n] for n in t]
+            if len(set(mapped)) < len(mapped):
+                continue
+            perm = sorted(range(len(mapped)), key=lambda i: coarse_pos[mapped[i]])
+            sign = 1
+            for i in range(len(perm)):
+                for j in range(i + 1, len(perm)):
+                    if perm[i] > perm[j]:
+                        sign = -sign
+            source = src_index.get(tuple(mapped[i] for i in perm))
+            if source is not None:
+                blocks.append((toff, source[0], sign, coeffs.restriction(source[1], meet).matrix))
+        fmat.append(IntMatrix.from_blocks(layout_rank(fine_layout, k), layout_rank(coarse_layout, k), blocks))
+    return fmat
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_cech_complexes_match_the_reference_loop(n):
+    w = build_wedge(n)
+    F = gap_sheaf(w)
+    for c in [canonical_covering(w)] + [stage_covering(w, m) for m in range(2, n + 2)]:
+        for q in (0, 1):
+            coeffs = _Coefficients(F, q)
+            for top in (None, 2):
+                layout, maps = reference_cech_complex(c, coeffs, top)
+                cx = CechComplex(c, coeffs, top)
+                assert cx.maps == maps
+                assert [list(cx.summands(k)) for k in range(len(cx.groups))] == layout
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_refinement_chain_maps_match_the_reference_loop(monkeypatch, n):
+    """Adjacent stage refinements, and refinements between the canonical
+    covering and shuffled copies of it, whose chain maps carry the parity
+    of the reordering."""
+    seen = []
+    original = cech.induced_on_homology
+
+    def recording(f, source, target, p):
+        seen.append((f, source, target))
+        return original(f, source, target, p)
+
+    monkeypatch.setattr(cech, "induced_on_homology", recording)
+    w = build_wedge(n)
+    F = gap_sheaf(w)
+    assignments = []
+    for m in range(1, n + 1):
+        stage_refinement_inclusion(w, m, m + 1)
+        fine, coarse = stage_covering(w, m), stage_covering(w, m + 1)
+        assignments.append({name: name if name in coarse.members else f"D{name[1:]}" for name in fine.order})
+    c = canonical_covering(w)
+    rng = random.Random(n)
+    for _ in range(3):
+        order = list(c.order)
+        rng.shuffle(order)
+        for q in (0, 1):
+            for p in (0, 1):
+                for fine, coarse in ((c, c.reordered(order)), (c.reordered(order), c)):
+                    refinement_map(fine, coarse, {name: name for name in order}, F, p, q)
+                    assignments.append({name: name for name in order})
+    assert len(seen) == len(assignments)
+    for (f, coarse_cx, fine_cx), assignment in zip(seen, assignments):
+        want = reference_refinement_chain_map(fine_cx, coarse_cx, assignment)
+        assert f == want

@@ -1,16 +1,21 @@
+import random
+
 import pytest
 
-from finsheaf.abgroup import GroupHom, PresentedAbGroup
+from finsheaf import cohom
+from finsheaf.abgroup import GroupHom, IntMatrix, PresentedAbGroup
 from finsheaf.cohom import (
     cochain_complex,
     cohomology,
     les_of_short_exact,
     component_identity_check,
     restriction_induced,
+    restriction_on_homology,
+    stalkwise_chain_map,
 )
 from finsheaf.errors import InputError
 from finsheaf.finspace import FinitePoset, OpenSet
-from finsheaf.sheaf import constant_sheaf
+from finsheaf.sheaf import constant_sheaf, extension_by_zero
 from finsheaf.wedge import build_wedge, gap_sheaf, structure_sequence
 
 Z = PresentedAbGroup.free(1)
@@ -100,6 +105,12 @@ def test_les_rejects_non_exact_input():
     broken = [SheafMorphism.zero(seq[0].source, seq[0].target), seq[1]]
     with pytest.raises(InputError):
         les_of_short_exact(p, broken, OpenSet(p, frozenset(p.elements)))
+    # the sequence lives on X_1, not on the given X_2
+    other = build_wedge(2).poset
+    with pytest.raises(InputError):
+        les_of_short_exact(other, seq, OpenSet(other, {"f1"}))
+    with pytest.raises(InputError):
+        les_of_short_exact(other, seq, OpenSet(p, frozenset(p.elements)))
 
 
 def test_component_identity_pass_and_hypothesis_gate():
@@ -121,3 +132,134 @@ def test_component_identity_full_space():
     p = w.poset
     res = component_identity_check(p, OpenSet(p, frozenset(p.elements)), w.skeleton)
     assert res.status == "pass" and res.isomorphic
+
+
+# -- reference loops ----------------------------------------------------------
+# The strict-chain complex and its stalkwise chain maps built by their own
+# loops over a layout of (chain, offset, rank) per degree, independent of
+# the shared face-complex builder.
+
+
+def reference_cochain_complex(base, sheaf):
+    """(layout, differentials) of the strict-chain cochain complex."""
+    layout, index = [], []
+    for k in range(base.height + 1):
+        entries, idx, offset = [], {}, 0
+        for chain in base.strict_chains(k):
+            r = sheaf.stalks[chain[-1]].generator_count
+            if r:
+                idx[chain] = offset
+                entries.append((chain, offset, r))
+                offset += r
+        layout.append(entries)
+        index.append(idx)
+    layout = layout or [[]]
+    maps = []
+    for k in range(len(layout) - 1):
+        blocks = []
+        for chain, off, _ in layout[k + 1]:
+            for i in range(len(chain)):
+                face = chain[:i] + chain[i + 1:]
+                src_off = index[k].get(face)
+                if src_off is not None:
+                    rmat = sheaf.restrict(face[-1], chain[-1])
+                    blocks.append((off, src_off, -1 if i % 2 else 1, rmat))
+        maps.append(IntMatrix.from_blocks(layout_rank(layout, k + 1), layout_rank(layout, k), blocks))
+    return layout, maps
+
+
+def layout_rank(layout, k):
+    return sum(entry[-1] for entry in layout[k]) if k < len(layout) else 0
+
+
+def reference_stalkwise_chain_map(source_layout, target_layout, components):
+    """components[p] on every chain ending at p that both layouts list."""
+    mats = []
+    for k, entries in enumerate(source_layout):
+        tgt_index = {chain: off for chain, off, _ in (target_layout[k] if k < len(target_layout) else [])}
+        blocks = [
+            (tgt_index[chain], soff, 1, components[chain[-1]]) for chain, soff, _ in entries if chain in tgt_index
+        ]
+        mats.append(IntMatrix.from_blocks(layout_rank(target_layout, k), layout_rank(source_layout, k), blocks))
+    return mats
+
+
+def identities(sheaf):
+    """Identity components: the stalkwise map that projects onto a subspace."""
+    return {p: IntMatrix.identity(sheaf.stalks[p].generator_count) for p in sheaf.base.elements}
+
+
+def reference_corpus():
+    """60 seeded posets, each with constant Z, constant Z/2 and Z^2 extended
+    by zero from a random open set."""
+    rng = random.Random(2024)
+    for _ in range(60):
+        n = rng.randint(3, 7)
+        labels = [f"e{i}" for i in range(n)]
+        rels = [(labels[i], labels[j]) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.35]
+        base = FinitePoset(labels, rels)
+        seeds = rng.sample(base.elements, rng.randint(1, n))
+        opens = OpenSet(base, set().union(*(base.up_set(e) for e in seeds)))
+        for sheaf in (
+            constant_sheaf(base, Z),
+            constant_sheaf(base, PresentedAbGroup.from_canonical_form(0, [2])),
+            extension_by_zero(base, opens, PresentedAbGroup.free(2)),
+        ):
+            yield base, sheaf
+
+
+def test_cochain_complexes_and_restrictions_match_the_reference_loops(monkeypatch):
+    chain_maps = []
+    original = cohom.check_chain_map
+
+    def recording(f, source, target):
+        chain_maps.append(f)
+        return original(f, source, target)
+
+    monkeypatch.setattr(cohom, "check_chain_map", recording)
+    for base, sheaf in reference_corpus():
+        layout, maps = reference_cochain_complex(base, sheaf)
+        cx = cochain_complex(base, sheaf)
+        assert cx.maps == maps
+        summands = [[(t, off, g.generator_count) for t, off, g, _ in cx.summands(k)] for k in range(len(cx.groups))]
+        assert summands == layout
+        for e in base.elements:
+            sub = sheaf.restricted_to(base.up_set(e))
+            tgt_layout, _ = reference_cochain_complex(sub.base, sub)
+            tgt = cochain_complex(sub.base, sub)
+            want = reference_stalkwise_chain_map(layout, tgt_layout, identities(sub))
+            for q in (0, 1):
+                src_h, tgt_h = cx.homology(q), tgt.homology(q)
+                got = restriction_on_homology(cx, src_h, tgt, tgt_h, q)
+                assert chain_maps.pop() == want
+                assert got.matrix == src_h.induced_map(tgt_h, lambda rep: want[q].apply(rep)).matrix
+        W = base.min_open(base.elements[0])
+        restriction_induced(base, OpenSet(base, base.elements), W, sheaf, 1)
+        sub = sheaf.restricted_to(W.members)
+        want = reference_stalkwise_chain_map(layout, reference_cochain_complex(sub.base, sub)[0], identities(sub))
+        assert chain_maps.pop() == want
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_les_arrows_match_the_reference_chain_maps(monkeypatch, n):
+    """The structure sequence's chain maps, and every arrow of its long exact
+    sequence against the arrows computed from the reference chain maps."""
+    w = build_wedge(n)
+    V = OpenSet(w.poset, w.poset.elements)
+    ses = structure_sequence(w)
+    for m in ses:
+        src, tgt = cochain_complex(w.poset, m.source), cochain_complex(w.poset, m.target)
+        src_layout, tgt_layout = (reference_cochain_complex(w.poset, s)[0] for s in (m.source, m.target))
+        want = reference_stalkwise_chain_map(src_layout, tgt_layout, m.components)
+        assert stalkwise_chain_map(src, tgt, m.components) == want
+    got = les_of_short_exact(w.poset, ses, V)
+
+    def reference(source, target, components):
+        source_layout = reference_cochain_complex(source.base, source.sheaf)[0]
+        target_layout = reference_cochain_complex(target.base, target.sheaf)[0]
+        return reference_stalkwise_chain_map(source_layout, target_layout, components)
+
+    monkeypatch.setattr(cohom, "stalkwise_chain_map", reference)
+    want = les_of_short_exact(w.poset, ses, V)
+    assert [a.hom.matrix for a in got.arrows] == [a.hom.matrix for a in want.arrows]
+    assert [a.connecting for a in got.arrows] == [a.connecting for a in want.arrows]

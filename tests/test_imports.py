@@ -1,5 +1,6 @@
-"""Every module-level import in the package is used by its module, and every
-private function, class or method is referenced somewhere in the package."""
+"""Every module-level import in the package is used by its module, every
+private function, class or method is referenced somewhere in the package,
+and every public one somewhere in the package, its tests or its benchmark."""
 
 import ast
 import os
@@ -9,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "finsheaf"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "finsheaf"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -39,22 +41,32 @@ def test_no_unused_module_level_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
-def unreferenced_private_names(sources: dict) -> list:
-    """Private (`_name`, not dunder) functions, classes and methods defined in
-    the modules {file name: source} that no module refers to by name."""
+def referenced_names(source: str) -> set:
+    """Every name, attribute and imported name the source mentions."""
+    referenced = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            referenced.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            referenced.add(node.attr)
+        elif isinstance(node, ast.alias):
+            referenced.add(node.name)
+    return referenced
+
+
+def unreferenced_names(sources: dict, private: bool, users: dict = None) -> list:
+    """Private (`_name`) or public functions, classes and methods, dunders
+    aside, defined in the modules {file name: source} that neither they nor
+    the further sources `users` refer to by name."""
     defined = {}
     referenced = set()
+    for module, source in {**sources, **(users or {})}.items():
+        referenced |= referenced_names(source)
     for module, source in sources.items():
         for node in ast.walk(ast.parse(source)):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                if node.name.startswith("_") and not node.name.endswith("__"):
+                if node.name.startswith("_") == private and not node.name.endswith("__"):
                     defined[module, node.name] = node.lineno
-            elif isinstance(node, ast.Name):
-                referenced.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                referenced.add(node.attr)
-            elif isinstance(node, ast.alias):
-                referenced.add(node.name)
     return sorted(f"{m}: {name} (line {line})" for (m, name), line in defined.items() if name not in referenced)
 
 
@@ -76,12 +88,49 @@ class K:
         self._attr = 1
 """
     b = "from a import _used\n\n_used()\n"
-    assert unreferenced_private_names({"a.py": a, "b.py": b}) == ["a.py: _method (line 11)", "a.py: _unused (line 6)"]
+    assert unreferenced_names({"a.py": a, "b.py": b}, private=True) == ["a.py: _method (line 11)", "a.py: _unused (line 6)"]
 
 
 def test_every_private_definition_is_referenced():
     sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
-    assert unreferenced_private_names(sources) == []
+    assert unreferenced_names(sources, private=True) == []
+
+
+def test_detector_flags_an_unreferenced_public_name():
+    a = """
+def used():
+    pass
+
+
+def unused():
+    pass
+
+
+class K:
+    def method(self):
+        pass
+
+    def tested(self):
+        pass
+"""
+    b = "from a import used\n\nused()\n"
+    users = {"test_a.py": "from a import K\n\nK().tested()\n"}
+    assert unreferenced_names({"a.py": a, "b.py": b}, private=False, users=users) == [
+        "a.py: method (line 11)",
+        "a.py: unused (line 6)",
+    ]
+
+
+def test_every_public_definition_is_referenced():
+    """Public definitions count as used when the package, its tests or its
+    benchmark scripts refer to them by name."""
+    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    users = {
+        str(p.relative_to(ROOT)): p.read_text()
+        for folder in ("tests", "perfbench")
+        for p in sorted((ROOT / folder).glob("*.py"))
+    }
+    assert unreferenced_names(sources, private=False, users=users) == []
 
 
 RELOAD = """

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from finsheaf.abgroup import IntMatrix, PresentedAbGroup
+from finsheaf import jsonio
+from finsheaf.abgroup import GroupHom, IntMatrix, PresentedAbGroup
 from finsheaf.errors import ContractViolation, InputError
 from finsheaf.finspace import FinitePoset, OpenSet
 from finsheaf.sheaf import (
@@ -149,3 +150,70 @@ def test_restriction_on_random_sheaves_respects_relations():
         maps = {("a", "b"): m_ab, ("a", "c"): m_ac, ("b", "d"): m_bd, ("c", "d"): prod}
         s = PosetSheaf(p, {e: Z for e in p.elements}, maps)
         assert s.restrict("a", "d") == prod
+
+
+def triple_loop_verdict(base, stalks, cover_maps):
+    """The functoriality check over every triple p < m < q, kept as the
+    reference for the check along covers: True when it accepts."""
+    s = PosetSheaf(base, stalks, cover_maps, check=False)
+    for p in base.elements:
+        for q in base.elements:
+            if not base.lt(p, q):
+                continue
+            direct = GroupHom(stalks[p], stalks[q], s.restrict(p, q), check=False)
+            for m in base.elements:
+                if base.lt(p, m) and base.lt(m, q):
+                    via = s.restrict(m, q) @ s.restrict(p, m)
+                    if not direct.equals_as_hom(GroupHom(stalks[p], stalks[q], via, check=False)):
+                        return False
+            for j in range(stalks[p].relations.cols):
+                if not stalks[q].contains_in_relations(direct.matrix.apply(stalks[p].relations.column(j))):
+                    return False
+    return True
+
+
+def random_presheaf(rng):
+    """Stalks Z, Z^2, Z/2, Z/3 or 0 on a random poset; each cover map is a
+    sign character s_a * s_b times the identity where it fits, else random."""
+    n = rng.randint(3, 6)
+    labels = [f"e{i}" for i in range(n)]
+    rels = [(labels[i], labels[j]) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.4]
+    base = FinitePoset(labels, rels)
+    torsion = [PresentedAbGroup.from_canonical_form(0, [d]) for d in (2, 3)]
+    kinds = [Z, PresentedAbGroup.free(2), *torsion, PresentedAbGroup.trivial()]
+    stalks = {e: rng.choice(kinds) for e in labels}
+    sign = {e: rng.choice((1, -1)) for e in labels}
+    maps = {}
+    for a, b in base.covers:
+        rows, cols = stalks[b].generator_count, stalks[a].generator_count
+        if rows == cols and rng.random() < 0.8:
+            maps[(a, b)] = IntMatrix.diagonal([sign[a] * sign[b]] * rows)
+        else:
+            maps[(a, b)] = IntMatrix(rows, cols, [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)])
+    return base, stalks, maps
+
+
+def test_functoriality_along_covers_matches_the_triple_loop():
+    rng = random.Random(5)
+    verdicts = []
+    for _ in range(600):
+        base, stalks, maps = random_presheaf(rng)
+        try:
+            PosetSheaf(base, stalks, maps)
+            accepted = True
+        except ContractViolation:
+            accepted = False
+        assert accepted == triple_loop_verdict(base, stalks, maps)
+        verdicts.append(accepted)
+    assert verdicts.count(True) >= 100 and verdicts.count(False) >= 100
+
+
+def test_cover_map_must_respect_relations():
+    p = FinitePoset("ab", [("a", "b")])
+    stalks = {"a": PresentedAbGroup.from_canonical_form(0, [2]), "b": Z}
+    with pytest.raises(ContractViolation):
+        PosetSheaf(p, stalks, {("a", "b"): IntMatrix(1, 1, [[1]])})
+    stalks_json = {"a": {"rank": 0, "invariant_factors": [2]}, "b": {"rank": 1}}
+    obj = {"stalks": stalks_json, "restrictions": {"a<b": [["1"]]}}
+    with pytest.raises(InputError):
+        jsonio.sheaf_from_json(p, obj)
