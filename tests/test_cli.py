@@ -89,6 +89,48 @@ def test_reproduce_stdout_bytes_pinned(capsys, n):
     assert hashlib.sha256(out.encode()).hexdigest() == REPRODUCE_SHA256[n]
 
 
+def _subcommand_invocations():
+    n = ["--disks", "3"]
+    return {
+        "space": [["space", "build", *n]],
+        "selftest": [["selftest"]],
+        "cohomology": [["cohomology", *n, "--coeff", c, "--degree", str(q)] for c in ("gap", "constant") for q in range(3)],
+        "cech": [
+            ["cech", *n, "--degree", str(p), *coeff, *stage]
+            for p in range(3)
+            for coeff in ([], ["--coeff-degree", "1"])
+            for stage in ([], ["--stage", "1"], ["--stage", "2"], ["--stage", "4"])
+        ],
+        "covering": [["covering", "validate", *n, *stage] for stage in ([], ["--stage", "1"], ["--stage", "2"])],
+    }
+
+
+# sha256 over "exit code, newline, stdout" of each invocation above in turn,
+# per subcommand and format; pins the other subcommands' bytes as
+# REPRODUCE_SHA256 pins `reproduce`.
+SUBCOMMAND_SHA256 = {
+    ("space", "json"): "0d996f9b249f0ff83c78ee1759ec68a245f4d5d2b41c1595365d85d9f0557de6",
+    ("selftest", "json"): "4ded702747bbc90a545a2505c78a34ba983b9803968a57077c5c9dceadf829e5",
+    ("cohomology", "json"): "127376812ba7b9d4ba12b14cd98ebf048a73d58a6b7d6caa889b9c5efd350e27",
+    ("cech", "json"): "9170848075584ec0d5f8be5287a25f98eff0f8204815abead73dc374650c9505",
+    ("covering", "json"): "21cb1336cb6040f4548bf5f46dc80f4082f12a2d68de72f3851b5ad5dad75f31",
+    ("space", "table"): "8973ba992ba908deee15cad8a75be2ad70e74c33e1ef7435695dd3c65efe7324",
+    ("selftest", "table"): "8d63e7ed85b6879796c040a2a022803c2a8a98185e87ae648bac0b5ffbe1c9e9",
+    ("cohomology", "table"): "6e3b0ca4fc2d93eada4a4272a337bf8af399a43f32717a3f004c12e9030205b2",
+    ("cech", "table"): "51956c317ae90b55615ccf5fd0162f8e948b9ab034cf8dd6569b38a347222a70",
+    ("covering", "table"): "8a73a45eb0d5aa229edb029fb72f5c07f895d6a15f42bb71af901fa55e062845",
+}
+
+
+@pytest.mark.parametrize("command, fmt", sorted(SUBCOMMAND_SHA256))
+def test_subcommand_stdout_bytes_pinned(capsys, command, fmt):
+    digest = hashlib.sha256()
+    for argv in _subcommand_invocations()[command]:
+        code, out, _ = run(capsys, *argv, "--format", fmt)
+        digest.update(f"{code}\n{out}".encode())
+    assert digest.hexdigest() == SUBCOMMAND_SHA256[(command, fmt)]
+
+
 def test_bad_input_exits_one(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{ not json")
