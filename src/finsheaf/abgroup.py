@@ -470,6 +470,11 @@ def _smith_solve(s: SmithDecomposition, b: Sequence[int]) -> Optional[list]:
     return z
 
 
+def _preimage_lattice(A: IntMatrix, B: IntMatrix) -> IntMatrix:
+    """Columns span {x : A @ x lies in the column span of B}."""
+    return kernel_basis(A.hstack(-B)).submatrix_rows(range(A.cols))
+
+
 def cokernel(M: IntMatrix) -> "PresentedAbGroup":
     """The group with generators the rows of M and relations its columns."""
     return PresentedAbGroup(M.rows, M)
@@ -570,6 +575,13 @@ class PresentedAbGroup:
             return not any(vec)
         return _smith_solve(self._smith, vec) is not None
 
+    def represents_zero(self, M: IntMatrix) -> bool:
+        """Does every column of M lie in the relation lattice?  Zero columns
+        always do, so only the nonzero ones are tested."""
+        if M.rows != self.generator_count:
+            raise InputError(f"{M.rows} rows != {self.generator_count} generators")
+        return all(self.contains_in_relations(col) for _, col in M.nonzero_columns())
+
     def __eq__(self, other):
         return (
             isinstance(other, PresentedAbGroup)
@@ -607,10 +619,8 @@ class GroupHom:
     def __init__(self, source: PresentedAbGroup, target: PresentedAbGroup, matrix: IntMatrix, check: bool = True):
         if matrix.rows != target.generator_count or matrix.cols != source.generator_count:
             raise InputError("hom matrix dimensions do not match the groups")
-        if check:
-            for _, image in (matrix @ source.relations).nonzero_columns():
-                if not target.contains_in_relations(image):
-                    raise InputError("matrix does not map source relations into target relations")
+        if check and not target.represents_zero(matrix @ source.relations):
+            raise InputError("matrix does not map source relations into target relations")
         self.source = source
         self.target = target
         self.matrix = matrix
@@ -631,8 +641,7 @@ class GroupHom:
         """Equality as maps of groups (componentwise modulo target relations)."""
         if self.matrix.cols != other.matrix.cols or self.matrix.rows != other.matrix.rows:
             return False
-        differences = (self.matrix - other.matrix).nonzero_columns() if self.matrix != other.matrix else []
-        return all(self.target.contains_in_relations(d) for _, d in differences)
+        return self.matrix == other.matrix or self.target.represents_zero(self.matrix - other.matrix)
 
     def is_surjective(self) -> bool:
         return cokernel(self.matrix.hstack(self.target.relations)).is_trivial()
@@ -654,7 +663,8 @@ class Subquotient:
     """ker(d_out)/im(d_in) inside a presented ambient group, with cycle lifting.
 
     `class_of` maps a cycle (generator vector of the ambient group) to the
-    canonical coordinates of its class; `rep_of` picks a representative
+    canonical coordinates of its class, through its coordinates on
+    `cycle_gens` (`cycle_coordinates`); `rep_of` picks a representative
     cycle of a class.  The homology group itself is exposed both as a raw
     presentation (`presented`) and in canonical form (`group`, computed on
     first use).  With d_in None and next_relations the relations of d_out's
@@ -680,15 +690,11 @@ class Subquotient:
         self.d_out = d_out
         self.next_relations = next_relations
         # cycles: x with d_out @ x in the next relation lattice
-        full = kernel_basis(d_out.hstack(-next_relations))
-        self.cycle_gens = full.submatrix_rows(range(g))
+        self.cycle_gens = _preimage_lattice(d_out, next_relations)
         # relations: combinations of cycle generators landing in
         # im(d_in) + ambient relations
-        boundary = d_in.hstack(ambient.relations)
-        rel = kernel_basis(self.cycle_gens.hstack(-boundary))
-        self.presented = PresentedAbGroup(
-            self.cycle_gens.cols, rel.submatrix_rows(range(self.cycle_gens.cols))
-        )
+        rel = _preimage_lattice(self.cycle_gens, d_in.hstack(ambient.relations))
+        self.presented = PresentedAbGroup(self.cycle_gens.cols, rel)
 
     @cached_property
     def group(self) -> PresentedAbGroup:
@@ -705,13 +711,17 @@ class Subquotient:
     def is_cycle(self, vec: Sequence[int]) -> bool:
         return self._next_group.contains_in_relations(self.d_out.apply(vec))
 
-    def class_of(self, vec: Sequence[int]) -> tuple:
-        if not self.is_cycle(vec):
-            raise InputError("vector is not a cycle")
+    def cycle_coordinates(self, vec: Sequence[int]) -> tuple:
+        """x with cycle_gens @ x == vec, for a cycle vec."""
         z = _smith_solve(self._cycle_smith, vec)
         if z is None:
             raise ContractViolation("cycle does not lie in the computed cycle lattice")
-        return self.presented.to_canonical(self._cycle_smith.apply_V(z))
+        return tuple(self._cycle_smith.apply_V(z))
+
+    def class_of(self, vec: Sequence[int]) -> tuple:
+        if not self.is_cycle(vec):
+            raise InputError("vector is not a cycle")
+        return self.presented.to_canonical(self.cycle_coordinates(vec))
 
     def rep_of(self, coords: Sequence[int]) -> tuple:
         return self.cycle_gens.apply(self.presented.from_canonical(coords))
@@ -722,27 +732,6 @@ class Subquotient:
         n = self.group.generator_count
         cols = [target.class_of(chain_map(self.rep_of([int(i == k) for i in range(n)]))) for k in range(n)]
         return GroupHom(self.group, target.group, IntMatrix.from_columns(cols, nrows=target.group.generator_count))
-
-
-def homology_at(
-    d1: Optional[IntMatrix],
-    d2: Optional[IntMatrix],
-    ambient: Optional[PresentedAbGroup] = None,
-) -> Subquotient:
-    """ker(d2)/im(d1) for a free chain group, with the lifting interface.
-
-    Raises ContractViolation unless d2 @ d1 == 0.
-    """
-    if ambient is None:
-        if d1 is not None:
-            ambient = PresentedAbGroup.free(d1.rows)
-        elif d2 is not None:
-            ambient = PresentedAbGroup.free(d2.cols)
-        else:
-            raise InputError("need at least one differential or an ambient group")
-    if d1 is not None and d2 is not None and not (d2 @ d1).is_zero():
-        raise ContractViolation("d2 @ d1 != 0")
-    return Subquotient(ambient, d1, d2)
 
 
 @dataclass
@@ -758,6 +747,7 @@ class ChainComplexData:
 
     groups: list
     maps: list = field(default_factory=list)
+    _homology: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if len(self.maps) != max(len(self.groups) - 1, 0):
@@ -766,10 +756,8 @@ class ChainComplexData:
             if m.cols != self.groups[i].generator_count or m.rows != self.groups[i + 1].generator_count:
                 raise InputError(f"differential {i} has wrong dimensions")
         for i in range(len(self.maps) - 1):
-            tgt = self.groups[i + 2]
-            for _, col in (self.maps[i + 1] @ self.maps[i]).nonzero_columns():
-                if not tgt.contains_in_relations(col):
-                    raise ContractViolation(f"d∘d != 0 between degrees {i} and {i + 2}")
+            if not self.groups[i + 2].represents_zero(self.maps[i + 1] @ self.maps[i]):
+                raise ContractViolation(f"d∘d != 0 between degrees {i} and {i + 2}")
 
     def group(self, k: int) -> PresentedAbGroup:
         return self.groups[k] if 0 <= k < len(self.groups) else PresentedAbGroup.trivial()
@@ -785,9 +773,14 @@ class ChainComplexData:
         return IntMatrix.zero(self.degree_rank(k + 1), self.degree_rank(k))
 
     def homology(self, k: int) -> Subquotient:
-        return Subquotient(
-            self.group(k), self.differential(k - 1), self.differential(k), self.group(k + 1).relations
-        )
+        """The degree-k homology, computed on first use; no complex is
+        changed after it is built."""
+        h = self._homology.get(k)
+        if h is None:
+            h = self._homology[k] = Subquotient(
+                self.group(k), self.differential(k - 1), self.differential(k), self.group(k + 1).relations
+            )
+        return h
 
 
 class FaceComplex(ChainComplexData):
@@ -876,9 +869,8 @@ def check_chain_map(f: Sequence[IntMatrix], source: ChainComplexData, target: Ch
             continue  # nothing to compare in a trivial group
         left = _chain_component(f, k + 1, source, target) @ source.differential(k)
         right = target.differential(k) @ _chain_component(f, k, source, target)
-        for _, diff in (left - right).nonzero_columns():
-            if not tgt.contains_in_relations(diff):
-                raise ContractViolation(f"chain map does not commute with d in degree {k}")
+        if not tgt.represents_zero(left - right):
+            raise ContractViolation(f"chain map does not commute with d in degree {k}")
 
 
 def induced_on_homology(

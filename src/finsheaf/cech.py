@@ -103,10 +103,10 @@ def nerve(c: Covering) -> List[tuple]:
 class _Coefficients:
     """H^q(-, F) on the opens of a covering, with restriction maps.
 
-    Keeps, per open set, the cochain complex of F on it and that complex's
-    degree-q homology, and memoizes every restriction H^q(big) -> H^q(small)
-    by (big, small); an open set met in many intersections, or a pair met
-    again, is computed once.
+    Keeps, per open set, the cochain complex of F on it, whose degree-q
+    homology is computed once, and memoizes every restriction
+    H^q(big) -> H^q(small) by (big, small); an open set met in many
+    intersections, or a pair met again, is computed once.
     """
 
     def __init__(self, sheaf: PosetSheaf, q: int):
@@ -114,27 +114,25 @@ class _Coefficients:
             raise InputError("coefficient degree must be >= 0")
         self.sheaf = sheaf
         self.q = q
-        self._complexes: Dict[frozenset, Tuple[_cohom.CochainComplex, Subquotient]] = {}
+        self._complexes: Dict[frozenset, _cohom.CochainComplex] = {}
         self._restrictions: Dict[Tuple[frozenset, frozenset], GroupHom] = {}
 
-    def _complex(self, members: frozenset) -> Tuple[_cohom.CochainComplex, Subquotient]:
-        got = self._complexes.get(members)
-        if got is None:
+    def _complex(self, members: frozenset) -> _cohom.CochainComplex:
+        cx = self._complexes.get(members)
+        if cx is None:
             sub = self.sheaf.restricted_to(members)
-            cx = _cohom.cochain_complex(sub.base, sub)
-            got = (cx, cx.homology(self.q))
-            self._complexes[members] = got
-        return got
+            cx = self._complexes[members] = _cohom.cochain_complex(sub.base, sub)
+        return cx
 
     def group(self, members: frozenset) -> PresentedAbGroup:
-        return self._complex(members)[1].group
+        return self._complex(members).homology(self.q).group
 
     def restriction(self, big: frozenset, small: frozenset) -> GroupHom:
         got = self._restrictions.get((big, small))
         if got is None:
             if not small <= big:
                 raise InputError("restriction needs the smaller open set inside the bigger one")
-            got = _cohom.restriction_on_homology(*self._complex(big), *self._complex(small), self.q)
+            got = _cohom.restriction_on_homology(self._complex(big), self._complex(small), self.q)
             self._restrictions[(big, small)] = got
         return got
 

@@ -12,7 +12,7 @@ simplicial cochain complex of the order complex.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import List, Mapping, Optional, Sequence
 
 from .abgroup import (
     ChainComplexData,
@@ -20,9 +20,8 @@ from .abgroup import (
     GroupHom,
     IntMatrix,
     PresentedAbGroup,
-    Subquotient,
-    check_chain_map,
     face_chain_map,
+    induced_on_homology,
     solve,
 )
 from .errors import ContractViolation, InputError
@@ -84,16 +83,11 @@ def stalkwise_chain_map(
     return face_chain_map(source, target, _same_chain, lambda _, end: components[end])
 
 
-def restriction_on_homology(
-    source: CochainComplex, source_h: Subquotient, target: CochainComplex, target_h: Subquotient, q: int
-) -> GroupHom:
+def restriction_on_homology(source: CochainComplex, target: CochainComplex, q: int) -> GroupHom:
     """The map H^q(V,F) -> H^q(W,F) induced by W ⊆ V, from the cochain
-    complexes of F on V and on W and their degree-q homologies.  The
-    projection keeping the chains inside W is checked to be a chain map."""
-    f = face_chain_map(source, target, _same_chain, target.block)
-    check_chain_map(f, source, target)
-    # f lists every degree of source; above them H^q(V,F) has no generators
-    return source_h.induced_map(target_h, lambda rep: f[q].apply(rep))
+    complexes of F on V and on W.  The projection keeping the chains inside
+    W is checked to be a chain map."""
+    return induced_on_homology(face_chain_map(source, target, _same_chain, target.block), source, target, q)
 
 
 def restriction_induced(
@@ -106,7 +100,7 @@ def restriction_induced(
         raise InputError("open sets must live on the given poset")
     src, tgt = sheaf.restricted_to(V.members), sheaf.restricted_to(W.members)
     src_cx, tgt_cx = cochain_complex(src.base, src), cochain_complex(tgt.base, tgt)
-    return restriction_on_homology(src_cx, src_cx.homology(q), tgt_cx, tgt_cx.homology(q), q)
+    return restriction_on_homology(src_cx, tgt_cx, q)
 
 
 @dataclass
@@ -163,16 +157,11 @@ def les_of_short_exact(
     fmat = stalkwise_chain_map(cxs[0], cxs[1], fa.components)
     gmat = stalkwise_chain_map(cxs[1], cxs[2], fb.components)
     labels = ["A", "B", "C"]
-    homs: Dict[Tuple[int, int], Subquotient] = {}
-    for k in range(maxdeg):
-        for pos in range(3):
-            homs[(k, pos)] = cxs[pos].homology(k)
-
     nodes: List[LESNode] = []
     arrows: List[LESArrow] = []
     for k in range(maxdeg):
         for pos in range(3):
-            nodes.append(LESNode(k, pos, f"H^{k}({labels[pos]})", homs[(k, pos)].group))
+            nodes.append(LESNode(k, pos, f"H^{k}({labels[pos]})", cxs[pos].homology(k).group))
 
     def preimage(m: IntMatrix, target: PresentedAbGroup, y, what: str):
         """x with m @ x == y modulo the relations of the target group."""
@@ -189,11 +178,12 @@ def les_of_short_exact(
             d_b = cxs[1].differential(k).apply(b_lift)
             return preimage(fmat[k + 1], cxs[1].group(k + 1), d_b, "preimage in A")
 
-        return homs[(k, 2)].induced_map(homs[(k + 1, 0)], snake)
+        return cxs[2].homology(k).induced_map(cxs[0].homology(k + 1), snake)
 
     for k in range(maxdeg):
-        arrows.append(LESArrow(homs[(k, 0)].induced_map(homs[(k, 1)], fmat[k].apply), False))
-        arrows.append(LESArrow(homs[(k, 1)].induced_map(homs[(k, 2)], gmat[k].apply), False))
+        a, b, c = (cx.homology(k) for cx in cxs)
+        arrows.append(LESArrow(a.induced_map(b, fmat[k].apply), False))
+        arrows.append(LESArrow(b.induced_map(c, gmat[k].apply), False))
         if k + 1 < maxdeg:
             arrows.append(LESArrow(connecting(k), True))
 
@@ -244,11 +234,11 @@ def component_identity_check(base: FinitePoset, V: OpenSet, skeleton: Sequence[s
         raise InputError("skeleton must be a closed subset")
     complement = OpenSet(base, set(base.elements) - skel)
     Z = PresentedAbGroup.free(1)
-    v_space = base.subposet(V.members)
+    Fv = extension_by_zero(base, complement, Z).restricted_to(V.members)
+    v_space = Fv.base
     if not cohomology(v_space, constant_sheaf(v_space, Z), 1).is_trivial():
         return ComponentIdentityResult("hypothesis_not_met")
-    F = extension_by_zero(base, complement, Z)
-    lhs = cohomology(v_space, F.restricted_to(V.members), 1)
+    lhs = cohomology(v_space, Fv, 1)
     # coker of the component-refinement matrix H^0(V) -> H^0(V ∩ skeleton)
     trace = V.members & skel
     trace_comps = base.subposet(trace).connected_components()

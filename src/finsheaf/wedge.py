@@ -246,14 +246,12 @@ def _stage_readout(w: WedgeSpace, m: int, cx: CechComplex) -> Tuple[PresentedAbG
     readout = h.induced_map(coordinates, lambda rep: [rep[r] for r in rows]).matrix
     if readout.rows != readout.cols:
         raise ContractViolation("corner group rank does not match the live disk count")
-    det = readout.det()
-    if abs(det) != 1:
-        raise ContractViolation("readout to disk coordinates is not an isomorphism over Z")
-    # exact inverse of a unimodular matrix via the Smith decomposition
+    # unimodular iff its Smith form is the identity; then U readout V = I
+    # and the exact inverse is V U
     s = smith_decompose(readout)
-    # readout = U_inv D V_inv with D unimodular diagonal (+-1)
-    dinv = IntMatrix.diagonal(s.diagonal)
-    readback = s.V @ dinv @ s.U
+    if any(d != 1 for d in s.diagonal):
+        raise ContractViolation("readout to disk coordinates is not an isomorphism over Z")
+    readback = s.V @ s.U
     if not (readout @ readback == IntMatrix.identity(readout.rows)):
         raise ContractViolation("failed to invert the readout matrix")
     return group, readout, readback

@@ -17,7 +17,6 @@ from finsheaf.abgroup import (
     check_chain_map,
     cokernel,
     direct_sum,
-    homology_at,
     induced_on_homology,
     kernel_basis,
     smith_decompose,
@@ -154,17 +153,19 @@ def test_subquotient_examples():
     # ker(Z^2 --(1,-1)--> Z) / im(0) = diagonal Z
     d_in = IntMatrix.zero(2, 0)
     d_out = IntMatrix(1, 2, [[1, -1]])
-    h = homology_at(d_in, d_out)
+    free = PresentedAbGroup.free
+    h = ChainComplexData([free(0), free(2), free(1)], [d_in, d_out]).homology(1)
     assert h.group.canonical == (1, ())
     # Z / 2Z as homology
-    h2 = homology_at(IntMatrix(1, 1, [[2]]), IntMatrix.zero(0, 1))
+    h2 = ChainComplexData([free(1), free(1), free(0)], [IntMatrix(1, 1, [[2]]), IntMatrix.zero(0, 1)]).homology(1)
     assert h2.group.canonical == (0, (2,))
 
 
 def test_subquotient_class_and_rep_roundtrip():
     d_in = IntMatrix(2, 1, [[2], [0]])
     d_out = IntMatrix(1, 2, [[0, 1]])
-    h = homology_at(d_in, d_out)  # ker = Z e1, im = 2Z e1 -> Z/2
+    free = PresentedAbGroup.free
+    h = ChainComplexData([free(1), free(2), free(1)], [d_in, d_out]).homology(1)  # ker = Z e1, im = 2Z e1 -> Z/2
     assert h.group.canonical == (0, (2,))
     cls = h.class_of([1, 0])
     rep = h.rep_of(cls)
@@ -471,3 +472,32 @@ def test_incremental_pivot_matches_the_full_scan(monkeypatch):
         assert fast.U == slow.U and fast.V == slow.V
         count += 1
     assert count >= 240
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 4), st.integers(0, 3), st.integers(0, 5), st.data())
+def test_represents_zero_is_the_column_by_column_membership_test(g, r, c, data):
+    relations = IntMatrix(g, r, data.draw(dense_entries(g, r)))
+    group = PresentedAbGroup(g, relations)
+    columns = []
+    for _ in range(c):
+        kind = data.draw(st.sampled_from(["zero", "relation", "random"]))
+        if kind == "zero":
+            columns.append([0] * g)
+        elif kind == "relation":
+            columns.append(list(relations.apply(data.draw(st.lists(st.integers(-3, 3), min_size=r, max_size=r)))))
+        else:
+            columns.append(data.draw(st.lists(st.integers(-4, 4), min_size=g, max_size=g)))
+    M = IntMatrix(g, c, [[col[i] for col in columns] for i in range(g)])
+    assert group.represents_zero(M) == all(group.contains_in_relations(M.column(j)) for j in range(c))
+    with pytest.raises(InputError):
+        group.represents_zero(IntMatrix.zero(g + 1, c))
+
+
+def test_homology_is_computed_once_per_degree():
+    w = wedge.build_wedge(3)
+    F = wedge.gap_sheaf(w)
+    for cx in (cochain_complex(w.poset, F), cech_complex_hq(wedge.canonical_covering(w), F, 1)):
+        for k in range(len(cx.groups)):
+            assert cx.homology(k) is cx.homology(k)
+        assert cx.homology(1) is not cx.homology(0)

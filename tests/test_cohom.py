@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from finsheaf import cohom
+from finsheaf import abgroup, cohom, finspace
 from finsheaf.abgroup import GroupHom, IntMatrix, PresentedAbGroup
 from finsheaf.cohom import (
     cochain_complex,
@@ -134,6 +134,22 @@ def test_component_identity_full_space():
     assert res.status == "pass" and res.isomorphic
 
 
+def test_component_identity_builds_each_subposet_once(monkeypatch):
+    w = build_wedge(4)
+    V = OpenSet(w.poset, frozenset(w.poset.elements))
+    built = []
+    original = finspace.FinitePoset.__init__
+
+    def counting(self, elements, relations=()):
+        built.append(self)
+        original(self, elements, relations)
+
+    monkeypatch.setattr(finspace.FinitePoset, "__init__", counting)
+    assert component_identity_check(w.poset, V, w.skeleton).status == "pass"
+    assert len(built) == 2
+    assert {frozenset(p.elements) for p in built} == {V.members, w.skeleton}
+
+
 # -- reference loops ----------------------------------------------------------
 # The strict-chain complex and its stalkwise chain maps built by their own
 # loops over a layout of (chain, offset, rank) per degree, independent of
@@ -210,13 +226,13 @@ def reference_corpus():
 
 def test_cochain_complexes_and_restrictions_match_the_reference_loops(monkeypatch):
     chain_maps = []
-    original = cohom.check_chain_map
+    original = abgroup.check_chain_map
 
     def recording(f, source, target):
         chain_maps.append(f)
         return original(f, source, target)
 
-    monkeypatch.setattr(cohom, "check_chain_map", recording)
+    monkeypatch.setattr(abgroup, "check_chain_map", recording)
     for base, sheaf in reference_corpus():
         layout, maps = reference_cochain_complex(base, sheaf)
         cx = cochain_complex(base, sheaf)
@@ -230,7 +246,7 @@ def test_cochain_complexes_and_restrictions_match_the_reference_loops(monkeypatc
             want = reference_stalkwise_chain_map(layout, tgt_layout, identities(sub))
             for q in (0, 1):
                 src_h, tgt_h = cx.homology(q), tgt.homology(q)
-                got = restriction_on_homology(cx, src_h, tgt, tgt_h, q)
+                got = restriction_on_homology(cx, tgt, q)
                 assert chain_maps.pop() == want
                 assert got.matrix == src_h.induced_map(tgt_h, lambda rep: want[q].apply(rep)).matrix
         W = base.min_open(base.elements[0])

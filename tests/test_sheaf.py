@@ -3,7 +3,7 @@ import random
 import pytest
 
 from finsheaf import jsonio
-from finsheaf.abgroup import GroupHom, IntMatrix, PresentedAbGroup
+from finsheaf.abgroup import GroupHom, IntMatrix, PresentedAbGroup, Subquotient, solve
 from finsheaf.errors import ContractViolation, InputError
 from finsheaf.finspace import FinitePoset, OpenSet
 from finsheaf.sheaf import (
@@ -217,3 +217,76 @@ def test_cover_map_must_respect_relations():
     obj = {"stalks": stalks_json, "restrictions": {"a<b": [["1"]]}}
     with pytest.raises(InputError):
         jsonio.sheaf_from_json(p, obj)
+
+
+def reference_kernel_sheaf(m):
+    """Stalks and cover maps of the kernel sheaf, each restricted kernel
+    generator lifted by solving against the kernel generators and the
+    source relations at the target together."""
+    base = m.source.base
+    gens, stalks = {}, {}
+    for p in base.elements:
+        kernel = Subquotient(m.source.stalks[p], None, m.components[p], m.target.stalks[p].relations)
+        gens[p], stalks[p] = kernel.cycle_gens, kernel.presented
+    maps = {}
+    for (p, q) in base.covers:
+        r = m.source.restrict(p, q)
+        cols = []
+        for j in range(gens[p].cols):
+            sol = solve(gens[q].hstack(-m.source.stalks[q].relations), r.apply(gens[p].column(j)))
+            assert sol is not None
+            cols.append(list(sol[: gens[q].cols]))
+        maps[(p, q)] = IntMatrix.from_columns(cols, nrows=gens[q].cols)
+    return stalks, maps
+
+
+def random_torsion_sheaf(rng):
+    """A sheaf with stalks Z, Z/4, Z + Z/6 or Z/2 on a random poset, or None
+    when the drawn cover maps are not functorial.  A drawn cover map that
+    does not respect relations is replaced by zero."""
+    n = rng.randint(3, 6)
+    labels = [f"e{i}" for i in range(n)]
+    rels = [(labels[i], labels[j]) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.4]
+    base = FinitePoset(labels, rels)
+    kinds = [PresentedAbGroup.from_canonical_form(r, f) for r, f in ((1, []), (0, [4]), (1, [6]), (0, [2]))]
+    stalks = {e: rng.choice(kinds) for e in labels}
+    maps = {}
+    for a, b in base.covers:
+        rows, cols = stalks[b].generator_count, stalks[a].generator_count
+        if rows == cols and rng.random() < 0.6:
+            mat = IntMatrix.diagonal([rng.choice((1, -1))] * rows)
+        else:
+            mat = IntMatrix(rows, cols, [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)])
+        try:
+            GroupHom(stalks[a], stalks[b], mat)
+        except InputError:
+            mat = IntMatrix.zero(rows, cols)
+        maps[(a, b)] = mat
+    try:
+        return PosetSheaf(base, stalks, maps)
+    except ContractViolation:
+        return None
+
+
+def test_kernel_sheaf_lift_matches_the_solve_reference():
+    """Kernels of multiplication by k on torsion sheaves: the same stalks,
+    and every cover map equal as a hom to the lift through `solve`."""
+    rng = random.Random(17)
+    sheaves = maps_compared = torsion_kernels = 0
+    while sheaves < 50:
+        F = random_torsion_sheaf(rng)
+        if F is None:
+            continue
+        sheaves += 1
+        k = rng.choice((0, 1, 2, 3, 4, 6))
+        m = SheafMorphism(F, F, {e: IntMatrix.diagonal([k] * g.generator_count) for e, g in F.stalks.items()})
+        ker = kernel_sheaf(m)
+        ref_stalks, ref_maps = reference_kernel_sheaf(m)
+        for e in F.base.elements:
+            assert ker.stalks[e].canonical == ref_stalks[e].canonical
+            torsion_kernels += bool(ker.stalks[e].canonical[1])
+        for (p, q), mat in ref_maps.items():
+            got = GroupHom(ker.stalks[p], ker.stalks[q], ker.cover_maps[(p, q)])
+            assert got.equals_as_hom(GroupHom(ref_stalks[p], ref_stalks[q], mat))
+            maps_compared += 1
+    assert maps_compared >= 50 and torsion_kernels >= 20

@@ -1,10 +1,10 @@
 import pytest
 
-from finsheaf import cohom
-from finsheaf.abgroup import GroupHom
+from finsheaf import abgroup, cohom, wedge
+from finsheaf.abgroup import GroupHom, IntMatrix
 from finsheaf.cech import Covering
 from finsheaf.cohom import cohomology
-from finsheaf.errors import InputError
+from finsheaf.errors import ContractViolation, InputError
 from finsheaf.sheaf import is_exact
 from finsheaf.wedge import (
     build_wedge,
@@ -210,3 +210,50 @@ def test_stage_evidence_intersects_each_nerve_tuple_at_most_once(monkeypatch):
     collect_stage_evidence(build_wedge(4))
     assert enumerated
     assert len(intersections) <= len(enumerated)
+
+
+def test_stage_refinements_reuse_the_readout_homologies(monkeypatch):
+    """Once every stage is read out, the refinement maps of the stage
+    evidence take Ȟ¹ of each stage complex from its cache: no homology is
+    built on a Čech group afterwards."""
+    complexes, read, ambients = {}, [], []
+    corner, system, init = wedge._corner_complexes, wedge._stage_system, abgroup.Subquotient.__init__
+
+    def keeping(w, stages):
+        complexes.update(corner(w, stages))
+        return complexes
+
+    def reading(w, cxs):
+        out = system(w, cxs)
+        read.append(True)
+        return out
+
+    def recording(self, ambient, *rest):
+        if read:
+            ambients.append(ambient)
+        init(self, ambient, *rest)
+
+    monkeypatch.setattr(wedge, "_corner_complexes", keeping)
+    monkeypatch.setattr(wedge, "_stage_system", reading)
+    monkeypatch.setattr(abgroup.Subquotient, "__init__", recording)
+    evidence = collect_stage_evidence(build_wedge(4))
+    assert read and len(evidence.transitions) == 5
+    cech_groups = {id(g) for cx in complexes.values() for g in cx.groups}
+    assert not [a for a in ambients if id(a) in cech_groups]
+
+
+def test_stage_readout_rejects_a_readout_that_is_not_unimodular(monkeypatch):
+    w = build_wedge(3)
+    cx = wedge._corner_complexes(w, [1])[1]
+    induced = abgroup.Subquotient.induced_map
+
+    def doubled(self, target, chain_map):
+        hom = induced(self, target, chain_map)
+        matrix = IntMatrix.from_blocks(hom.matrix.rows, hom.matrix.cols, [(0, 0, 2, hom.matrix)])
+        return GroupHom(hom.source, hom.target, matrix, check=False)
+
+    group, readout, readback = wedge._stage_readout(w, 1, cx)
+    assert readout @ readback == IntMatrix.identity(3)
+    monkeypatch.setattr(abgroup.Subquotient, "induced_map", doubled)
+    with pytest.raises(ContractViolation, match="not an isomorphism over Z"):
+        wedge._stage_readout(w, 1, cx)
