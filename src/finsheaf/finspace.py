@@ -75,6 +75,7 @@ class FinitePoset:
         )
         # height bound cuts chain enumeration early
         self.height = max(rise.values(), default=-1)
+        self._chain_counts = None  # `strict_chain_counts`, on first use
 
     def __len__(self):
         return len(self.elements)
@@ -156,20 +157,32 @@ class FinitePoset:
             raise InputError("chain length must be >= 0")
         if k > self.height:
             return []
-        chains = []
-
-        def extend(chain, last):
-            if len(chain) == k + 1:
-                chains.append(tuple(chain))
-                return
-            for e in self._above_ordered[last]:
-                chain.append(e)
-                extend(chain, e)
-                chain.pop()
-
-        for e in self.elements:
-            extend([e], e)
+        # one element longer per pass; extending each chain in order by the
+        # elements above its end, in order, keeps the list sorted
+        chains = [(e,) for e in self.elements]
+        for _ in range(k):
+            chains = [c + (e,) for c in chains for e in self._above_ordered[c[-1]]]
         return chains
+
+    def strict_chain_counts(self) -> tuple:
+        """counts[k] == len(strict_chains(k)) for k = 0..height, by dynamic
+        programming over the up-sets without enumerating a chain; computed
+        once per poset.  The chains of k+1 elements starting at e are e
+        followed by a chain of k elements starting above e, and an element
+        comes after everything above it in order of up-set size."""
+        if self._chain_counts is None:
+            n = self.height + 1
+            starting = {}  # e -> number of chains starting at e, by length
+            totals = [0] * n
+            for e in sorted(self.elements, key=lambda e: len(self._above[e])):
+                here = [1] + [0] * (n - 1)
+                for b in self._above[e]:
+                    for k, c in enumerate(starting[b][: n - 1]):
+                        here[k + 1] += c
+                starting[e] = here
+                totals = [t + c for t, c in zip(totals, here)]
+            self._chain_counts = tuple(totals)
+        return self._chain_counts
 
     def connected_components(self) -> list:
         """Partition of the elements by the equivalence closure of comparability."""

@@ -17,6 +17,42 @@ from .errors import ContractViolation, InputError
 from .finspace import FinitePoset, OpenSet
 
 
+class _Restrictions:
+    """The restriction matrices stalk(p) -> stalk(q), p <= q, of one sheaf,
+    each composed along covers on first use and kept.  It holds the base,
+    stalks and cover maps but not the sheaf, so a cochain complex that reads
+    its blocks here may outlive the sheaf without keeping it alive."""
+
+    def __init__(
+        self,
+        base: FinitePoset,
+        stalks: Dict[str, PresentedAbGroup],
+        cover_maps: Dict[Tuple[str, str], IntMatrix],
+    ):
+        self.base = base
+        self.stalks = stalks
+        self.cover_maps = cover_maps
+        self._memo: Dict[Tuple[str, str], IntMatrix] = {}
+
+    def __call__(self, p: str, q: str) -> IntMatrix:
+        key = (p, q)
+        m = self._memo.get(key)
+        if m is not None:
+            return m
+        if p == q:
+            m = IntMatrix.identity(self.stalks[p].generator_count)
+        elif not self.base.lt(p, q):
+            raise InputError(f"{p!r} is not below {q!r}")
+        elif key in self.cover_maps:
+            m = self.cover_maps[key]
+        else:
+            # any cover path gives the same hom; functoriality was checked
+            mid = next(c for (a, c) in self.base.covers if a == p and self.base.lt(c, q))
+            m = self(mid, q) @ self.cover_maps[(p, mid)]
+        self._memo[key] = m
+        return m
+
+
 class PosetSheaf:
     def __init__(
         self,
@@ -39,28 +75,16 @@ class PosetSheaf:
         self.base = base
         self.stalks = dict(stalks)
         self.cover_maps = dict(cover_maps)
-        self._restrict_cache: Dict[Tuple[str, str], IntMatrix] = {}
+        self.restrictions = _Restrictions(base, self.stalks, self.cover_maps)
+        # the strict-chain cochain complex, built by `cohom.cochain_complex`
+        # on first use; a sheaf is never changed after construction
+        self._cochains = None
         if check:
             self._check_functorial()
 
     def restrict(self, p: str, q: str) -> IntMatrix:
         """The restriction matrix stalk(p) -> stalk(q) for p <= q."""
-        key = (p, q)
-        cached = self._restrict_cache.get(key)
-        if cached is not None:
-            return cached
-        if p == q:
-            m = IntMatrix.identity(self.stalks[p].generator_count)
-        elif not self.base.lt(p, q):
-            raise InputError(f"{p!r} is not below {q!r}")
-        elif key in self.cover_maps:
-            m = self.cover_maps[key]
-        else:
-            # any cover path gives the same hom; functoriality was checked
-            mid = next(c for (a, c) in self.base.covers if a == p and self.base.lt(c, q))
-            m = self.restrict(mid, q) @ self.cover_maps[(p, mid)]
-        self._restrict_cache[key] = m
-        return m
+        return self.restrictions(p, q)
 
     def _check_functorial(self) -> None:
         # Every cover map respects relations, and for every cover p < m and
@@ -174,10 +198,10 @@ class SheafMorphism:
             if not self.target.stalks[q].represents_zero(left - right):
                 raise ContractViolation(f"naturality fails on cover relation ({p},{q})")
 
-    def restricted_to(self, members: Iterable[str]) -> "SheafMorphism":
-        src = self.source.restricted_to(members)
-        tgt = self.target.restricted_to(members)
-        return SheafMorphism(src, tgt, {e: self.components[e] for e in src.base.elements}, check=False)
+    def between(self, source: PosetSheaf, target: PosetSheaf) -> "SheafMorphism":
+        """This morphism between `source` and `target`, the restrictions of
+        its source and target to one subspace."""
+        return SheafMorphism(source, target, {e: self.components[e] for e in source.base.elements}, check=False)
 
     @classmethod
     def zero(cls, source: PosetSheaf, target: PosetSheaf) -> "SheafMorphism":

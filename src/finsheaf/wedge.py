@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Tuple
 
-from .abgroup import GroupHom, IntMatrix, PresentedAbGroup, Subquotient, kernel_basis, smith_decompose
+from .abgroup import GroupHom, IntMatrix, PresentedAbGroup, kernel_basis, smith_decompose
 from .cech import CechComplex, Covering, _Coefficients, _refinement_map
 from .cohom import cochain_complex
 from .errors import ContractViolation, InputError
@@ -241,9 +241,10 @@ def _stage_readout(w: WedgeSpace, m: int, cx: CechComplex) -> Tuple[PresentedAbG
         if summand is None or summand[2].canonical != (1, ()):
             raise ContractViolation(f"live block {pair} is not infinite cyclic")
         rows.append(summand[1])
-    # Z^len(live) in a single degree: classes are the live coordinates themselves
-    coordinates = Subquotient(PresentedAbGroup.free(len(live)), None, None)
-    readout = h.induced_map(coordinates, lambda rep: [rep[r] for r in rows]).matrix
+    # column k: the live coordinates of the representative cycle of generator k
+    n = group.generator_count
+    reps = [h.rep_of([int(i == k) for i in range(n)]) for k in range(n)]
+    readout = IntMatrix.from_columns([[rep[r] for r in rows] for rep in reps], nrows=len(rows))
     if readout.rows != readout.cols:
         raise ContractViolation("corner group rank does not match the live disk count")
     # unimodular iff its Smith form is the identity; then U readout V = I

@@ -30,6 +30,15 @@ def test_cohomology_examples(capsys):
     assert code == 0 and json.loads(out)["pretty"] == "0"
 
 
+def test_too_many_strict_chains_exit_1(capsys, tmp_path):
+    labels = [f"c{i}" for i in range(40)]
+    space = tmp_path / "chain.json"
+    space.write_text(json.dumps({"elements": labels, "covers": [list(r) for r in zip(labels, labels[1:])]}))
+    code, out, err = run(capsys, "cohomology", "--space", str(space), "--coeff", "constant", "--degree", "1")
+    assert code == 1 and out == ""
+    assert "strict chains" in err
+
+
 def test_cech_examples(capsys):
     code, out, _ = run(capsys, "cech", "--disks", "3", "--degree", "1", "--coeff-degree", "1")
     assert code == 0 and json.loads(out)["pretty"] == "Z^3"

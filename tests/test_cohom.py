@@ -1,10 +1,15 @@
+import gc
 import random
+import time
+import weakref
 
 import pytest
 
-from finsheaf import abgroup, cohom, finspace
+from finsheaf import abgroup, cech, cohom, finspace
 from finsheaf.abgroup import GroupHom, IntMatrix, PresentedAbGroup
 from finsheaf.cohom import (
+    MAX_STRICT_CHAINS,
+    CochainComplex,
     cochain_complex,
     cohomology,
     les_of_short_exact,
@@ -15,7 +20,7 @@ from finsheaf.cohom import (
 )
 from finsheaf.errors import InputError
 from finsheaf.finspace import FinitePoset, OpenSet
-from finsheaf.sheaf import constant_sheaf, extension_by_zero
+from finsheaf.sheaf import constant_sheaf, extension_by_zero, zero_sheaf
 from finsheaf.wedge import build_wedge, gap_sheaf, structure_sequence
 
 Z = PresentedAbGroup.free(1)
@@ -111,6 +116,25 @@ def test_les_rejects_non_exact_input():
         les_of_short_exact(other, seq, OpenSet(other, {"f1"}))
     with pytest.raises(InputError):
         les_of_short_exact(other, seq, OpenSet(p, frozenset(p.elements)))
+
+
+def test_les_restricts_each_sheaf_once(monkeypatch):
+    """A, B and C are restricted to V once each; both morphisms of the
+    restricted sequence run between those three sheaves."""
+    w = build_wedge(4)
+    V = OpenSet(w.poset, frozenset(w.poset.elements))
+    ses = structure_sequence(w)
+    built = []
+    original = finspace.FinitePoset.__init__
+
+    def counting(self, elements, relations=()):
+        built.append(self)
+        original(self, elements, relations)
+
+    monkeypatch.setattr(finspace.FinitePoset, "__init__", counting)
+    les = les_of_short_exact(w.poset, ses, V)
+    assert les.exact
+    assert len(built) == 3
 
 
 def test_component_identity_pass_and_hypothesis_gate():
@@ -279,3 +303,109 @@ def test_les_arrows_match_the_reference_chain_maps(monkeypatch, n):
     want = les_of_short_exact(w.poset, ses, V)
     assert [a.hom.matrix for a in got.arrows] == [a.hom.matrix for a in want.arrows]
     assert [a.connecting for a in got.arrows] == [a.connecting for a in want.arrows]
+
+
+# -- one cochain complex per sheaf ---------------------------------------------
+
+
+def test_cohomology_builds_one_complex_per_sheaf(monkeypatch):
+    w = build_wedge(3)
+    built = []
+    original = CochainComplex.__init__
+
+    def counting(self, base, sheaf):
+        built.append(sheaf)
+        original(self, base, sheaf)
+
+    monkeypatch.setattr(CochainComplex, "__init__", counting)
+    sheaves = [gap_sheaf(w), constant_sheaf(w.poset, Z), extension_by_zero(w.poset, w.poset.min_open("x"), Z)]
+    for sheaf in sheaves:
+        for q in range(w.poset.height + 2):
+            cohomology(w.poset, sheaf, q)
+        assert cochain_complex(w.poset, sheaf) is cochain_complex(w.poset, sheaf)
+    assert [id(s) for s in built] == [id(s) for s in sheaves]
+
+
+def test_shared_complex_matches_a_fresh_one():
+    for base, sheaf in reference_corpus():
+        shared = cochain_complex(base, sheaf)
+        fresh = CochainComplex(base, sheaf)
+        assert shared.groups == fresh.groups and shared.maps == fresh.maps
+        for q in range(base.height + 1):
+            assert cohomology(base, sheaf, q).canonical == fresh.homology(q).group.canonical
+            assert shared.homology(q).group.canonical == fresh.homology(q).group.canonical
+
+
+def test_a_kept_complex_serves_restrictions_after_its_sheaf_is_gone():
+    """A coefficient cache keeps the complexes of restricted sheaves that
+    nothing else holds; their blocks come from the restriction table."""
+    w = build_wedge(3)
+    F = gap_sheaf(w)
+    big, small = frozenset(w.poset.elements), frozenset(w.poset.min_open("a1").members)
+    want = [restriction_induced(w.poset, OpenSet(w.poset, big), OpenSet(w.poset, small), F, q) for q in range(3)]
+    sheaves = [F.restricted_to(members) for members in (big, small)]
+    gone = [weakref.ref(s) for s in sheaves]
+    source, target = (cochain_complex(s.base, s) for s in sheaves)
+    del sheaves
+    assert [r() for r in gone] == [None, None]
+    assert source.sheaf is None and target.sheaf is None
+    for q in range(3):
+        got = restriction_on_homology(source, target, q)
+        assert got.matrix == want[q].matrix
+        assert got.source.canonical == want[q].source.canonical
+
+
+def test_cached_complex_still_checks_the_base():
+    w = build_wedge(2)
+    F = gap_sheaf(w)
+    cochain_complex(w.poset, F)
+    other = build_wedge(3).poset
+    with pytest.raises(InputError):
+        cochain_complex(other, F)
+    with pytest.raises(InputError):
+        cohomology(other, F, 1)
+
+
+def test_sheaf_complex_and_coefficients_leave_no_reference_cycle():
+    """Dropping a sheaf frees its complex by reference counting alone: the
+    complex holds the sheaf weakly and reads its blocks from the restriction
+    table, so no cycle is left for the collector."""
+    w = build_wedge(3)
+    members = (frozenset(w.poset.elements), frozenset(w.poset.min_open("a1").members))
+    gc.collect()
+    gc.disable()
+    try:
+        F = gap_sheaf(w)
+        cx = cochain_complex(w.poset, F)
+        for q in range(len(cx.groups)):
+            cx.homology(q)
+        coeffs = cech._Coefficients(F, 1)
+        coeffs.restriction(*members)
+        kept = weakref.ref(cx)
+        del F, cx, coeffs
+        assert kept() is None
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+# -- strict-chain budget --------------------------------------------------------
+
+
+def test_cochain_complex_refuses_too_many_chains_before_enumerating(monkeypatch):
+    labels = [f"c{i}" for i in range(40)]
+    chain = FinitePoset(labels, list(zip(labels, labels[1:])))
+    assert sum(chain.strict_chain_counts()) == 2**40 - 1 > MAX_STRICT_CHAINS
+
+    def enumerating(self, k):
+        raise AssertionError("strict chains were enumerated")
+
+    monkeypatch.setattr(finspace.FinitePoset, "strict_chains", enumerating)
+    start = time.perf_counter()
+    with pytest.raises(InputError, match="strict chains"):
+        cohomology(chain, constant_sheaf(chain, Z), 1)
+    assert time.perf_counter() - start < 0.1
+    # the budget counts every chain, whatever the stalks
+    with pytest.raises(InputError, match="strict chains"):
+        cochain_complex(chain, zero_sheaf(chain))
+

@@ -52,6 +52,16 @@ def test_strict_chain_counts_against_brute_force():
             assert len(p.strict_chains(k)) == len(brute)
 
 
+def test_strict_chain_counts_match_the_enumeration():
+    rng = random.Random(40)
+    for _ in range(40):
+        p = random_poset(rng, max_elems=12)
+        counts = p.strict_chain_counts()
+        assert counts == tuple(len(p.strict_chains(k)) for k in range(p.height + 1))
+        assert p.strict_chain_counts() is counts
+    assert FinitePoset([], []).strict_chain_counts() == ()
+
+
 def test_strict_chains_deterministic_order():
     p = FinitePoset("abcd", [("a", "c"), ("a", "d"), ("b", "c")])
     assert p.strict_chains(1) == [("a", "c"), ("a", "d"), ("b", "c")]

@@ -1,7 +1,7 @@
 import pytest
 
 from finsheaf import abgroup, cohom, wedge
-from finsheaf.abgroup import GroupHom, IntMatrix
+from finsheaf.abgroup import GroupHom, IntMatrix, PresentedAbGroup, smith_decompose
 from finsheaf.cech import Covering
 from finsheaf.cohom import cohomology
 from finsheaf.errors import ContractViolation, InputError
@@ -242,18 +242,57 @@ def test_stage_refinements_reuse_the_readout_homologies(monkeypatch):
     assert not [a for a in ambients if id(a) in cech_groups]
 
 
+def reference_readout(w, m, cx):
+    """(readout, readback) of stage m as first written: the live coordinates
+    mapped through `induced_map` into a free group of the live rank."""
+    h = cx.homology(1)
+    rows = [cx.summand(1, ("U0", f"U{k}"))[1] for k in range(m, w.n + 1)]
+    coordinates = abgroup.Subquotient(PresentedAbGroup.free(len(rows)), None, None)
+    readout = h.induced_map(coordinates, lambda rep: [rep[r] for r in rows]).matrix
+    s = smith_decompose(readout)
+    return readout, s.V @ s.U
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_stage_readouts_match_the_reference(n):
+    w = build_wedge(n)
+    complexes = wedge._corner_complexes(w, range(1, n + 2))
+    for m, cx in complexes.items():
+        _, readout, readback = wedge._stage_readout(w, m, cx)
+        assert (readout, readback) == reference_readout(w, m, cx)
+
+
+def test_stage_readout_builds_no_subquotient_of_its_own(monkeypatch):
+    """Once Ȟ¹ of a stage is computed, reading it out constructs no further
+    homology: the columns come from its representative cycles."""
+    w = build_wedge(3)
+    complexes = wedge._corner_complexes(w, range(1, w.n + 2))
+    for cx in complexes.values():
+        cx.homology(1)
+    built = []
+    init = abgroup.Subquotient.__init__
+
+    def counting(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(abgroup.Subquotient, "__init__", counting)
+    for m, cx in complexes.items():
+        wedge._stage_readout(w, m, cx)
+    assert built == []
+
+
 def test_stage_readout_rejects_a_readout_that_is_not_unimodular(monkeypatch):
     w = build_wedge(3)
     cx = wedge._corner_complexes(w, [1])[1]
-    induced = abgroup.Subquotient.induced_map
+    rep_of = abgroup.Subquotient.rep_of
 
-    def doubled(self, target, chain_map):
-        hom = induced(self, target, chain_map)
-        matrix = IntMatrix.from_blocks(hom.matrix.rows, hom.matrix.cols, [(0, 0, 2, hom.matrix)])
-        return GroupHom(hom.source, hom.target, matrix, check=False)
+    def doubled(self, coords):
+        return tuple(2 * x for x in rep_of(self, coords))
 
     group, readout, readback = wedge._stage_readout(w, 1, cx)
     assert readout @ readback == IntMatrix.identity(3)
-    monkeypatch.setattr(abgroup.Subquotient, "induced_map", doubled)
+    # the readout's columns come from the representative cycles
+    monkeypatch.setattr(abgroup.Subquotient, "rep_of", doubled)
     with pytest.raises(ContractViolation, match="not an isomorphism over Z"):
         wedge._stage_readout(w, 1, cx)
