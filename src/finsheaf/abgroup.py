@@ -51,12 +51,6 @@ class IntMatrix:
         return m
 
     @classmethod
-    def from_columns(cls, cols: Sequence[Sequence[int]], nrows: Optional[int] = None) -> "IntMatrix":
-        if not cols:
-            return cls.zero(nrows or 0, 0)
-        return cls(len(cols[0]), len(cols), zip(*cols))
-
-    @classmethod
     def from_blocks(cls, rows: int, cols: int, blocks: Iterable[tuple]) -> "IntMatrix":
         """The rows x cols matrix that is the sum of the given blocks.
 
@@ -136,16 +130,6 @@ class IntMatrix:
     def column(self, j: int) -> tuple:
         return tuple(row.get(j, 0) for row in self._sparse)
 
-    def nonzero_columns(self) -> list:
-        """(j, column j) for every column with a nonzero entry, by ascending j."""
-        return [(j, self.column(j)) for j in sorted({j for row in self._sparse for j in row})]
-
-    def apply(self, vec: Sequence[int]) -> tuple:
-        """Matrix-vector product."""
-        if len(vec) != self.cols:
-            raise InputError(f"vector length {len(vec)} != {self.cols} columns")
-        return tuple(sum(a * vec[j] for j, a in row.items()) for row in self._sparse)
-
     def hstack(self, other: "IntMatrix") -> "IntMatrix":
         if self.rows != other.rows:
             raise InputError("hstack: row counts differ")
@@ -214,10 +198,10 @@ class SmithDecomposition:
     the recorded row operations and F the recorded column operations,
     P and Q the orders that bring the pivot rows and columns first and S
     the pivot signs, U = S·P·E and V = F·Q.  Each transform or inverse is
-    applied by one pass of its operations over sparse rows (`_transform`):
-    `apply_U` and the like pass one vector, while the matrices `U`, `V`,
-    `U_inv` and `V_inv`, built on first access, and kernel bases pass all
-    their columns at once.
+    applied to a whole matrix by one pass of its operations over sparse rows
+    (`_transform`): the matrices `U`, `V`, `U_inv` and `V_inv`, built on
+    first access, kernel bases, canonical sections and every solve
+    (`_smith_solve`) pass all their columns at once.
     """
 
     def __init__(self, shape, row_ops, col_ops, row_order, col_order, signs, diagonal):
@@ -233,14 +217,16 @@ class SmithDecomposition:
     def num_nonzero(self) -> int:
         return sum(1 for d in self.diagonal if d != 0)
 
-    def _transform(self, name: str, seeds: Iterable[tuple]) -> list:
-        """The sparse rows of T @ X, for T the transform `name` and X the
-        matrix with entry v at each (i, k, v) of seeds.
+    def _transform(self, name: str, rows: list) -> list:
+        """The sparse rows of T @ X, for T the transform `name` and `rows`
+        the sparse rows of X, which the pass takes over and changes.
 
         T is a signed reordering `before`, then row operations, then a
         signed reordering `after`: position t goes to, or comes from, the
         row and sign at index t."""
         n = self.shape[name[0] == "V"]
+        if len(rows) != n:
+            raise InputError(f"{len(rows)} rows != {n}")
         if name[0] == "U":
             order = [(i, self._signs[t] if t < len(self._signs) else 1) for t, i in enumerate(self._row_order)]
             if name == "U":  # S·P·E
@@ -253,12 +239,11 @@ class SmithDecomposition:
                 before, ops, after = order, ((j, l, q) for l, j, q in reversed(self._col_ops)), None
             else:  # Qᵀ·F⁻¹
                 before, ops, after = None, ((j, l, -q) for l, j, q in self._col_ops), order
-        rows = [{} for _ in range(n)]
-        for i, k, v in seeds:
-            if before is not None:
-                i, s = before[i]
-                v *= s
-            rows[i][k] = v
+        if before is not None:
+            placed = [None] * n
+            for (i, s), row in zip(before, rows):
+                placed[i] = row if s > 0 else {k: -v for k, v in row.items()}
+            rows = placed
         for a, b, q in ops:
             if rows[b]:
                 _add_into(rows[a], rows[b], q, 0)
@@ -266,25 +251,11 @@ class SmithDecomposition:
             return rows
         return [rows[i] if s > 0 else {k: -v for k, v in rows[i].items()} for i, s in after]
 
-    def _apply(self, name: str, vec: Sequence[int]) -> list:
-        n = self.shape[name[0] == "V"]
-        if len(vec) != n:
-            raise InputError(f"vector length {len(vec)} != {n}")
-        return [row.get(0, 0) for row in self._transform(name, ((i, 0, v) for i, v in enumerate(vec) if v))]
-
     def _columns(self, name: str, first: int = 0) -> IntMatrix:
         """Columns first, first + 1, ... of the transform `name`."""
         n = self.shape[name[0] == "V"]
-        return IntMatrix._of(n, n - first, self._transform(name, ((t, t - first, 1) for t in range(first, n))))
-
-    def apply_U(self, vec: Sequence[int]) -> list:
-        return self._apply("U", vec)
-
-    def apply_U_inv(self, vec: Sequence[int]) -> list:
-        return self._apply("U_inv", vec)
-
-    def apply_V(self, vec: Sequence[int]) -> list:
-        return self._apply("V", vec)
+        picked = [{t - first: 1} if t >= first else {} for t in range(n)]
+        return IntMatrix._of(n, n - first, self._transform(name, picked))
 
     U = cached_property(lambda self: self._columns("U"))
     U_inv = cached_property(lambda self: self._columns("U_inv"))
@@ -448,26 +419,36 @@ def kernel_basis(M: IntMatrix) -> IntMatrix:
     return s._columns("V", s.num_nonzero)
 
 
-def solve(M: IntMatrix, b: Sequence[int]) -> Optional[tuple]:
-    """An integer x with M @ x = b, or None when no integral solution exists."""
-    if len(b) != M.rows:
-        raise InputError(f"right-hand side length {len(b)} != {M.rows} rows")
-    s = smith_decompose(M)
-    z = _smith_solve(s, b)
-    return None if z is None else tuple(s.apply_V(z))
+def solve(M: IntMatrix, B: IntMatrix) -> Optional[IntMatrix]:
+    """An integer X with M @ X == B, or None when some column of B has no
+    integral solution.  A zero B needs no Smith form: X is zero."""
+    if B.rows != M.rows:
+        raise InputError(f"right-hand side has {B.rows} rows, not {M.rows}")
+    if B.is_zero():
+        return IntMatrix.zero(M.cols, B.cols)
+    return _smith_solve(smith_decompose(M), B)
 
 
-def _smith_solve(s: SmithDecomposition, b: Sequence[int]) -> Optional[list]:
-    """z with D @ z == U @ b for the decomposition s = (U, D, V) of some M,
-    or None when there is none; x = V @ z then solves M @ x == b."""
-    z = [0] * s.shape[1]
-    for i, e in enumerate(s.apply_U(b)):
-        d = s.diagonal[i] if i < len(s.diagonal) else 0
-        if e % d if d else e:
-            return None
-        if d:
-            z[i] = e // d
-    return z
+def _smith_solve(s: SmithDecomposition, B: IntMatrix, lift: bool = True) -> Optional[IntMatrix]:
+    """X with M @ X == B for the decomposition s = (U, D, V) of some M, or
+    None when some column of B has no integral solution.
+
+    All columns go through one pass of U, a division by D, and one pass of
+    V.  With lift False the V pass is skipped and Z with D @ Z == U @ B is
+    returned, which is all a membership test needs (X = V @ Z)."""
+    ub = s._transform("U", [dict(row) for row in B._sparse])
+    k = s.num_nonzero  # the nonzero diagonal entries come first
+    if any(ub[k:]):
+        return None
+    z = []
+    for d, row in zip(s.diagonal, ub[:k]):
+        if d != 1:
+            if any(v % d for v in row.values()):
+                return None
+            row = {j: v // d for j, v in row.items()}
+        z.append(row)
+    z += [{} for _ in range(s.shape[1] - k)]
+    return IntMatrix._of(s.shape[1], B.cols, s._transform("V", z) if lift else z)
 
 
 def _preimage_lattice(A: IntMatrix, B: IntMatrix) -> IntMatrix:
@@ -536,51 +517,37 @@ class PresentedAbGroup:
 
     # -- coordinates ---------------------------------------------------------
     # Canonical coordinates list the torsion generators (ascending factors)
-    # followed by the free generators.
+    # followed by the free generators: rows `_units`, `_units` + 1, ... of
+    # U, since the unit diagonal entries come first.
 
     @cached_property
-    def _coordinate_layout(self):
-        diag = self._smith.diagonal
-        torsion = [i for i in range(self._smith.num_nonzero) if diag[i] > 1]
-        free = list(range(self._smith.num_nonzero, self.generator_count))
-        return torsion, free
+    def _units(self) -> int:
+        return sum(1 for d in self._smith.diagonal if d == 1)
 
-    def to_canonical(self, vec: Sequence[int]) -> tuple:
-        """Canonical coordinates of the element represented by a generator vector."""
-        if len(vec) != self.generator_count:
-            raise InputError("vector length does not match generator count")
-        z = self._smith.apply_U(vec)
-        torsion, free = self._coordinate_layout
-        diag = self._smith.diagonal
-        return tuple(z[i] % diag[i] for i in torsion) + tuple(z[i] for i in free)
+    def to_canonical(self, M: IntMatrix) -> IntMatrix:
+        """Canonical coordinates, one column each, of the elements that the
+        columns of M represent."""
+        s, u = self._smith, self._units
+        rows = s._transform("U", [dict(row) for row in M._sparse])[u:]
+        for t, d in enumerate(s.diagonal[u : s.num_nonzero]):  # torsion coordinates, mod their orders
+            rows[t] = {j: v % d for j, v in rows[t].items() if v % d}
+        return IntMatrix._of(len(rows), M.cols, rows)
 
-    def from_canonical(self, coords: Sequence[int]) -> tuple:
-        """A generator vector representing the element with given canonical coordinates."""
-        torsion, free = self._coordinate_layout
-        if len(coords) != len(torsion) + len(free):
-            raise InputError("coordinate length does not match canonical generators")
-        z = [0] * self.generator_count
-        for i, val in zip(torsion + free, coords):
-            z[i] = val
-        return tuple(self._smith.apply_U_inv(z))
-
-    def contains_in_relations(self, vec: Sequence[int]) -> bool:
-        """Does the vector lie in the relation lattice (i.e. represent 0)?
-
-        Tested through the cached Smith form; without relations only the
-        zero vector does."""
-        if len(vec) != self.generator_count:
-            raise InputError(f"vector length {len(vec)} != {self.generator_count} generators")
-        if not self.relations.cols:
-            return not any(vec)
-        return _smith_solve(self._smith, vec) is not None
+    @cached_property
+    def section(self) -> IntMatrix:
+        """One generator vector per canonical generator, as columns:
+        `to_canonical(section)` is the identity."""
+        return self._smith._columns("U_inv", self._units)
 
     def represents_zero(self, M: IntMatrix) -> bool:
-        """Does every column of M lie in the relation lattice?  Zero columns
-        always do, so only the nonzero ones are tested."""
+        """Does every column of M lie in the relation lattice?  Tested on
+        all columns at once through the cached Smith form; without
+        relations only zero columns do."""
         if M.rows != self.generator_count:
             raise InputError(f"{M.rows} rows != {self.generator_count} generators")
-        return all(self.contains_in_relations(col) for _, col in M.nonzero_columns())
+        if M.is_zero():
+            return True
+        return bool(self.relations.cols) and _smith_solve(self._smith, M, lift=False) is not None
 
     def __eq__(self, other):
         return (
@@ -662,13 +629,14 @@ class GroupHom:
 class Subquotient:
     """ker(d_out)/im(d_in) inside a presented ambient group, with cycle lifting.
 
-    `class_of` maps a cycle (generator vector of the ambient group) to the
-    canonical coordinates of its class, through its coordinates on
-    `cycle_gens` (`cycle_coordinates`); `rep_of` picks a representative
-    cycle of a class.  The homology group itself is exposed both as a raw
-    presentation (`presented`) and in canonical form (`group`, computed on
-    first use).  With d_in None and next_relations the relations of d_out's
-    target, it is the kernel of d_out taken modulo those relations.
+    Elements of the ambient group are the columns of a matrix.  `classes`
+    maps cycles to the canonical coordinates of their classes, through their
+    coordinates on `cycle_gens` (`cycle_coordinates`); `reps` holds one
+    representative cycle per canonical generator.  The homology group itself
+    is exposed both as a raw presentation (`presented`) and in canonical
+    form (`group`, computed on first use).  With d_in None and
+    next_relations the relations of d_out's target, it is the kernel of
+    d_out taken modulo those relations.
     """
 
     def __init__(
@@ -708,30 +676,41 @@ class Subquotient:
     def _cycle_smith(self) -> SmithDecomposition:
         return smith_decompose(self.cycle_gens)
 
-    def is_cycle(self, vec: Sequence[int]) -> bool:
-        return self._next_group.contains_in_relations(self.d_out.apply(vec))
-
-    def cycle_coordinates(self, vec: Sequence[int]) -> tuple:
-        """x with cycle_gens @ x == vec, for a cycle vec."""
-        z = _smith_solve(self._cycle_smith, vec)
-        if z is None:
+    def cycle_coordinates(self, Z: IntMatrix) -> IntMatrix:
+        """X with cycle_gens @ X == Z, for Z a matrix of cycles."""
+        if Z.is_zero():
+            return IntMatrix.zero(self.cycle_gens.cols, Z.cols)
+        X = _smith_solve(self._cycle_smith, Z)
+        if X is None:
             raise ContractViolation("cycle does not lie in the computed cycle lattice")
-        return tuple(self._cycle_smith.apply_V(z))
+        return X
 
-    def class_of(self, vec: Sequence[int]) -> tuple:
-        if not self.is_cycle(vec):
-            raise InputError("vector is not a cycle")
-        return self.presented.to_canonical(self.cycle_coordinates(vec))
-
-    def rep_of(self, coords: Sequence[int]) -> tuple:
-        return self.cycle_gens.apply(self.presented.from_canonical(coords))
-
-    def induced_map(self, target: "Subquotient", chain_map: Callable[[tuple], Sequence[int]]) -> GroupHom:
-        """The map self.group -> target.group sending each canonical generator
-        to the class of chain_map applied to its representative cycle."""
+    def classes(self, Z: IntMatrix) -> IntMatrix:
+        """The canonical coordinates of the class of each column of Z; raises
+        InputError when a column is not a cycle."""
+        if Z.rows != self.ambient.generator_count:
+            raise InputError(f"{Z.rows} rows != {self.ambient.generator_count} generators")
         n = self.group.generator_count
-        cols = [target.class_of(chain_map(self.rep_of([int(i == k) for i in range(n)]))) for k in range(n)]
-        return GroupHom(self.group, target.group, IntMatrix.from_columns(cols, nrows=target.group.generator_count))
+        if Z.is_zero():
+            return IntMatrix.zero(n, Z.cols)
+        if not self._next_group.represents_zero(self.d_out @ Z):
+            raise InputError("a column is not a cycle")
+        if not n:
+            return IntMatrix.zero(0, Z.cols)
+        return self.presented.to_canonical(self.cycle_coordinates(Z))
+
+    @cached_property
+    def reps(self) -> IntMatrix:
+        """Column k is a cycle representing canonical generator k."""
+        if not self.group.generator_count:
+            return IntMatrix.zero(self.ambient.generator_count, 0)
+        return self.cycle_gens @ self.presented.section
+
+    def induced_map(self, target: "Subquotient", f: IntMatrix) -> GroupHom:
+        """The map self.group -> target.group of the chain map component f:
+        each canonical generator goes to the class of f applied to its
+        representative cycle."""
+        return GroupHom(self.group, target.group, target.classes(f @ self.reps))
 
 
 @dataclass
@@ -881,4 +860,4 @@ def induced_on_homology(
 ) -> GroupHom:
     """The well-defined map H^p(source) -> H^p(target) of a chain map."""
     check_chain_map(f, source, target)
-    return source.homology(p).induced_map(target.homology(p), _chain_component(f, p, source, target).apply)
+    return source.homology(p).induced_map(target.homology(p), _chain_component(f, p, source, target))

@@ -61,26 +61,25 @@ class Covering:
         """Strictly increasing (p+1)-tuples of member names with nonempty
         intersection, in lexicographic member order.
 
-        Depth-first over the member order, extending only tuples whose
-        running intersection is nonempty, so the work follows the output
-        rather than all (p+1)-subsets.  The intersection of each tuple
-        returned is kept for the Čech complexes built on them.
+        One member longer per pass, extending only tuples whose running
+        intersection is nonempty, so the work follows the output rather than
+        all (p+1)-subsets; extending each tuple in order by the later
+        members, in order, keeps the list sorted.  The intersection of each
+        tuple returned is kept for the Čech complexes built on them.
         """
-        out: List[tuple] = []
         order = self.order
-
-        def extend(t: tuple, common: frozenset, start: int) -> None:
-            if len(t) == p + 1:
-                out.append(t)
-                self._meets[t] = common
-                return
-            for i in range(start, len(order) - p + len(t)):
-                meet = common & self.members[order[i]]
-                if meet:
-                    extend(t + (order[i],), meet, i + 1)
-
-        extend((), frozenset(self.base.elements), 0)
-        return out
+        level = [((), frozenset(self.base.elements), 0)]  # (tuple, intersection, next member)
+        for length in range(p + 1):
+            longer = []
+            for t, common, start in level:
+                for i in range(start, len(order) - p + length):
+                    meet = common & self.members[order[i]]
+                    if meet:
+                        longer.append((t + (order[i],), meet, i + 1))
+            level = longer
+        for t, common, _ in level:
+            self._meets[t] = common
+        return [t for t, _, _ in level]
 
     def reordered(self, new_order: Sequence[str]) -> "Covering":
         return Covering(self.base, {n: self.members[n] for n in self.members}, new_order)

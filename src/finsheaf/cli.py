@@ -54,7 +54,7 @@ def _load_json(path: str):
 def _resolve_space(args) -> FinitePoset:
     if getattr(args, "space", None):
         return jsonio.poset_from_json(_load_json(args.space))
-    if getattr(args, "disks", None):
+    if getattr(args, "disks", None) is not None:
         return build_wedge(args.disks).poset
     raise InputError("provide --space FILE or --disks N")
 
@@ -65,7 +65,7 @@ def _resolve_sheaf(args, base: FinitePoset):
         return jsonio.sheaf_from_json(base, _load_json(args.sheaf))
     if coeff == "constant":
         return constant_sheaf(base, PresentedAbGroup.free(1))
-    if getattr(args, "disks", None):
+    if getattr(args, "disks", None) is not None:
         return gap_sheaf(build_wedge(args.disks))
     raise InputError("provide --sheaf FILE, or --disks N with --coeff gap|constant")
 
@@ -104,9 +104,9 @@ def cmd_cech(args) -> int:
     sheaf = _resolve_sheaf(args, base)
     if getattr(args, "covering", None):
         cov = jsonio.covering_from_json(base, _load_json(args.covering))
-    elif getattr(args, "disks", None):
+    elif getattr(args, "disks", None) is not None:
         w = build_wedge(args.disks)
-        cov = stage_covering(w, args.stage) if args.stage else canonical_covering(w)
+        cov = stage_covering(w, args.stage) if args.stage is not None else canonical_covering(w)
     else:
         raise InputError("provide --covering FILE or --disks N")
     q = args.coeff_degree
@@ -132,7 +132,7 @@ def cmd_covering_validate(args) -> int:
     if getattr(args, "covering", None):
         cov = jsonio.covering_from_json(w.poset, _load_json(args.covering))
     else:
-        cov = stage_covering(w, args.stage) if args.stage else canonical_covering(w)
+        cov = stage_covering(w, args.stage) if args.stage is not None else canonical_covering(w)
     report = validate_five_conditions(w, cov)
     payload = {"seed": args.seed, **report.to_dict()}
     lines = [f"condition ({v.condition}): {'ok' if v.ok else 'FAIL  ' + v.detail}" for v in report.verdicts]

@@ -200,27 +200,25 @@ def les_of_short_exact(
         for pos in range(3):
             nodes.append(LESNode(k, pos, f"H^{k}({labels[pos]})", cxs[pos].homology(k).group))
 
-    def preimage(m: IntMatrix, target: PresentedAbGroup, y, what: str):
-        """x with m @ x == y modulo the relations of the target group."""
-        x = solve(m.hstack(target.relations), y)
-        if x is None:
+    def preimage(m: IntMatrix, target: PresentedAbGroup, Y: IntMatrix, what: str) -> IntMatrix:
+        """X with m @ X == Y modulo the relations of the target group."""
+        X = solve(m.hstack(target.relations), Y)
+        if X is None:
             raise ContractViolation(f"snake lemma: {what} failed")
-        return x[: m.cols]
+        return X.submatrix_rows(range(m.cols))
 
     def connecting(k: int) -> GroupHom:
-        """Snake lemma: lift a C-cocycle to B, apply d_B, pull back to A."""
-
-        def snake(c_rep):
-            b_lift = preimage(gmat[k], cxs[2].group(k), c_rep, "lift through B")
-            d_b = cxs[1].differential(k).apply(b_lift)
-            return preimage(fmat[k + 1], cxs[1].group(k + 1), d_b, "preimage in A")
-
-        return cxs[2].homology(k).induced_map(cxs[0].homology(k + 1), snake)
+        """Snake lemma: lift every representative C-cocycle to B, apply d_B,
+        pull back to A."""
+        h_c, h_a = cxs[2].homology(k), cxs[0].homology(k + 1)
+        b_lift = preimage(gmat[k], cxs[2].group(k), h_c.reps, "lift through B")
+        a_lift = preimage(fmat[k + 1], cxs[1].group(k + 1), cxs[1].differential(k) @ b_lift, "preimage in A")
+        return GroupHom(h_c.group, h_a.group, h_a.classes(a_lift))
 
     for k in range(maxdeg):
         a, b, c = (cx.homology(k) for cx in cxs)
-        arrows.append(LESArrow(a.induced_map(b, fmat[k].apply), False))
-        arrows.append(LESArrow(b.induced_map(c, gmat[k].apply), False))
+        arrows.append(LESArrow(a.induced_map(b, fmat[k]), False))
+        arrows.append(LESArrow(b.induced_map(c, gmat[k]), False))
         if k + 1 < maxdeg:
             arrows.append(LESArrow(connecting(k), True))
 

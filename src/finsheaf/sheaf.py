@@ -229,9 +229,7 @@ def kernel_sheaf(m: SheafMorphism) -> PosetSheaf:
     }
     maps = {}
     for (p, q) in base.covers:
-        images = m.source.restrict(p, q) @ kernels[p].cycle_gens
-        cols = [kernels[q].cycle_coordinates(images.column(j)) for j in range(images.cols)]
-        maps[(p, q)] = IntMatrix.from_columns(cols, nrows=kernels[q].cycle_gens.cols)
+        maps[(p, q)] = kernels[q].cycle_coordinates(m.source.restrict(p, q) @ kernels[p].cycle_gens)
     return PosetSheaf(base, {p: k.presented for p, k in kernels.items()}, maps)
 
 

@@ -242,9 +242,7 @@ def _stage_readout(w: WedgeSpace, m: int, cx: CechComplex) -> Tuple[PresentedAbG
             raise ContractViolation(f"live block {pair} is not infinite cyclic")
         rows.append(summand[1])
     # column k: the live coordinates of the representative cycle of generator k
-    n = group.generator_count
-    reps = [h.rep_of([int(i == k) for i in range(n)]) for k in range(n)]
-    readout = IntMatrix.from_columns([[rep[r] for r in rows] for rep in reps], nrows=len(rows))
+    readout = h.reps.submatrix_rows(rows)
     if readout.rows != readout.cols:
         raise ContractViolation("corner group rank does not match the live disk count")
     # unimodular iff its Smith form is the identity; then U readout V = I

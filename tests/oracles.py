@@ -8,9 +8,17 @@ torsion of H_{q-1}.
 
 `dense_smith_diagonal` keeps the package's earlier dense Smith reduction,
 also without transforms, as the reference for its sparse one.
+
+`reference_induced_map` keeps the package's earlier route to a map on
+homology, one generator at a time, as the reference for its batched one.
+It does use the package's Smith form and `solve`, but only on one column
+at a time and through the transform matrices, never through a
+`Subquotient`'s own coordinates.
 """
 
 from itertools import combinations
+
+from finsheaf.abgroup import IntMatrix, smith_decompose, solve
 
 
 def _simplices(elements, leq, dim):
@@ -198,3 +206,45 @@ def simplicial_cohomology(elements, leq, max_dim=None):
         torsion = homology[q - 1][1] if q >= 1 else []
         cohom.append((free, torsion))
     return cohom
+
+
+def column_matrix(m, j):
+    """Column j of the IntMatrix m, as a one-column IntMatrix."""
+    return IntMatrix(m.rows, 1, [[x] for x in m.column(j)])
+
+
+def from_columns(columns, rows):
+    """The IntMatrix with the given columns (lists of ints) and row count."""
+    return IntMatrix(rows, len(columns), [[col[i] for col in columns] for i in range(rows)])
+
+
+def reference_induced_map(source_h, target_h, f):
+    """The matrix of the map source_h.group -> target_h.group that sends each
+    canonical generator to the class of f applied to its representative
+    cycle, one generator at a time.  f is a chain-map component (an
+    IntMatrix), or a function taking one representative cycle, as a
+    one-column matrix, to its image cycle.
+
+    The representative of canonical generator k is cycle_gens times column
+    u + k of U⁻¹ from the Smith form of the presentation, u its count of
+    unit diagonal entries; an image is checked to be a cycle and written on
+    the target's cycle generators by one solve each, and its canonical
+    coordinates are the rows u, u + 1, ... of U times those, the torsion
+    ones reduced mod their orders."""
+    source, target = smith_decompose(source_h.presented.relations), smith_decompose(target_h.presented.relations)
+    units = sum(1 for d in source.diagonal if d == 1)
+    target_units = sum(1 for d in target.diagonal if d == 1)
+    columns = []
+    for k in range(units, source_h.presented.generator_count):
+        rep = source_h.cycle_gens @ column_matrix(source.U_inv, k)
+        image = f(rep) if callable(f) else f @ rep
+        assert solve(target_h.next_relations, target_h.d_out @ image) is not None, "image is not a cycle"
+        coordinates = solve(target_h.cycle_gens, image)
+        assert coordinates is not None, "cycle off the cycle lattice"
+        z = (target.U @ coordinates).column(0)
+        column = []
+        for i in range(target_units, len(z)):
+            d = target.diagonal[i] if i < len(target.diagonal) else 0
+            column.append(z[i] % d if d else z[i])
+        columns.append(column)
+    return from_columns(columns, target_h.presented.generator_count - target_units)

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from finsheaf import abgroup
 from finsheaf.cli import main
 
 
@@ -98,6 +99,26 @@ def test_reproduce_stdout_bytes_pinned(capsys, n):
     assert hashlib.sha256(out.encode()).hexdigest() == REPRODUCE_SHA256[n]
 
 
+# Smith forms computed by `reproduce --disks N`.  Unlike a time, the count
+# does not depend on the machine, so a route that adds Smith forms fails here.
+REPRODUCE_SMITH_FORMS = {2: 166, 3: 218, 4: 270}
+
+
+@pytest.mark.parametrize("n", sorted(REPRODUCE_SMITH_FORMS))
+def test_reproduce_smith_form_count_pinned(capsys, monkeypatch, n):
+    built = []
+    init = abgroup.SmithDecomposition.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self.__class__)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(abgroup.SmithDecomposition, "__init__", counting)
+    code, _, _ = run(capsys, "reproduce", "--disks", str(n))
+    assert code == 0
+    assert len(built) == REPRODUCE_SMITH_FORMS[n]
+
+
 def _subcommand_invocations():
     n = ["--disks", "3"]
     return {
@@ -168,3 +189,17 @@ def test_cohomology_of_a_json_sheaf_with_torsion_stalks(capsys, tmp_path):
 def test_table_format(capsys):
     code, out, _ = run(capsys, "cohomology", "--disks", "2", "--degree", "2", "--format", "table")
     assert code == 0 and out.strip() == "H^2 = Z^2"
+
+
+def test_stage_zero_is_refused_not_ignored(capsys):
+    for argv in (["cech", "--disks", "2", "--degree", "1", "--stage", "0"], ["covering", "validate", "--disks", "2", "--stage", "0"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert "stage must lie in 1..3" in err
+
+
+def test_zero_disks_is_refused_not_ignored(capsys):
+    for argv in (["cohomology", "--disks", "0", "--degree", "1"], ["cech", "--disks", "0", "--degree", "1"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert "need at least one disk" in err

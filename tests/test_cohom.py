@@ -4,9 +4,10 @@ import time
 import weakref
 
 import pytest
+from oracles import reference_induced_map
 
 from finsheaf import abgroup, cech, cohom, finspace
-from finsheaf.abgroup import GroupHom, IntMatrix, PresentedAbGroup
+from finsheaf.abgroup import GroupHom, IntMatrix, PresentedAbGroup, solve
 from finsheaf.cohom import (
     MAX_STRICT_CHAINS,
     CochainComplex,
@@ -21,7 +22,7 @@ from finsheaf.cohom import (
 from finsheaf.errors import InputError
 from finsheaf.finspace import FinitePoset, OpenSet
 from finsheaf.sheaf import constant_sheaf, extension_by_zero, zero_sheaf
-from finsheaf.wedge import build_wedge, gap_sheaf, structure_sequence
+from finsheaf.wedge import build_wedge, collect_stage_evidence, gap_sheaf, structure_sequence
 
 Z = PresentedAbGroup.free(1)
 
@@ -272,7 +273,8 @@ def test_cochain_complexes_and_restrictions_match_the_reference_loops(monkeypatc
                 src_h, tgt_h = cx.homology(q), tgt.homology(q)
                 got = restriction_on_homology(cx, tgt, q)
                 assert chain_maps.pop() == want
-                assert got.matrix == src_h.induced_map(tgt_h, lambda rep: want[q].apply(rep)).matrix
+                f = want[q] if q < len(want) else IntMatrix.zero(tgt.degree_rank(q), cx.degree_rank(q))
+                assert got.matrix == reference_induced_map(src_h, tgt_h, f)
         W = base.min_open(base.elements[0])
         restriction_induced(base, OpenSet(base, base.elements), W, sheaf, 1)
         sub = sheaf.restricted_to(W.members)
@@ -303,6 +305,41 @@ def test_les_arrows_match_the_reference_chain_maps(monkeypatch, n):
     want = les_of_short_exact(w.poset, ses, V)
     assert [a.hom.matrix for a in got.arrows] == [a.hom.matrix for a in want.arrows]
     assert [a.connecting for a in got.arrows] == [a.connecting for a in want.arrows]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_les_arrows_match_the_per_generator_route(n):
+    """Every arrow of the structure sequence's long exact sequence, the
+    connecting maps too, against the reference that lifts one generator at
+    a time: a connecting map lifts each representative through B with one
+    solve, applies d_B and pulls back to A with another."""
+    w = build_wedge(n)
+    V = OpenSet(w.poset, w.poset.elements)
+    ses = structure_sequence(w)
+    got = les_of_short_exact(w.poset, ses, V)
+    A, B, C = (s.restricted_to(V.members) for s in (ses[0].source, ses[0].target, ses[1].target))
+    cxs = [cochain_complex(s.base, s) for s in (A, B, C)]
+    fmat = stalkwise_chain_map(cxs[0], cxs[1], ses[0].between(A, B).components)
+    gmat = stalkwise_chain_map(cxs[1], cxs[2], ses[1].between(B, C).components)
+
+    def preimage(m, target, y):
+        x = solve(m.hstack(target.relations), y)
+        assert x is not None
+        return x.submatrix_rows(range(m.cols))
+
+    def snake(k):
+        return lambda rep: preimage(fmat[k + 1], cxs[1].group(k + 1), cxs[1].differential(k) @ preimage(gmat[k], cxs[2].group(k), rep))
+
+    maxdeg = max(len(cx.groups) for cx in cxs)
+    want = []
+    for k in range(maxdeg):
+        a, b, c = (cx.homology(k) for cx in cxs)
+        want += [reference_induced_map(a, b, fmat[k]), reference_induced_map(b, c, gmat[k])]
+        if k + 1 < maxdeg:
+            want.append(reference_induced_map(c, cxs[0].homology(k + 1), snake(k)))
+    assert [a.hom.matrix for a in got.arrows] == want
+    assert sum(a.connecting for a in got.arrows) == maxdeg - 1
+    assert any(not a.hom.matrix.is_zero() for a in got.arrows if a.connecting)
 
 
 # -- one cochain complex per sheaf ---------------------------------------------
@@ -369,7 +406,8 @@ def test_cached_complex_still_checks_the_base():
 def test_sheaf_complex_and_coefficients_leave_no_reference_cycle():
     """Dropping a sheaf frees its complex by reference counting alone: the
     complex holds the sheaf weakly and reads its blocks from the restriction
-    table, so no cycle is left for the collector."""
+    table, so no cycle is left for the collector.  Nor does the stage
+    evidence, whose coverings list their nerve tuples one length per pass."""
     w = build_wedge(3)
     members = (frozenset(w.poset.elements), frozenset(w.poset.min_open("a1").members))
     gc.collect()
@@ -384,6 +422,9 @@ def test_sheaf_complex_and_coefficients_leave_no_reference_cycle():
         kept = weakref.ref(cx)
         del F, cx, coeffs
         assert kept() is None
+        assert gc.collect() == 0
+        evidence = collect_stage_evidence(build_wedge(6))
+        del evidence
         assert gc.collect() == 0
     finally:
         gc.enable()

@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+from oracles import column_matrix, from_columns
+
 from finsheaf import jsonio
 from finsheaf.abgroup import GroupHom, IntMatrix, PresentedAbGroup, Subquotient, solve
 from finsheaf.errors import ContractViolation, InputError
@@ -166,8 +168,9 @@ def triple_loop_verdict(base, stalks, cover_maps):
                     via = s.restrict(m, q) @ s.restrict(p, m)
                     if not direct.equals_as_hom(GroupHom(stalks[p], stalks[q], via, check=False)):
                         return False
-            for j in range(stalks[p].relations.cols):
-                if not stalks[q].contains_in_relations(direct.matrix.apply(stalks[p].relations.column(j))):
+            images = direct.matrix @ stalks[p].relations
+            for j in range(images.cols):
+                if solve(stalks[q].relations, column_matrix(images, j)) is None:
                     return False
     return True
 
@@ -230,13 +233,13 @@ def reference_kernel_sheaf(m):
         gens[p], stalks[p] = kernel.cycle_gens, kernel.presented
     maps = {}
     for (p, q) in base.covers:
-        r = m.source.restrict(p, q)
+        images = m.source.restrict(p, q) @ gens[p]
         cols = []
-        for j in range(gens[p].cols):
-            sol = solve(gens[q].hstack(-m.source.stalks[q].relations), r.apply(gens[p].column(j)))
+        for j in range(images.cols):
+            sol = solve(gens[q].hstack(-m.source.stalks[q].relations), column_matrix(images, j))
             assert sol is not None
-            cols.append(list(sol[: gens[q].cols]))
-        maps[(p, q)] = IntMatrix.from_columns(cols, nrows=gens[q].cols)
+            cols.append(list(sol.column(0)[: gens[q].cols]))
+        maps[(p, q)] = from_columns(cols, gens[q].cols)
     return stalks, maps
 
 

@@ -1,4 +1,5 @@
 import pytest
+from oracles import reference_induced_map
 
 from finsheaf import abgroup, cohom, wedge
 from finsheaf.abgroup import GroupHom, IntMatrix, PresentedAbGroup, smith_decompose
@@ -244,11 +245,12 @@ def test_stage_refinements_reuse_the_readout_homologies(monkeypatch):
 
 def reference_readout(w, m, cx):
     """(readout, readback) of stage m as first written: the live coordinates
-    mapped through `induced_map` into a free group of the live rank."""
+    mapped, one generator at a time, into a free group of the live rank."""
     h = cx.homology(1)
     rows = [cx.summand(1, ("U0", f"U{k}"))[1] for k in range(m, w.n + 1)]
     coordinates = abgroup.Subquotient(PresentedAbGroup.free(len(rows)), None, None)
-    readout = h.induced_map(coordinates, lambda rep: [rep[r] for r in rows]).matrix
+    select = IntMatrix.identity(h.ambient.generator_count).submatrix_rows(rows)
+    readout = reference_induced_map(h, coordinates, select)
     s = smith_decompose(readout)
     return readout, s.V @ s.U
 
@@ -285,14 +287,14 @@ def test_stage_readout_builds_no_subquotient_of_its_own(monkeypatch):
 def test_stage_readout_rejects_a_readout_that_is_not_unimodular(monkeypatch):
     w = build_wedge(3)
     cx = wedge._corner_complexes(w, [1])[1]
-    rep_of = abgroup.Subquotient.rep_of
+    reps = abgroup.Subquotient.reps
 
-    def doubled(self, coords):
-        return tuple(2 * x for x in rep_of(self, coords))
+    def doubled(self):
+        return IntMatrix.from_blocks(self.ambient.generator_count, self.group.generator_count, [(0, 0, 2, reps.func(self))])
 
     group, readout, readback = wedge._stage_readout(w, 1, cx)
     assert readout @ readback == IntMatrix.identity(3)
     # the readout's columns come from the representative cycles
-    monkeypatch.setattr(abgroup.Subquotient, "rep_of", doubled)
+    monkeypatch.setattr(abgroup.Subquotient, "reps", property(doubled))
     with pytest.raises(ContractViolation, match="not an isomorphism over Z"):
         wedge._stage_readout(w, 1, cx)
