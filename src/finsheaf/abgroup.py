@@ -273,9 +273,14 @@ class _WorkingRows:
     the first in row order among equals and then the first in its row; with
     no unit entry, the first entry of least absolute value.  This is
     Markowitz's rule, without a rescan of every entry per pivot: each row's
-    best unit entry is kept, with a heap of (fill, row, column) over them,
-    and is recomputed only for the rows in `changed` and the rows of the
-    columns in `touched`, whose counts changed, since the last pick.
+    best unit entry is kept, with a heap of (fill, row, column) over them.
+    A row in `changed`, whose entries changed since the last pick, is
+    rescanned.  In any other row only the counts of the columns in
+    `touched` moved, so each such unit entry's new fill is compared with the
+    row's kept best (the count maintenance of Duff, Erisman and Reid): a
+    lower fill becomes the best, and the row is rescanned only when the best
+    entry's own fill rose or another entry ties it, since the first in row
+    order must win.
     """
 
     def __init__(self, M: IntMatrix):
@@ -306,28 +311,48 @@ class _WorkingRows:
         if not target:
             del rows[k]
 
+    def _rescan(self, i: int) -> None:
+        """Recompute the best unit entry of row i from every entry."""
+        found = None
+        entries = self.rows.get(i, {})
+        spare = len(entries) - 1
+        where = self.where
+        for j, a in entries.items():
+            if a == 1 or a == -1:
+                fill = spare * (len(where[j]) - 1)
+                if found is None or fill < found[0]:
+                    found = (fill, j)
+                    if not fill:
+                        break
+        if found is None:
+            self.best.pop(i, None)
+        elif found != self.best.get(i):
+            self.best[i] = found
+            heappush(self.heap, (found[0], i, found[1]))
+
     def pivot(self) -> Optional[tuple]:
         """(row, column) of the next pivot; None when no entry is left."""
-        rows, where, best, heap = self.rows, self.where, self.best, self.heap
+        rows, where, best, heap, changed = self.rows, self.where, self.best, self.heap, self.changed
+        for i in changed:
+            self._rescan(i)
         for l in self.touched:
-            self.changed.update(where.get(l, ()))
-        for i in self.changed:
-            found = None
-            entries = rows.get(i, {})
-            spare = len(entries) - 1
-            for j, a in entries.items():
-                if a == 1 or a == -1:
-                    fill = spare * (len(where[j]) - 1)
-                    if found is None or fill < found[0]:
-                        found = (fill, j)
-                        if not fill:
-                            break
-            if found is None:
-                best.pop(i, None)
-            elif found != best.get(i):
-                best[i] = found
-                heappush(heap, (found[0], i, found[1]))
-        self.changed.clear()
+            column = where.get(l, ())
+            count = len(column) - 1
+            for i in column:
+                if i in changed:
+                    continue
+                entries = rows[i]
+                a = entries[l]
+                if a != 1 and a != -1:
+                    continue
+                fill = (len(entries) - 1) * count
+                kept_fill, kept_col = best[i]
+                if fill < kept_fill:
+                    best[i] = (fill, l)
+                    heappush(heap, (fill, i, l))
+                elif (fill == kept_fill) != (l == kept_col):
+                    self._rescan(i)  # a tie in another column, or the best rose
+        changed.clear()
         self.touched.clear()
         while heap:
             fill, i, j = heap[0]
@@ -770,7 +795,9 @@ class FaceComplex(ChainComplexData):
     supplies `block(source data, target data)`, the matrix between two
     summands; the differential is the alternating face sum, which sends the
     summand of t with its i-th entry dropped to the summand of t by
-    (-1)^i times that block.
+    (-1)^i times that block.  A summand whose group has no generators adds
+    no row and no column, so it is not laid out: `summand` does not find
+    it, and no block into or out of it is asked for.
     """
 
     def __init__(self, summands: Sequence[Sequence[tuple]]):
@@ -780,8 +807,9 @@ class FaceComplex(ChainComplexData):
             placed = {}
             off = 0
             for t, g, data in entries:
-                placed[t] = (t, off, g, data)
-                off += g.generator_count
+                if g.generator_count:
+                    placed[t] = (t, off, g, data)
+                    off += g.generator_count
             self._summands.append(placed)
         groups = [direct_sum([g for _, _, g, _ in placed.values()]) for placed in self._summands]
         maps = []

@@ -4,7 +4,8 @@ coefficients, refinement maps, and the covering-level comparison report.
 The alternating complex on strictly increasing index tuples is used
 throughout: same cohomology as the full complex, matches the usual
 "alpha < beta" indexing, and keeps the complexes small.  Empty
-intersections contribute zero summands.
+intersections contribute zero summands, and a summand whose coefficient
+group has no generators is not laid out (`abgroup.FaceComplex`).
 """
 
 from __future__ import annotations
@@ -26,6 +27,16 @@ from .errors import ContractViolation, InputError
 from .finspace import FinitePoset
 from .sheaf import PosetSheaf
 from . import cohom as _cohom
+
+# The most nerve simplices a Čech complex is built on, over the degrees it
+# stores.  `Covering.simplex_count` counts them without listing them, and a
+# covering with more is refused with InputError before any tuple is listed.
+# The last stage covering of N disks has N + 1 members that all meet, so its
+# degrees 0..2 hold N + 1 + C(N + 1, 2) + C(N + 1, 3), about N³/6,
+# simplices: 19,649 in `reproduce --disks 48`, and N = 66 is the first wedge
+# refused.  For scale, on a 2-core machine `reproduce --disks 48` takes
+# about 11 s and 250 MiB.
+MAX_NERVE_SIMPLICES = 50_000
 
 
 class Covering:
@@ -49,6 +60,19 @@ class Covering:
         if union != set(base.elements):
             raise InputError("members do not cover the space")
         self._meets: Dict[tuple, frozenset] = {}  # intersection of each tuple `tuples` gave
+        self._whole = frozenset(base.elements)
+        # (intersection, member index) -> their intersection; every value is
+        # one interned object per distinct intersection
+        self._meet_of: Dict[Tuple[frozenset, int], frozenset] = {}
+        self._interned: Dict[frozenset, frozenset] = {}
+
+    def _meet(self, common: frozenset, i: int) -> frozenset:
+        """common ∩ the i-th member, as the covering's one object for it."""
+        meet = self._meet_of.get((common, i))
+        if meet is None:
+            meet = common & self.members[self.order[i]]
+            meet = self._meet_of[common, i] = self._interned.setdefault(meet, meet)
+        return meet
 
     def intersection(self, names: Sequence[str]) -> frozenset:
         out = None
@@ -65,21 +89,44 @@ class Covering:
         intersection is nonempty, so the work follows the output rather than
         all (p+1)-subsets; extending each tuple in order by the later
         members, in order, keeps the list sorted.  The intersection of each
-        tuple returned is kept for the Čech complexes built on them.
+        tuple returned is kept for the Čech complexes built on them; tuples
+        with equal intersections share one object.
         """
         order = self.order
-        level = [((), frozenset(self.base.elements), 0)]  # (tuple, intersection, next member)
+        level = [((), self._whole, 0)]  # (tuple, intersection, next member)
         for length in range(p + 1):
             longer = []
             for t, common, start in level:
                 for i in range(start, len(order) - p + length):
-                    meet = common & self.members[order[i]]
+                    meet = self._meet(common, i)
                     if meet:
                         longer.append((t + (order[i],), meet, i + 1))
             level = longer
         for t, common, _ in level:
             self._meets[t] = common
         return [t for t, _, _ in level]
+
+    def simplex_count(self, top: int) -> int:
+        """The number of nerve simplices in degrees 0..top, counted without
+        listing them.  Tuples that share their intersection and their next
+        member extend alike, so one pass per length carries only a count per
+        (intersection, next member).  Counting stops after the length at
+        which the total passes MAX_NERVE_SIMPLICES; the total so far is
+        returned."""
+        states = {(self._whole, 0): 1}  # (intersection, next member) -> tuples ending there
+        total = 0
+        for _ in range(top + 1):
+            longer: Dict[Tuple[frozenset, int], int] = {}
+            for (common, start), ways in states.items():
+                for i in range(start, len(self.order)):
+                    meet = self._meet(common, i)
+                    if meet:
+                        longer[meet, i + 1] = longer.get((meet, i + 1), 0) + ways
+            states = longer
+            total += sum(states.values())
+            if total > MAX_NERVE_SIMPLICES or not states:
+                break
+        return total
 
     def reordered(self, new_order: Sequence[str]) -> "Covering":
         return Covering(self.base, {n: self.members[n] for n in self.members}, new_order)
@@ -143,7 +190,10 @@ class CechComplex(FaceComplex):
 
     A complex truncated at degree `top` stores degrees 0..top only, so its
     homology is known below `top` alone (Ȟ^p needs top = p + 1); `top` is
-    None for the full complex.
+    None for the full complex.  Tuples whose coefficient group has no
+    generators are not laid out.  A nerve with more than
+    MAX_NERVE_SIMPLICES simplices in those degrees is refused before any
+    tuple is listed.
     """
 
     def __init__(self, covering: Covering, coefficients: _Coefficients, top: Optional[int] = None):
@@ -152,6 +202,10 @@ class CechComplex(FaceComplex):
         self.top = top
         summands = []
         degrees = len(covering.order) if top is None else min(len(covering.order), top + 1)
+        if covering.simplex_count(degrees - 1) > MAX_NERVE_SIMPLICES:
+            raise InputError(
+                f"the Čech complex would have over {MAX_NERVE_SIMPLICES} nerve simplices in degrees 0..{degrees - 1}"
+            )
         for p in range(degrees):
             meets = [(t, covering._meets[t]) for t in covering.tuples(p)]
             summands.append([(t, coefficients.group(meet), meet) for t, meet in meets])

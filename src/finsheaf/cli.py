@@ -17,7 +17,7 @@ from typing import Optional
 
 from . import jsonio
 from .abgroup import IntMatrix, PresentedAbGroup, smith_decompose
-from .cech import cech_cohomology, cech_cohomology_hq, covering_comparison_report
+from .cech import Covering, cech_cohomology, cech_cohomology_hq, covering_comparison_report
 from .cohom import cohomology
 from .errors import ContractViolation, InputError
 from .finspace import FinitePoset
@@ -99,16 +99,23 @@ def cmd_cohomology(args) -> int:
     return 0
 
 
+def _resolve_covering(args, base: FinitePoset) -> Covering:
+    """The --covering file on base, or the --stage or canonical covering of
+    the wedge of --disks disks."""
+    if args.covering:
+        if args.stage is not None:
+            raise InputError("give --covering FILE or --stage M, not both")
+        return jsonio.covering_from_json(base, _load_json(args.covering))
+    if args.disks is None:
+        raise InputError("provide --covering FILE or --disks N")
+    w = build_wedge(args.disks)
+    return stage_covering(w, args.stage) if args.stage is not None else canonical_covering(w)
+
+
 def cmd_cech(args) -> int:
     base = _resolve_space(args)
     sheaf = _resolve_sheaf(args, base)
-    if getattr(args, "covering", None):
-        cov = jsonio.covering_from_json(base, _load_json(args.covering))
-    elif getattr(args, "disks", None) is not None:
-        w = build_wedge(args.disks)
-        cov = stage_covering(w, args.stage) if args.stage is not None else canonical_covering(w)
-    else:
-        raise InputError("provide --covering FILE or --disks N")
+    cov = _resolve_covering(args, base)
     q = args.coeff_degree
     if q is None:
         g = cech_cohomology(cov, sheaf, args.degree)
@@ -129,11 +136,7 @@ def cmd_cech(args) -> int:
 
 def cmd_covering_validate(args) -> int:
     w = build_wedge(args.disks)
-    if getattr(args, "covering", None):
-        cov = jsonio.covering_from_json(w.poset, _load_json(args.covering))
-    else:
-        cov = stage_covering(w, args.stage) if args.stage is not None else canonical_covering(w)
-    report = validate_five_conditions(w, cov)
+    report = validate_five_conditions(w, _resolve_covering(args, w.poset))
     payload = {"seed": args.seed, **report.to_dict()}
     lines = [f"condition ({v.condition}): {'ok' if v.ok else 'FAIL  ' + v.detail}" for v in report.verdicts]
     lines.append("valid" if report.ok else "invalid")
@@ -247,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     ce.add_argument("--sheaf", help="sheaf JSON file")
     ce.add_argument("--covering", help="covering JSON file")
     ce.add_argument("--disks", type=int, help="use the wedge of N disks")
-    ce.add_argument("--stage", type=int, help="use the stage-m covering (default canonical)")
+    ce.add_argument("--stage", type=int, help="use the stage-m covering (default canonical; not with --covering)")
     ce.add_argument("--coeff", choices=["gap", "constant"], default="gap")
     ce.add_argument("--degree", type=int, required=True)
     ce.add_argument(
@@ -265,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     v = csub.add_parser("validate", help="five-condition validation on the wedge")
     v.add_argument("--disks", type=int, required=True)
     v.add_argument("--covering", help="covering JSON file (default canonical)")
-    v.add_argument("--stage", type=int, help="validate the stage-m covering")
+    v.add_argument("--stage", type=int, help="validate the stage-m covering (not with --covering)")
     common(v)
     v.set_defaults(func=cmd_covering_validate)
 

@@ -43,7 +43,8 @@ MAX_STRICT_CHAINS = 100_000
 class CochainComplex(FaceComplex):
     """Strict-chain cochain complex of a sheaf: the summand of a chain is the
     stalk at its end, and its data is that end.  Chains whose end has no
-    generators are left out.
+    generators are left out, as `FaceComplex` leaves out every summand
+    without generators.
 
     The complex reads its blocks from the sheaf's restriction table and
     holds the sheaf itself only weakly (`sheaf` is None once it is gone): a
@@ -64,7 +65,7 @@ class CochainComplex(FaceComplex):
         stalks = sheaf.stalks
         super().__init__(
             [
-                [(c, stalks[c[-1]], c[-1]) for c in base.strict_chains(k) if stalks[c[-1]].generator_count]
+                [(c, stalks[c[-1]], c[-1]) for c in base.strict_chains(k)]
                 for k in range(max(base.height, 0) + 1)
             ]
         )

@@ -217,9 +217,11 @@ def stage_covering(w: WedgeSpace, m: int) -> Covering:
 
 def _corner_complexes(w: WedgeSpace, stages: Iterable[int]) -> Dict[int, CechComplex]:
     """The Čech complexes of the given stage coverings with coefficients
-    H¹(-, F), up to degree 2, all on one coefficient cache."""
+    H¹(-, F), up to degree 2, all on one coefficient cache.  The latest
+    stage, whose nerve is the largest, is built first, so a wedge over the
+    nerve budget is refused before any stage is built."""
     coeffs = _Coefficients(gap_sheaf(w), 1)
-    return {m: CechComplex(stage_covering(w, m), coeffs, 2) for m in stages}
+    return {m: CechComplex(stage_covering(w, m), coeffs, 2) for m in sorted(stages, reverse=True)}
 
 
 def _stage_readout(w: WedgeSpace, m: int, cx: CechComplex) -> Tuple[PresentedAbGroup, IntMatrix, IntMatrix]:

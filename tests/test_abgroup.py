@@ -468,7 +468,19 @@ def pivot_oracle_matrices():
             for _ in range(rng.randint(1, r + c)):
                 rows[rng.randrange(r)][rng.randrange(c)] = rng.choice((2, -2, 3, -3, 4, 6, -9))
         yield IntMatrix(r, c, rows)
-    for n in (4, 8):
+    # k units per row laid round the columns in a shuffled order, so that
+    # most fills tie and one pivot step moves the counts of a row's best
+    # column and of columns tied with it, up and down
+    for _ in range(200):
+        r, c = rng.randint(4, 20), rng.randint(4, 20)
+        k = rng.randint(2, min(5, c))
+        cols = rng.sample(range(c), c)
+        rows = [[0] * c for _ in range(r)]
+        for i in range(r):
+            for t in range(k):
+                rows[i][cols[(i * k + t) % c]] = rng.choice((1, -1))
+        yield IntMatrix(r, c, rows)
+    for n in (4, 8, 12):  # 12: the wide benchmark's sheaves on a smaller wedge
         w = wedge.build_wedge(n)
         for sheaf in (wedge.gap_sheaf(w), wedge.skeleton_sheaf(w), constant_sheaf(w.poset, PresentedAbGroup.free(1))):
             yield from cochain_complex(w.poset, sheaf).maps
@@ -482,7 +494,7 @@ def test_incremental_pivot_matches_the_full_scan(monkeypatch):
         assert fast.diagonal == slow.diagonal
         assert fast.U == slow.U and fast.V == slow.V
         count += 1
-    assert count >= 240
+    assert count >= 440
 
 
 @settings(max_examples=120, deadline=None)

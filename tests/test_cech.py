@@ -1,10 +1,11 @@
 import random
+import time
 from itertools import combinations
 
 import pytest
 
 from finsheaf import cech, cohom, finspace
-from finsheaf.abgroup import GroupHom, IntMatrix, PresentedAbGroup
+from finsheaf.abgroup import GroupHom, IntMatrix, PresentedAbGroup, direct_sum
 from finsheaf.cech import (
     CechComplex,
     Covering,
@@ -242,7 +243,9 @@ def subset_filter(c, p):
     return [t for t in combinations(c.order, p + 1) if c.intersection(t)]
 
 
-def test_nerve_tuples_match_the_subset_filter():
+def nerve_test_coverings():
+    """Canonical and stage coverings of 1, 3 and 5 disks, and 40 seeded
+    random coverings."""
     coverings = []
     for n in (1, 3, 5):
         w = build_wedge(n)
@@ -250,9 +253,38 @@ def test_nerve_tuples_match_the_subset_filter():
     rng = random.Random(61)
     for _ in range(40):
         coverings.append(random_covering(rng, random_poset(rng)))
-    for c in coverings:
+    return coverings
+
+
+def test_nerve_tuples_match_the_subset_filter():
+    for c in nerve_test_coverings():
         for p in range(len(c.order) + 1):
             assert c.tuples(p) == subset_filter(c, p)
+
+
+def test_simplex_count_is_the_size_of_the_listed_nerve():
+    for c in nerve_test_coverings():
+        sizes = [len(c.tuples(p)) for p in range(len(c.order))]
+        for top in range(len(c.order)):
+            assert c.simplex_count(top) == sum(sizes[: top + 1])
+        assert c.simplex_count(len(c.order) - 1) == len(nerve(c))
+
+
+def test_a_nerve_over_the_budget_is_refused_before_any_tuple_is_listed(monkeypatch):
+    # the largest stage of N disks has N + 1 + C(N + 1, 2) + C(N + 1, 3) simplices in degrees 0..2
+    assert stage_covering(build_wedge(65), 66).simplex_count(2) == 47_971
+    assert stage_covering(build_wedge(66), 67).simplex_count(2) > cech.MAX_NERVE_SIMPLICES
+    w = build_wedge(100)
+    c, coeffs = stage_covering(w, 101), _Coefficients(gap_sheaf(w), 1)
+
+    def listing(self, p):
+        raise AssertionError("a tuple was listed")
+
+    monkeypatch.setattr(Covering, "tuples", listing)
+    start = time.perf_counter()
+    with pytest.raises(InputError, match="nerve simplices"):
+        CechComplex(c, coeffs, 2)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_coefficients_build_one_poset_per_open_set(monkeypatch):
@@ -354,7 +386,13 @@ def test_cech_complexes_match_the_reference_loop(n):
                 layout, maps = reference_cech_complex(c, coeffs, top)
                 cx = CechComplex(c, coeffs, top)
                 assert cx.maps == maps
-                assert [list(cx.summands(k)) for k in range(len(cx.groups))] == layout
+                # summands without generators add no row or column and are not laid out
+                placed = [[s for s in entries if s[2].generator_count] for entries in layout]
+                assert [list(cx.summands(k)) for k in range(len(cx.groups))] == placed
+                for k, entries in enumerate(layout):
+                    whole = direct_sum([g for _, _, g, _ in entries])
+                    assert cx.groups[k].generator_count == whole.generator_count
+                    assert cx.groups[k].relations == whole.relations
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

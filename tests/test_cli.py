@@ -3,8 +3,9 @@ import json
 
 import pytest
 
-from finsheaf import abgroup
+from finsheaf import abgroup, cech, cohom, jsonio
 from finsheaf.cli import main
+from finsheaf.wedge import build_wedge, canonical_covering
 
 
 def run(capsys, *argv):
@@ -119,6 +120,35 @@ def test_reproduce_smith_form_count_pinned(capsys, monkeypatch, n):
     assert len(built) == REPRODUCE_SMITH_FORMS[n]
 
 
+# Cost counters of `reproduce --disks N`: restrictions H^q(big) -> H^q(small)
+# computed and Čech summands laid out.  A summand without generators is not
+# laid out and needs no restriction, so a change that lays them out again
+# fails here.
+REPRODUCE_RESTRICTIONS = {4: 3, 16: 15}
+REPRODUCE_CECH_SUMMANDS = {4: 39, 16: 3892}
+
+
+@pytest.mark.parametrize("n", sorted(REPRODUCE_RESTRICTIONS))
+def test_reproduce_restriction_and_summand_counts_pinned(capsys, monkeypatch, n):
+    restrictions, summands = [], []
+    restrict, init = cohom.restriction_on_homology, cech.CechComplex.__init__
+
+    def counting_restriction(*args):
+        restrictions.append(args)
+        return restrict(*args)
+
+    def counting_summands(self, *args):
+        init(self, *args)
+        summands.append(sum(len(self.summands(k)) for k in range(len(self.groups))))
+
+    monkeypatch.setattr(cohom, "restriction_on_homology", counting_restriction)
+    monkeypatch.setattr(cech.CechComplex, "__init__", counting_summands)
+    code, _, _ = run(capsys, "reproduce", "--disks", str(n))
+    assert code == 0
+    assert len(restrictions) == REPRODUCE_RESTRICTIONS[n]
+    assert sum(summands) == REPRODUCE_CECH_SUMMANDS[n]
+
+
 def _subcommand_invocations():
     n = ["--disks", "3"]
     return {
@@ -196,6 +226,24 @@ def test_stage_zero_is_refused_not_ignored(capsys):
         code, out, err = run(capsys, *argv)
         assert code == 1 and out == ""
         assert "stage must lie in 1..3" in err
+
+
+def test_reproduce_over_the_nerve_budget_exits_1(capsys):
+    code, out, err = run(capsys, "reproduce", "--disks", "100")
+    assert code == 1 and out == ""
+    assert "nerve simplices" in err
+
+
+def test_covering_file_and_stage_are_refused_together(capsys, tmp_path):
+    covering = tmp_path / "covering.json"
+    covering.write_text(json.dumps(jsonio.covering_to_json(canonical_covering(build_wedge(2)))))
+    for command in (["cech", "--disks", "2", "--degree", "1"], ["covering", "validate", "--disks", "2"]):
+        code, _, _ = run(capsys, *command, "--covering", str(covering))
+        assert code == 0
+        for stage in ("1", "7"):
+            code, out, err = run(capsys, *command, "--covering", str(covering), "--stage", stage)
+            assert code == 1 and out == ""
+            assert "not both" in err
 
 
 def test_zero_disks_is_refused_not_ignored(capsys):
