@@ -476,11 +476,6 @@ def _smith_solve(s: SmithDecomposition, B: IntMatrix, lift: bool = True) -> Opti
     return IntMatrix._of(s.shape[1], B.cols, s._transform("V", z) if lift else z)
 
 
-def _preimage_lattice(A: IntMatrix, B: IntMatrix) -> IntMatrix:
-    """Columns span {x : A @ x lies in the column span of B}."""
-    return kernel_basis(A.hstack(-B)).submatrix_rows(range(A.cols))
-
-
 def cokernel(M: IntMatrix) -> "PresentedAbGroup":
     """The group with generators the rows of M and relations its columns."""
     return PresentedAbGroup(M.rows, M)
@@ -513,7 +508,10 @@ class PresentedAbGroup:
     @classmethod
     def from_canonical_form(cls, rank: int, factors: Sequence[int]) -> "PresentedAbGroup":
         n = rank + len(factors)
-        return cls(n, IntMatrix.diagonal(list(factors), rows=n, cols=len(factors)))
+        g = cls(n, IntMatrix.diagonal(list(factors), rows=n, cols=len(factors)))
+        if all(d > 1 for d in factors) and all(b % a == 0 for a, b in zip(factors, factors[1:])):
+            g.canonical = (rank, tuple(factors))  # already canonical: no Smith form to take
+        return g
 
     @cached_property
     def _smith(self) -> SmithDecomposition:
@@ -521,7 +519,10 @@ class PresentedAbGroup:
 
     @cached_property
     def canonical(self) -> tuple:
-        """(rank, invariant_factors)."""
+        """(rank, invariant_factors); a group whose relations are all zero
+        is free and takes no Smith form."""
+        if self.relations.is_zero():
+            return self.generator_count, ()
         nonzero = self._smith.diagonal[: self._smith.num_nonzero]  # nonzero entries come first
         return self.generator_count - len(nonzero), tuple(d for d in nonzero if d > 1)
 
@@ -640,7 +641,7 @@ class GroupHom:
 
     def kernel_group(self) -> PresentedAbGroup:
         """The kernel, as an abstract presented group."""
-        return Subquotient(self.source, None, self.matrix, self.target.relations).presented
+        return Subquotient(self.source, None, self.matrix, self.target).presented
 
     def cokernel_group(self) -> PresentedAbGroup:
         return PresentedAbGroup(
@@ -654,58 +655,60 @@ class GroupHom:
 class Subquotient:
     """ker(d_out)/im(d_in) inside a presented ambient group, with cycle lifting.
 
-    Elements of the ambient group are the columns of a matrix.  `classes`
-    maps cycles to the canonical coordinates of their classes, through their
-    coordinates on `cycle_gens` (`cycle_coordinates`); `reps` holds one
-    representative cycle per canonical generator.  The homology group itself
-    is exposed both as a raw presentation (`presented`) and in canonical
-    form (`group`, computed on first use).  With d_in None and
-    next_relations the relations of d_out's target, it is the kernel of
-    d_out taken modulo those relations.
+    Elements are the columns of a matrix.  A cycle x has d_out @ x in the
+    relation lattice of `next_group`: it is the top of some [x; y] in the
+    kernel of A = [d_out | -next relations].  One Smith form (U, D, V) of A,
+    of rank r, gives the rest (Kaczynski, Mischaikow and Mrozek,
+    *Computational Homology*, ch. 3).  `cycle_gens` is the top rows of
+    columns r, r + 1, ... of V.  The coordinates of x on them are rows
+    r, r + 1, ... of V⁻¹ @ [x; y], for y with next relations @ y == d_out @ x
+    (a free next group has no y), and rows 0..r-1 vanish exactly when x is a
+    cycle.  Another y moves them by the coordinates of [0; k], k in the
+    kernel of the next relations, so the relations of `presented` are the
+    coordinates of [d_in | ambient relations] and of those [0; k].
+
+    `classes` maps cycles to the canonical coordinates of their classes;
+    `reps` holds one representative cycle per canonical generator; `group`
+    is `presented` in canonical form, computed on first use.  With d_in
+    None it is the kernel of the homomorphism d_out, as a presented group.
     """
 
-    def __init__(
-        self,
-        ambient: PresentedAbGroup,
-        d_in: Optional[IntMatrix],
-        d_out: Optional[IntMatrix],
-        next_relations: Optional[IntMatrix] = None,
-    ):
+    def __init__(self, ambient: PresentedAbGroup, d_in: Optional[IntMatrix], d_out: Optional[IntMatrix],
+                 next_group: Optional[PresentedAbGroup] = None):
         g = ambient.generator_count
-        if d_in is None:
-            d_in = IntMatrix.zero(g, 0)
-        if d_out is None:
-            d_out = IntMatrix.zero(0, g)
-        if next_relations is None:
-            next_relations = IntMatrix.zero(d_out.rows, 0)
         self.ambient = ambient
-        self.d_in = d_in
-        self.d_out = d_out
-        self.next_relations = next_relations
-        # cycles: x with d_out @ x in the next relation lattice
-        self.cycle_gens = _preimage_lattice(d_out, next_relations)
-        # relations: combinations of cycle generators landing in
-        # im(d_in) + ambient relations
-        rel = _preimage_lattice(self.cycle_gens, d_in.hstack(ambient.relations))
+        self.d_in = d_in = IntMatrix.zero(g, 0) if d_in is None else d_in
+        self.d_out = d_out = IntMatrix.zero(0, g) if d_out is None else d_out
+        self.next_group = next_group = PresentedAbGroup.free(d_out.rows) if next_group is None else next_group
+        self._reduction = s = smith_decompose(d_out.hstack(-next_group.relations))
+        self.cycle_gens = s._columns("V", s.num_nonzero).submatrix_rows(range(g))
+        rel = self.cycle_coordinates(d_in.hstack(ambient.relations))
+        if next_group.relations.cols:
+            loops = next_group._smith._columns("V", next_group._smith.num_nonzero)
+            rel = rel.hstack(self._lift(IntMatrix.zero(g, loops.cols), loops))
         self.presented = PresentedAbGroup(self.cycle_gens.cols, rel)
 
     @cached_property
     def group(self) -> PresentedAbGroup:
         return self.presented.canonical_group()
 
-    @cached_property
-    def _next_group(self) -> PresentedAbGroup:
-        return PresentedAbGroup(self.d_out.rows, self.next_relations)
-
-    @cached_property
-    def _cycle_smith(self) -> SmithDecomposition:
-        return smith_decompose(self.cycle_gens)
+    def _lift(self, Z: IntMatrix, Y: Optional[IntMatrix] = None) -> Optional[IntMatrix]:
+        """Rows r, r + 1, ... of V⁻¹ @ [Z; Y]: the coordinates of the columns
+        of Z on cycle_gens, or None when one is not a cycle.  Y defaults to a
+        solution of next relations @ Y == d_out @ Z."""
+        nxt = self.next_group
+        if Y is None and nxt.relations.cols:
+            Y = _smith_solve(nxt._smith, self.d_out @ Z)
+            if Y is None:
+                return None
+        s = self._reduction
+        r = s.num_nonzero
+        w = s._transform("V_inv", [dict(row) for row in Z._sparse + (Y._sparse if Y is not None else [])])
+        return None if any(w[:r]) else IntMatrix._of(len(w) - r, Z.cols, w[r:])
 
     def cycle_coordinates(self, Z: IntMatrix) -> IntMatrix:
         """X with cycle_gens @ X == Z, for Z a matrix of cycles."""
-        if Z.is_zero():
-            return IntMatrix.zero(self.cycle_gens.cols, Z.cols)
-        X = _smith_solve(self._cycle_smith, Z)
+        X = self._lift(Z)
         if X is None:
             raise ContractViolation("cycle does not lie in the computed cycle lattice")
         return X
@@ -718,11 +721,12 @@ class Subquotient:
         n = self.group.generator_count
         if Z.is_zero():
             return IntMatrix.zero(n, Z.cols)
-        if not self._next_group.represents_zero(self.d_out @ Z):
+        X = self._lift(Z)
+        if X is None:
             raise InputError("a column is not a cycle")
         if not n:
             return IntMatrix.zero(0, Z.cols)
-        return self.presented.to_canonical(self.cycle_coordinates(Z))
+        return self.presented.to_canonical(X)
 
     @cached_property
     def reps(self) -> IntMatrix:
@@ -782,7 +786,7 @@ class ChainComplexData:
         h = self._homology.get(k)
         if h is None:
             h = self._homology[k] = Subquotient(
-                self.group(k), self.differential(k - 1), self.differential(k), self.group(k + 1).relations
+                self.group(k), self.differential(k - 1), self.differential(k), self.group(k + 1)
             )
         return h
 

@@ -59,7 +59,6 @@ class Covering:
             union |= s
         if union != set(base.elements):
             raise InputError("members do not cover the space")
-        self._meets: Dict[tuple, frozenset] = {}  # intersection of each tuple `tuples` gave
         self._whole = frozenset(base.elements)
         # (intersection, member index) -> their intersection; every value is
         # one interned object per distinct intersection
@@ -81,30 +80,38 @@ class Covering:
             out = s if out is None else (out & s)
         return out if out is not None else frozenset(self.base.elements)
 
-    def tuples(self, p: int) -> List[tuple]:
-        """Strictly increasing (p+1)-tuples of member names with nonempty
-        intersection, in lexicographic member order.
+    def simplices(self, top: int) -> List[List[Tuple[tuple, frozenset]]]:
+        """Per degree p = 0..top, the strictly increasing (p+1)-tuples of
+        member names with nonempty intersection, in lexicographic member
+        order, each with its intersection; the list ends at the first empty
+        degree.
 
-        One member longer per pass, extending only tuples whose running
-        intersection is nonempty, so the work follows the output rather than
-        all (p+1)-subsets; extending each tuple in order by the later
-        members, in order, keeps the list sorted.  The intersection of each
-        tuple returned is kept for the Čech complexes built on them; tuples
-        with equal intersections share one object.
+        One pass, one member longer per degree, extending only tuples whose
+        running intersection is nonempty, so the work follows the output
+        rather than all subsets; extending each tuple in order by the later
+        members, in order, keeps every degree sorted.  Tuples with equal
+        intersections share one object.
         """
         order = self.order
         level = [((), self._whole, 0)]  # (tuple, intersection, next member)
-        for length in range(p + 1):
+        out = []
+        for _ in range(top + 1):
             longer = []
             for t, common, start in level:
-                for i in range(start, len(order) - p + length):
+                for i in range(start, len(order)):
                     meet = self._meet(common, i)
                     if meet:
                         longer.append((t + (order[i],), meet, i + 1))
             level = longer
-        for t, common, _ in level:
-            self._meets[t] = common
-        return [t for t, _, _ in level]
+            out.append([(t, common) for t, common, _ in level])
+            if not level:
+                break
+        return out
+
+    def tuples(self, p: int) -> List[tuple]:
+        """The tuples of degree p in `simplices`."""
+        levels = self.simplices(p)
+        return [t for t, _ in levels[p]] if 0 <= p < len(levels) else []
 
     def simplex_count(self, top: int) -> int:
         """The number of nerve simplices in degrees 0..top, counted without
@@ -137,13 +144,7 @@ class Covering:
 
 def nerve(c: Covering) -> List[tuple]:
     """All simplices of the nerve: index tuples with nonempty intersection."""
-    out = []
-    for p in range(len(c.order)):
-        tups = c.tuples(p)
-        if not tups:
-            break
-        out.extend(tups)
-    return out
+    return [t for level in c.simplices(len(c.order) - 1) for t, _ in level]
 
 
 class _Coefficients:
@@ -200,18 +201,13 @@ class CechComplex(FaceComplex):
         self.covering = covering
         self.coefficients = coefficients
         self.top = top
-        summands = []
         degrees = len(covering.order) if top is None else min(len(covering.order), top + 1)
         if covering.simplex_count(degrees - 1) > MAX_NERVE_SIMPLICES:
             raise InputError(
                 f"the Čech complex would have over {MAX_NERVE_SIMPLICES} nerve simplices in degrees 0..{degrees - 1}"
             )
-        for p in range(degrees):
-            meets = [(t, covering._meets[t]) for t in covering.tuples(p)]
-            summands.append([(t, coefficients.group(meet), meet) for t, meet in meets])
-            if not meets:
-                break
-        super().__init__(summands)
+        levels = covering.simplices(degrees - 1)
+        super().__init__([[(t, coefficients.group(meet), meet) for t, meet in level] for level in levels])
 
     def block(self, big: frozenset, small: frozenset) -> IntMatrix:
         return self.coefficients.restriction(big, small).matrix

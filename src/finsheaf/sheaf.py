@@ -224,7 +224,7 @@ def kernel_sheaf(m: SheafMorphism) -> PosetSheaf:
     kernel generator is written on the kernel generators at the target."""
     base = m.source.base
     kernels = {
-        p: Subquotient(m.source.stalks[p], None, m.components[p], m.target.stalks[p].relations)
+        p: Subquotient(m.source.stalks[p], None, m.components[p], m.target.stalks[p])
         for p in base.elements
     }
     maps = {}
@@ -287,7 +287,7 @@ def is_exact(morphisms: Sequence[SheafMorphism]) -> ExactnessResult:
                 return ExactnessResult(False, p, i)
         # d∘d = 0 holds now, so take homology directly
         for pos in range(1, len(groups) - 1):
-            homology = Subquotient(groups[pos], mats[pos - 1], mats[pos], groups[pos + 1].relations)
+            homology = Subquotient(groups[pos], mats[pos - 1], mats[pos], groups[pos + 1])
             if not homology.group.is_trivial():
                 return ExactnessResult(False, p, pos - 1)
     return ExactnessResult(True)

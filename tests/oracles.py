@@ -14,11 +14,18 @@ homology, one generator at a time, as the reference for its batched one.
 It does use the package's Smith form and `solve`, but only on one column
 at a time and through the transform matrices, never through a
 `Subquotient`'s own coordinates.
+
+`reference_subquotient` keeps the package's earlier construction of a
+homology group, two kernel bases of stacked matrices, as the reference for
+its one-reduction `Subquotient`.
+
+`universal_coefficients` turns the simplicial oracle's integral cohomology
+into cohomology with coefficients Z/p.
 """
 
 from itertools import combinations
 
-from finsheaf.abgroup import IntMatrix, smith_decompose, solve
+from finsheaf.abgroup import IntMatrix, PresentedAbGroup, kernel_basis, smith_decompose, solve
 
 
 def _simplices(elements, leq, dim):
@@ -208,6 +215,38 @@ def simplicial_cohomology(elements, leq, max_dim=None):
     return cohom
 
 
+def universal_coefficients(integral, prime, degrees):
+    """Canonical forms of H^q(Z/prime) for q < degrees, from the list
+    (free rank, torsion) of H^q(Z) that `simplicial_cohomology` returns:
+    H^q(Z/p) = H^q(Z) (x) Z/p + Tor(H^{q+1}(Z), Z/p) has one Z/p for each
+    free summand of H^q and each cyclic summand of H^q and of H^{q+1} whose
+    order p divides."""
+
+    def part(q):
+        return integral[q] if q < len(integral) else (0, [])
+
+    def divisible(q):
+        return sum(1 for f in part(q)[1] if f % prime == 0)
+
+    return [(0, (prime,) * (part(q)[0] + divisible(q) + divisible(q + 1))) for q in range(degrees)]
+
+
+def _preimage_lattice(A, B):
+    """Columns span {x : A @ x lies in the column span of B}."""
+    return kernel_basis(A.hstack(-B)).submatrix_rows(range(A.cols))
+
+
+def reference_subquotient(ambient, d_in, d_out, next_relations):
+    """(cycle_gens, presentation) of ker(d_out)/im(d_in) by the package's
+    earlier route: the cycles are the x with d_out @ x in the span of
+    next_relations, and the relations are the combinations of cycle
+    generators that land in im(d_in) + the ambient relations, each lattice
+    from the kernel basis of its own stacked matrix."""
+    cycle_gens = _preimage_lattice(d_out, next_relations)
+    relations = _preimage_lattice(cycle_gens, d_in.hstack(ambient.relations))
+    return cycle_gens, PresentedAbGroup(cycle_gens.cols, relations)
+
+
 def column_matrix(m, j):
     """Column j of the IntMatrix m, as a one-column IntMatrix."""
     return IntMatrix(m.rows, 1, [[x] for x in m.column(j)])
@@ -238,7 +277,7 @@ def reference_induced_map(source_h, target_h, f):
     for k in range(units, source_h.presented.generator_count):
         rep = source_h.cycle_gens @ column_matrix(source.U_inv, k)
         image = f(rep) if callable(f) else f @ rep
-        assert solve(target_h.next_relations, target_h.d_out @ image) is not None, "image is not a cycle"
+        assert solve(target_h.next_group.relations, target_h.d_out @ image) is not None, "image is not a cycle"
         coordinates = solve(target_h.cycle_gens, image)
         assert coordinates is not None, "cycle off the cycle lattice"
         z = (target.U @ coordinates).column(0)

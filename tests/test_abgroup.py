@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import column_matrix, dense_smith_diagonal, from_columns, reference_induced_map
+from oracles import column_matrix, dense_smith_diagonal, from_columns, reference_induced_map, reference_subquotient
 
 from finsheaf import abgroup, cli, wedge
 from finsheaf.abgroup import (
@@ -119,6 +119,20 @@ def test_presented_group_canonical():
     free = PresentedAbGroup.free(3)
     assert free.canonical == (3, ())
     assert PresentedAbGroup.from_canonical_form(1, [2]).canonical == (1, (2,))
+
+
+def test_canonical_form_of_a_canonical_presentation_takes_no_smith_form(monkeypatch):
+    calls = []
+    monkeypatch.setattr(abgroup, "smith_decompose", lambda m: calls.append(m) or smith_decompose(m))
+    g = PresentedAbGroup.from_canonical_form(1, [2, 4])
+    assert g.canonical == (1, (2, 4)) and PresentedAbGroup.free(3).canonical == (3, ())
+    assert cokernel(IntMatrix(2, 1, [[0], [0]])).canonical == (2, ())
+    assert calls == []
+    assert g.represents_zero(IntMatrix(3, 1, [[2], [4], [0]])) and len(calls) == 1  # the Smith form stays lazy
+    # factors that are not a divisibility chain are normalised through the Smith form
+    assert PresentedAbGroup.from_canonical_form(0, [3, 2]).canonical == (0, (6,))
+    assert PresentedAbGroup.from_canonical_form(0, [1, 2]).canonical == (0, (2,))
+    assert len(calls) == 3
 
 
 def test_canonical_coordinates_roundtrip():
@@ -611,3 +625,42 @@ def test_batched_solve_and_membership_equal_the_per_column_results(r, c, width, 
     group = PresentedAbGroup(r, M)
     assert group.represents_zero(B) == all(group.represents_zero(column_matrix(B, j)) for j in range(width))
     assert group.represents_zero(B) == all(x is not None for x in per_column)
+
+
+# -- the one-reduction homology against the two-lattice reference ------------
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3), st.integers(0, 3), st.booleans(), st.data())
+def test_one_reduction_subquotient_equals_the_two_lattice_reference(g0, g1, g2, c2, dependent, data):
+    """Homology of G0 -> G1 -> G2 for G0 free, random next relations (with
+    a dependent pair 2e, 4e on one generator when `dependent`, so that they
+    have a kernel) and ambient relations and boundaries drawn from the
+    reference's cycles, so that G1 has torsion and d_out is a homomorphism."""
+    R2 = IntMatrix(g2, c2, data.draw(dense_entries(g2, c2)))
+    if dependent and g2:
+        e = data.draw(st.integers(0, g2 - 1))
+        R2 = R2.hstack(IntMatrix.from_blocks(g2, 2, [(e, 0, 1, IntMatrix(1, 2, [[2, 4]]))]))
+    d_out = IntMatrix(g2, g1, data.draw(dense_entries(g2, g1)))
+    cycles, _ = reference_subquotient(PresentedAbGroup.free(g1), IntMatrix.zero(g1, 0), d_out, R2)
+    c1 = data.draw(st.integers(0, 3))
+    R1 = cycles @ IntMatrix(cycles.cols, c1, data.draw(dense_entries(cycles.cols, c1)))
+    d_in = cycles @ IntMatrix(cycles.cols, g0, data.draw(dense_entries(cycles.cols, g0)))
+    ambient, next_group = PresentedAbGroup(g1, R1), PresentedAbGroup(g2, R2)
+
+    h = Subquotient(ambient, d_in, d_out, next_group)
+    ref_gens, ref = reference_subquotient(ambient, d_in, d_out, R2)
+    assert h.cycle_gens == ref_gens
+    assert h.presented.generator_count == ref.generator_count
+    assert h.presented.represents_zero(ref.relations) and ref.represents_zero(h.presented.relations)
+    assert h.group.canonical == ref.canonical
+    # the reference's representatives give an endomorphism of the group
+    # that is onto, hence invertible (f.g. abelian groups are Hopfian)
+    on_reference_reps = GroupHom(h.group, h.group, h.classes(ref_gens @ ref.section))
+    assert on_reference_reps.is_surjective()
+    x = IntMatrix(g1, 1, data.draw(dense_entries(g1, 1)))
+    if solve(R2, d_out @ x) is None:
+        with pytest.raises(InputError, match="not a cycle"):
+            h.classes(x)
+    else:
+        assert h.cycle_gens @ h.cycle_coordinates(x) == x

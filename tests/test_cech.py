@@ -262,6 +262,40 @@ def test_nerve_tuples_match_the_subset_filter():
             assert c.tuples(p) == subset_filter(c, p)
 
 
+def reference_tuples(c, p):
+    """The nerve in degree p as `Covering.tuples` listed it before the
+    one-pass `Covering.simplices`: its own extension from the empty tuple,
+    one member longer per pass, by members that leave room for the rest."""
+    order = c.order
+    level = [((), frozenset(c.base.elements), 0)]
+    for length in range(p + 1):
+        longer = []
+        for t, common, start in level:
+            for i in range(start, len(order) - p + length):
+                meet = common & c.members[order[i]]
+                if meet:
+                    longer.append((t + (order[i],), meet, i + 1))
+        level = longer
+    return [t for t, _, _ in level]
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_one_pass_nerve_matches_the_per_degree_reference(n):
+    w = build_wedge(n)
+    for c in [canonical_covering(w)] + [stage_covering(w, m) for m in range(2, n + 2)]:
+        levels = c.simplices(len(c.order))
+        expected = [reference_tuples(c, p) for p in range(len(levels))]
+        assert [[t for t, _ in level] for level in levels] == expected
+        assert not levels[-1] and all(expected[:-1]), "the list ends at the first empty degree"
+        meets = {}
+        for level in levels:
+            for t, meet in level:
+                assert meet == c.intersection(t)
+                assert meets.setdefault(meet, meet) is meet, "equal intersections are one object"
+        for top in range(len(levels)):
+            assert c.simplices(top) == levels[: top + 1]
+
+
 def test_simplex_count_is_the_size_of_the_listed_nerve():
     for c in nerve_test_coverings():
         sizes = [len(c.tuples(p)) for p in range(len(c.order))]
@@ -277,10 +311,10 @@ def test_a_nerve_over_the_budget_is_refused_before_any_tuple_is_listed(monkeypat
     w = build_wedge(100)
     c, coeffs = stage_covering(w, 101), _Coefficients(gap_sheaf(w), 1)
 
-    def listing(self, p):
+    def listing(self, top):
         raise AssertionError("a tuple was listed")
 
-    monkeypatch.setattr(Covering, "tuples", listing)
+    monkeypatch.setattr(Covering, "simplices", listing)
     start = time.perf_counter()
     with pytest.raises(InputError, match="nerve simplices"):
         CechComplex(c, coeffs, 2)

@@ -1,0 +1,74 @@
+"""Property tests on random posets, drawn by hypothesis: the Euler
+characteristic of sheaves with free and torsion stalks, and constant Z/2
+and Z/3 cohomology against the simplicial oracle under universal
+coefficients.  Both read homology of cochain groups that have relations,
+and torsion in the group after them."""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import primary_decomposition, simplicial_cohomology, universal_coefficients
+
+from finsheaf.abgroup import PresentedAbGroup
+from finsheaf.cohom import cohomology
+from finsheaf.finspace import FinitePoset, OpenSet
+from finsheaf.sheaf import closed_pushforward, constant_sheaf, extension_by_zero
+
+
+@st.composite
+def posets(draw, max_elements=7):
+    """Elements e0, e1, ... listed in an order that extends the partial
+    order, as the simplicial oracle needs; each pair i < j related or not."""
+    n = draw(st.integers(2, max_elements))
+    labels = [f"e{i}" for i in range(n)]
+    pairs = [(labels[i], labels[j]) for i in range(n) for j in range(i + 1, n)]
+    kept = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return FinitePoset(labels, [pair for pair, keep in zip(pairs, kept) if keep])
+
+
+# Z^rank plus cyclic factors, not always in divisibility order ([2, 3])
+groups = st.builds(
+    PresentedAbGroup.from_canonical_form, st.integers(0, 2), st.lists(st.sampled_from([2, 3, 4, 6]), max_size=2)
+)
+
+
+@st.composite
+def sheaves(draw):
+    """A random poset and a sheaf on it with free and torsion stalks: a
+    constant sheaf, one extended by zero from an open set, or the
+    pushforward of a constant sheaf on the closed complement."""
+    base = draw(posets())
+    group = draw(groups)
+    seeds = draw(st.lists(st.sampled_from(base.elements), min_size=1, unique=True))
+    opens = set().union(*(base.up_set(e) for e in seeds))
+    kind = draw(st.sampled_from(["constant", "extension", "pushforward"]))
+    if kind == "constant":
+        return base, constant_sheaf(base, group)
+    if kind == "extension":
+        return base, extension_by_zero(base, OpenSet(base, opens), group)
+    return base, closed_pushforward(base, set(base.elements) - opens, group)
+
+
+@settings(max_examples=80, deadline=None)
+@given(sheaves())
+def test_euler_characteristic_of_sheaves_with_torsion_stalks(base_and_sheaf):
+    """Σ(-1)^k rank C^k = Σ(-1)^q rank H^q, the cochain ranks counted from
+    the strict chains and the stalk at each chain's last element."""
+    base, sheaf = base_and_sheaf
+    degrees = range(base.height + 1)
+    cochains = sum((-1) ** k * sum(sheaf.stalks[c[-1]].rank for c in base.strict_chains(k)) for k in degrees)
+    assert cochains == sum((-1) ** q * cohomology(base, sheaf, q).rank for q in degrees)
+
+
+@settings(max_examples=50, deadline=None)
+@given(posets())
+def test_constant_torsion_coefficients_under_universal_coefficients(base):
+    integral = simplicial_cohomology(list(base.elements), base.leq)
+    degrees = base.height + 2
+    for q in range(degrees):
+        free, torsion = integral[q] if q < len(integral) else (0, [])
+        rank, factors = cohomology(base, constant_sheaf(base, PresentedAbGroup.free(1)), q).canonical
+        assert (rank, primary_decomposition(factors)) == (free, primary_decomposition(torsion))
+    for prime in (2, 3):
+        sheaf = constant_sheaf(base, PresentedAbGroup.from_canonical_form(0, [prime]))
+        got = [cohomology(base, sheaf, q).canonical for q in range(degrees)]
+        assert got == universal_coefficients(integral, prime, degrees), f"H^*(Z/{prime})"

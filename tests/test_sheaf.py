@@ -229,7 +229,7 @@ def reference_kernel_sheaf(m):
     base = m.source.base
     gens, stalks = {}, {}
     for p in base.elements:
-        kernel = Subquotient(m.source.stalks[p], None, m.components[p], m.target.stalks[p].relations)
+        kernel = Subquotient(m.source.stalks[p], None, m.components[p], m.target.stalks[p])
         gens[p], stalks[p] = kernel.cycle_gens, kernel.presented
     maps = {}
     for (p, q) in base.covers:

@@ -195,18 +195,18 @@ def test_stage_evidence_intersects_each_nerve_tuple_at_most_once(monkeypatch):
     """Faces and refinement maps read each tuple's intersection from the
     Čech layout, where the nerve enumeration put it."""
     enumerated, intersections = [], []
-    tuples, intersection = Covering.tuples, Covering.intersection
+    simplices, intersection = Covering.simplices, Covering.intersection
 
-    def counting_tuples(self, p):
-        out = tuples(self, p)
-        enumerated.extend(out)
+    def counting_simplices(self, top):
+        out = simplices(self, top)
+        enumerated.extend(t for level in out for t, _ in level)
         return out
 
     def counting_intersection(self, names):
         intersections.append(tuple(names))
         return intersection(self, names)
 
-    monkeypatch.setattr(Covering, "tuples", counting_tuples)
+    monkeypatch.setattr(Covering, "simplices", counting_simplices)
     monkeypatch.setattr(Covering, "intersection", counting_intersection)
     collect_stage_evidence(build_wedge(4))
     assert enumerated
