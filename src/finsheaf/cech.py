@@ -299,28 +299,6 @@ class ComparisonReport:
     torsion_ok: bool
     gap: bool  # Ȟ² not isomorphic to H²
 
-    def to_dict(self) -> dict:
-        def canon(g):
-            return {"rank": g.canonical[0], "invariant_factors": list(g.canonical[1]), "pretty": str(g)}
-
-        return {
-            "cech": {
-                "H0": canon(self.cech_h0),
-                "H1": canon(self.cech_h1),
-                "H2": canon(self.cech_h2),
-                "H1_of_H1_presheaf": canon(self.cech_h1_of_h1),
-            },
-            "sheaf": {
-                "H0": canon(self.sheaf_h0),
-                "H1": canon(self.sheaf_h1),
-                "H2": canon(self.sheaf_h2),
-            },
-            "h0_agrees": self.h0_agrees,
-            "rank_bookkeeping_ok": self.rank_bookkeeping_ok,
-            "torsion_ok": self.torsion_ok,
-            "gap": self.gap,
-        }
-
     def table(self) -> str:
         rows = [
             ("Cech H^0", str(self.cech_h0)),

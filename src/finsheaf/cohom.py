@@ -223,28 +223,11 @@ def les_of_short_exact(
         if k + 1 < maxdeg:
             arrows.append(LESArrow(connecting(k), True))
 
-    # verify exactness at every node; the left end needs injectivity
-    exact = True
-    failing = None
-    if arrows and not arrows[0].hom.kernel_group().is_trivial():
-        exact = False
-        failing = 0
-    for i in range(1, len(nodes) - 1):
-        if not exact:
-            break
-        incoming = arrows[i - 1].hom
-        outgoing = arrows[i].hom if i < len(arrows) else None
-        if outgoing is None:
-            break
-        cx = ChainComplexData(
-            [incoming.source, incoming.target, outgoing.target],
-            [incoming.matrix, outgoing.matrix],
-        )
-        if not cx.homology(1).group.is_trivial():
-            exact = False
-            failing = i
-            break
-    return LongExactSequence(nodes, arrows, exact, failing)
+    # exact at node i < len(arrows) iff the sequence, read as one complex,
+    # has no homology there; the left end needs injectivity
+    les = ChainComplexData([n.group for n in nodes], [a.hom.matrix for a in arrows])
+    failing = next((i for i in range(len(arrows)) if not les.homology(i).group.is_trivial()), None)
+    return LongExactSequence(nodes, arrows, failing is None, failing)
 
 
 @dataclass

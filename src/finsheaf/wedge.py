@@ -10,10 +10,10 @@ the 2-cell "fn".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, List, Tuple
 
 from .abgroup import GroupHom, IntMatrix, PresentedAbGroup, kernel_basis, smith_decompose
-from .cech import CechComplex, Covering, _Coefficients, _refinement_map
+from .cech import CechComplex, Covering, _Coefficients, _refinement_map, cech_cohomology_hq
 from .cohom import cochain_complex
 from .errors import ContractViolation, InputError
 from .finspace import FinitePoset, OpenSet, RegularCWData, face_poset
@@ -84,13 +84,9 @@ def structure_sequence(w: WedgeSpace) -> List[SheafMorphism]:
 
 
 def canonical_covering(w: WedgeSpace) -> Covering:
-    """U_0 = complement of the 0-cells v_k; U_k = closed disk k minus x."""
-    members: Dict[str, set] = {
-        "U0": set(w.poset.elements) - {f"v{k}" for k in range(1, w.n + 1)}
-    }
-    for k in range(1, w.n + 1):
-        members[f"U{k}"] = {f"v{k}", f"a{k}", f"b{k}", f"f{k}"}
-    return Covering(w.poset, members, ["U0"] + [f"U{k}" for k in range(1, w.n + 1)])
+    """The stage-1 covering: U_0 = complement of the 0-cells v_k; U_k =
+    closed disk k minus x."""
+    return stage_covering(w, 1)
 
 
 @dataclass
@@ -215,15 +211,6 @@ def stage_covering(w: WedgeSpace, m: int) -> Covering:
     return Covering(w.poset, members, order)
 
 
-def _corner_complexes(w: WedgeSpace, stages: Iterable[int]) -> Dict[int, CechComplex]:
-    """The Čech complexes of the given stage coverings with coefficients
-    H¹(-, F), up to degree 2, all on one coefficient cache.  The latest
-    stage, whose nerve is the largest, is built first, so a wedge over the
-    nerve budget is refused before any stage is built."""
-    coeffs = _Coefficients(gap_sheaf(w), 1)
-    return {m: CechComplex(stage_covering(w, m), coeffs, 2) for m in sorted(stages, reverse=True)}
-
-
 def _stage_readout(w: WedgeSpace, m: int, cx: CechComplex) -> Tuple[PresentedAbGroup, IntMatrix, IntMatrix]:
     """(group, readout, readback) for the stage-m corner group.
 
@@ -260,8 +247,9 @@ def _stage_readout(w: WedgeSpace, m: int, cx: CechComplex) -> Tuple[PresentedAbG
 
 @dataclass
 class StageSystem:
-    """Corner groups Ȟ¹(stage m, H¹(F)) for m = 1..N+1 and the projection
-    transitions that mirror the infinite-space direct system.
+    """Corner groups Ȟ¹(stage m, H¹(F)) for m = 1..N+1, the stage Čech
+    complexes they are read from, and the projection transitions that mirror
+    the infinite-space direct system.
 
     In the finite truncation the refinement arrows between stage coverings
     run opposite to the infinite space (every open set around the origin
@@ -271,13 +259,17 @@ class StageSystem:
     """
 
     n: int
+    complexes: Dict[int, CechComplex]
     groups: Dict[int, PresentedAbGroup]
     readouts: Dict[int, IntMatrix]
     readbacks: Dict[int, IntMatrix]
 
-    def transition(self, m: int, m2: int) -> GroupHom:
+    def _check_stages(self, m: int, m2: int) -> None:
         if not (1 <= m <= m2 <= self.n + 1):
             raise InputError("need 1 <= m <= m' <= N+1")
+
+    def transition(self, m: int, m2: int) -> GroupHom:
+        self._check_stages(m, m2)
         src, tgt = self.groups[m], self.groups[m2]
         # drop the coordinates of disks m..m'-1
         proj = IntMatrix.from_blocks(
@@ -285,48 +277,35 @@ class StageSystem:
         )
         return GroupHom(src, tgt, self.readbacks[m2] @ proj @ self.readouts[m], check=False)
 
+    def inclusion(self, m: int, m2: int) -> GroupHom:
+        """The refinement-induced map Ȟ¹(stage m') -> Ȟ¹(stage m) for m <= m'
+        (the stage-m covering refines the stage-m' covering): a live disk
+        k < m' goes into the absorbed member D_k."""
+        self._check_stages(m, m2)
+        fine_cx, coarse_cx = self.complexes[m], self.complexes[m2]
+        coarse = coarse_cx.covering.members
+        assignment = {name: name if name in coarse else f"D{name[1:]}" for name in fine_cx.covering.order}
+        return _refinement_map(fine_cx, coarse_cx, assignment, 1)
+
 
 def stage_group(w: WedgeSpace, m: int) -> PresentedAbGroup:
     """Ȟ¹(stage-m covering, H¹(F)); isomorphic to Z^(N-m+1)."""
-    return _corner_complexes(w, [m])[m].homology(1).group
+    return cech_cohomology_hq(stage_covering(w, m), gap_sheaf(w), 1, 1)
 
 
 def stage_system(w: WedgeSpace) -> StageSystem:
-    return _stage_system(w, _corner_complexes(w, range(1, w.n + 2)))
-
-
-def _stage_system(w: WedgeSpace, complexes: Dict[int, CechComplex]) -> StageSystem:
+    """The stage Čech complexes with coefficients H¹(-, F), up to degree 2,
+    all on one coefficient cache, and their readouts.  The latest stage,
+    whose nerve is the largest, is built first, so a wedge over the nerve
+    budget is refused before any stage is built."""
+    coeffs = _Coefficients(gap_sheaf(w), 1)
+    complexes = {m: CechComplex(stage_covering(w, m), coeffs, 2) for m in range(w.n + 1, 0, -1)}
     groups: Dict[int, PresentedAbGroup] = {}
     readouts: Dict[int, IntMatrix] = {}
     readbacks: Dict[int, IntMatrix] = {}
     for m in range(1, w.n + 2):
-        g, out, back = _stage_readout(w, m, complexes[m])
-        groups[m] = g
-        readouts[m] = out
-        readbacks[m] = back
-    return StageSystem(w.n, groups, readouts, readbacks)
-
-
-def stage_refinement_inclusion(w: WedgeSpace, m: int, m2: int) -> GroupHom:
-    """The refinement-induced map Ȟ¹(stage m') -> Ȟ¹(stage m) for m <= m'
-    (the stage-m covering refines the stage-m' covering)."""
-    if not (1 <= m <= m2 <= w.n + 1):
-        raise InputError("need 1 <= m <= m' <= N+1")
-    complexes = _corner_complexes(w, {m, m2})
-    return _stage_refinement_inclusion(complexes[m], complexes[m2], m2)
-
-
-def _stage_refinement_inclusion(fine_cx: CechComplex, coarse_cx: CechComplex, m2: int) -> GroupHom:
-    assignment = {}
-    for name in fine_cx.covering.order:
-        if name == "U0":
-            assignment[name] = "U0"
-        elif name.startswith("D"):
-            assignment[name] = name
-        else:
-            k = int(name[1:])
-            assignment[name] = name if k >= m2 else f"D{k}"
-    return _refinement_map(fine_cx, coarse_cx, assignment, 1)
+        groups[m], readouts[m], readbacks[m] = _stage_readout(w, m, complexes[m])
+    return StageSystem(w.n, complexes, groups, readouts, readbacks)
 
 
 @dataclass
@@ -351,8 +330,7 @@ def collect_stage_evidence(w: WedgeSpace) -> StageEvidence:
     Each stage's Čech complex is built once, on one coefficient cache, and
     serves both its readout and every refinement map it takes part in.
     """
-    complexes = _corner_complexes(w, range(1, w.n + 2))
-    sys_ = _stage_system(w, complexes)
+    sys_ = stage_system(w)
     forms = {m: sys_.groups[m].canonical for m in range(1, w.n + 2)}
     transitions = []
     pairs = [(m, m + 1) for m in range(1, w.n + 1)]
@@ -360,7 +338,7 @@ def collect_stage_evidence(w: WedgeSpace) -> StageEvidence:
     for m, m2 in pairs:
         t = sys_.transition(m, m2)
         krank = kernel_basis(t.matrix).cols
-        roundtrip = t.compose(_stage_refinement_inclusion(complexes[m], complexes[m2], m2))
+        roundtrip = t.compose(sys_.inclusion(m, m2))
         transitions.append(
             {
                 "m": m,

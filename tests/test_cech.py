@@ -22,7 +22,7 @@ from finsheaf.cohom import cohomology, restriction_induced
 from finsheaf.errors import ContractViolation, InputError
 from finsheaf.finspace import FinitePoset, OpenSet
 from finsheaf.sheaf import constant_sheaf
-from finsheaf.wedge import build_wedge, canonical_covering, gap_sheaf, stage_covering, stage_refinement_inclusion
+from finsheaf.wedge import build_wedge, canonical_covering, gap_sheaf, stage_covering, stage_system
 
 Z = PresentedAbGroup.free(1)
 
@@ -431,9 +431,10 @@ def test_cech_complexes_match_the_reference_loop(n):
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_refinement_chain_maps_match_the_reference_loop(monkeypatch, n):
-    """Adjacent stage refinements, and refinements between the canonical
+    """Adjacent stage refinements, refinements between the canonical
     covering and shuffled copies of it, whose chain maps carry the parity
-    of the reordering."""
+    of the reordering, and a refinement into two members that sends
+    distinct tuples to degenerate ones, which map to zero."""
     seen = []
     original = cech.induced_on_homology
 
@@ -445,8 +446,9 @@ def test_refinement_chain_maps_match_the_reference_loop(monkeypatch, n):
     w = build_wedge(n)
     F = gap_sheaf(w)
     assignments = []
+    stages = stage_system(w)
     for m in range(1, n + 1):
-        stage_refinement_inclusion(w, m, m + 1)
+        stages.inclusion(m, m + 1)
         fine, coarse = stage_covering(w, m), stage_covering(w, m + 1)
         assignments.append({name: name if name in coarse.members else f"D{name[1:]}" for name in fine.order})
     c = canonical_covering(w)
@@ -459,6 +461,13 @@ def test_refinement_chain_maps_match_the_reference_loop(monkeypatch, n):
                 for fine, coarse in ((c, c.reordered(order)), (c.reordered(order), c)):
                     refinement_map(fine, coarse, {name: name for name in order}, F, p, q)
                     assignments.append({name: name for name in order})
+    fine = stage_covering(w, 3)
+    both = Covering(w.poset, {"A": w.poset.elements, "B": w.poset.elements})
+    onto_b = {name: "A" if name == "U0" else "B" for name in fine.order}
+    for q in (0, 1):
+        for p in (0, 1):
+            refinement_map(fine, both, onto_b, F, p, q)
+            assignments.append(onto_b)
     assert len(seen) == len(assignments)
     for (f, coarse_cx, fine_cx), assignment in zip(seen, assignments):
         want = reference_refinement_chain_map(fine_cx, coarse_cx, assignment)

@@ -127,6 +127,26 @@ def test_reproduce_smith_form_count_pinned(capsys, monkeypatch, n):
     assert len(built) == REPRODUCE_SMITH_FORMS[n]
 
 
+# Čech complexes built by `reproduce --disks N`: two for the comparison
+# report and one per stage, N + 1, which the stage system builds once each.
+REPRODUCE_CECH_COMPLEXES = {2: 5, 3: 6, 4: 7}
+
+
+@pytest.mark.parametrize("n", sorted(REPRODUCE_CECH_COMPLEXES))
+def test_reproduce_cech_complex_count_pinned(capsys, monkeypatch, n):
+    built = []
+    init = cech.CechComplex.__init__
+
+    def counting(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(cech.CechComplex, "__init__", counting)
+    code, _, _ = run(capsys, "reproduce", "--disks", str(n))
+    assert code == 0
+    assert len(built) == REPRODUCE_CECH_COMPLEXES[n]
+
+
 def test_constant_z_cohomology_takes_at_most_two_smith_forms_per_degree(monkeypatch):
     """H^q of constant Z on X_3 for q = 0..h: one reduction of the degree's
     cycle matrix, and one of its boundary coordinates unless they are all

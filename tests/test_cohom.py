@@ -87,6 +87,20 @@ def test_les_of_structure_sequence():
     assert les.segment(2, 1).is_trivial()
 
 
+def test_les_reports_the_first_node_where_exactness_fails(monkeypatch):
+    """With every induced map replaced by zero, H^0(A) = 0 still injects,
+    but H^0(B) = Z is neither hit nor killed: the first failure is node 1."""
+
+    def zero(self, target, f):
+        return GroupHom(self.group, target.group, IntMatrix.zero(target.group.generator_count, self.group.generator_count))
+
+    monkeypatch.setattr(abgroup.Subquotient, "induced_map", zero)
+    w = build_wedge(2)
+    p = w.poset
+    les = les_of_short_exact(p, structure_sequence(w), OpenSet(p, frozenset(p.elements)))
+    assert (les.exact, les.failing_node) == (False, 1)
+
+
 def test_les_connecting_map_is_isomorphism_here():
     w = build_wedge(3)
     p = w.poset

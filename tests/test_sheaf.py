@@ -9,6 +9,7 @@ from finsheaf.abgroup import GroupHom, IntMatrix, PresentedAbGroup, Subquotient,
 from finsheaf.errors import ContractViolation, InputError
 from finsheaf.finspace import FinitePoset, OpenSet
 from finsheaf.sheaf import (
+    ExactnessResult,
     PosetSheaf,
     SheafMorphism,
     closed_pushforward,
@@ -132,6 +133,10 @@ def test_is_exact_certificates():
     assert not res.exact and res.failing_element is not None
     # 0 -> Z_X --id--> Z_X -> 0 is exact
     assert bool(is_exact([SheafMorphism.identity(s)]))
+    # 0 -> Z --id--> Z --id--> Z -> 0 is not even a complex: id∘id != 0
+    ab = FinitePoset("ab", [("a", "b")])
+    z = constant_sheaf(ab, Z)
+    assert is_exact([SheafMorphism.identity(z), SheafMorphism.identity(z)]) == ExactnessResult(False, "a", 1)
 
 
 def test_zero_sheaf():

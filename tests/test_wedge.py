@@ -15,7 +15,6 @@ from finsheaf.wedge import (
     skeleton_sheaf,
     stage_covering,
     stage_group,
-    stage_refinement_inclusion,
     stage_system,
     structure_sequence,
     validate_five_conditions,
@@ -154,7 +153,7 @@ def test_stage_system_transitions():
 def test_transition_retracts_refinement_inclusion():
     w = build_wedge(2)
     sys_ = stage_system(w)
-    incl = stage_refinement_inclusion(w, 1, 2)
+    incl = sys_.inclusion(1, 2)
     t = sys_.transition(1, 2)
     assert t.compose(incl).equals_as_hom(GroupHom.identity(sys_.groups[2]))
     # the inclusion is injective but not surjective
@@ -217,16 +216,12 @@ def test_stage_refinements_reuse_the_readout_homologies(monkeypatch):
     """Once every stage is read out, the refinement maps of the stage
     evidence take Ȟ¹ of each stage complex from its cache: no homology is
     built on a Čech group afterwards."""
-    complexes, read, ambients = {}, [], []
-    corner, system, init = wedge._corner_complexes, wedge._stage_system, abgroup.Subquotient.__init__
+    read, ambients = [], []
+    system, init = wedge.stage_system, abgroup.Subquotient.__init__
 
-    def keeping(w, stages):
-        complexes.update(corner(w, stages))
-        return complexes
-
-    def reading(w, cxs):
-        out = system(w, cxs)
-        read.append(True)
+    def reading(w):
+        out = system(w)
+        read.append(out)
         return out
 
     def recording(self, ambient, *rest):
@@ -234,12 +229,11 @@ def test_stage_refinements_reuse_the_readout_homologies(monkeypatch):
             ambients.append(ambient)
         init(self, ambient, *rest)
 
-    monkeypatch.setattr(wedge, "_corner_complexes", keeping)
-    monkeypatch.setattr(wedge, "_stage_system", reading)
+    monkeypatch.setattr(wedge, "stage_system", reading)
     monkeypatch.setattr(abgroup.Subquotient, "__init__", recording)
     evidence = collect_stage_evidence(build_wedge(4))
-    assert read and len(evidence.transitions) == 5
-    cech_groups = {id(g) for cx in complexes.values() for g in cx.groups}
+    assert len(read) == 1 and len(evidence.transitions) == 5
+    cech_groups = {id(g) for cx in read[0].complexes.values() for g in cx.groups}
     assert not [a for a in ambients if id(a) in cech_groups]
 
 
@@ -258,7 +252,7 @@ def reference_readout(w, m, cx):
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_stage_readouts_match_the_reference(n):
     w = build_wedge(n)
-    complexes = wedge._corner_complexes(w, range(1, n + 2))
+    complexes = wedge.stage_system(w).complexes
     for m, cx in complexes.items():
         _, readout, readback = wedge._stage_readout(w, m, cx)
         assert (readout, readback) == reference_readout(w, m, cx)
@@ -268,7 +262,7 @@ def test_stage_readout_builds_no_subquotient_of_its_own(monkeypatch):
     """Once Ȟ¹ of a stage is computed, reading it out constructs no further
     homology: the columns come from its representative cycles."""
     w = build_wedge(3)
-    complexes = wedge._corner_complexes(w, range(1, w.n + 2))
+    complexes = wedge.stage_system(w).complexes
     for cx in complexes.values():
         cx.homology(1)
     built = []
@@ -286,7 +280,7 @@ def test_stage_readout_builds_no_subquotient_of_its_own(monkeypatch):
 
 def test_stage_readout_rejects_a_readout_that_is_not_unimodular(monkeypatch):
     w = build_wedge(3)
-    cx = wedge._corner_complexes(w, [1])[1]
+    cx = wedge.stage_system(w).complexes[1]
     reps = abgroup.Subquotient.reps
 
     def doubled(self):
