@@ -13,11 +13,9 @@ from .abgroup import (
     IntMatrix,
     PresentedAbGroup,
     SmithDecomposition,
-    cokernel,
     direct_sum,
     kernel_basis,
     smith_decompose,
-    smith_normal_form,
     solve,
 )
 from .cech import (
@@ -25,7 +23,6 @@ from .cech import (
     cech_cohomology,
     cech_cohomology_hq,
     cech_complex_hq,
-    cech_complex_sheaf,
     covering_comparison_report,
     nerve,
     refinement_map,
@@ -72,7 +69,6 @@ from .wedge import (
     gap_sheaf,
     skeleton_sheaf,
     stage_covering,
-    stage_group,
     stage_system,
     structure_sequence,
     validate_five_conditions,

@@ -431,12 +431,6 @@ def smith_decompose(M: IntMatrix) -> SmithDecomposition:
     )
 
 
-def smith_normal_form(M: IntMatrix):
-    """(U, D, V) with U @ M @ V == D, U and V unimodular, D in SNF."""
-    s = smith_decompose(M)
-    return s.U, s.D, s.V
-
-
 def kernel_basis(M: IntMatrix) -> IntMatrix:
     """Columns form a Z-basis of {x : M @ x = 0}: the identity when M has
     no rows, empty when it has no columns."""
@@ -474,11 +468,6 @@ def _smith_solve(s: SmithDecomposition, B: IntMatrix, lift: bool = True) -> Opti
         z.append(row)
     z += [{} for _ in range(s.shape[1] - k)]
     return IntMatrix._of(s.shape[1], B.cols, s._transform("V", z) if lift else z)
-
-
-def cokernel(M: IntMatrix) -> "PresentedAbGroup":
-    """The group with generators the rows of M and relations its columns."""
-    return PresentedAbGroup(M.rows, M)
 
 
 class PresentedAbGroup:
@@ -637,7 +626,7 @@ class GroupHom:
         return self.matrix == other.matrix or self.target.represents_zero(self.matrix - other.matrix)
 
     def is_surjective(self) -> bool:
-        return cokernel(self.matrix.hstack(self.target.relations)).is_trivial()
+        return self.cokernel_group().is_trivial()
 
     def kernel_group(self) -> PresentedAbGroup:
         """The kernel, as an abstract presented group."""

@@ -135,9 +135,6 @@ class Covering:
                 break
         return total
 
-    def reordered(self, new_order: Sequence[str]) -> "Covering":
-        return Covering(self.base, {n: self.members[n] for n in self.members}, new_order)
-
     def __repr__(self):
         return f"Covering({', '.join(self.order)})"
 
@@ -222,11 +219,6 @@ class CechComplex(FaceComplex):
 def cech_complex_hq(c: Covering, sheaf: PosetSheaf, q: int) -> CechComplex:
     """The Čech complex of the covering with coefficients V -> H^q(V, F)."""
     return CechComplex(c, _Coefficients(sheaf, q))
-
-
-def cech_complex_sheaf(c: Covering, sheaf: PosetSheaf) -> CechComplex:
-    """Čech complex with coefficients the sections H^0(-, F)."""
-    return cech_complex_hq(c, sheaf, 0)
 
 
 def cech_cohomology_hq(c: Covering, sheaf: PosetSheaf, q: int, p: int) -> PresentedAbGroup:

@@ -11,7 +11,6 @@ simplicial cochain complex of the order complex.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from typing import List, Mapping, Optional, Sequence
 
@@ -47,10 +46,10 @@ class CochainComplex(FaceComplex):
     without generators.
 
     The complex reads its blocks from the sheaf's restriction table and
-    holds the sheaf itself only weakly (`sheaf` is None once it is gone): a
-    sheaf keeps its complex (`cochain_complex`) without a reference cycle,
-    and a complex kept in a coefficient cache still serves restriction maps
-    after the restricted sheaf it was built on is dropped.
+    holds no reference to the sheaf itself: a sheaf keeps its complex
+    (`cochain_complex`) without a reference cycle, and a complex kept in a
+    coefficient cache still serves restriction maps after the restricted
+    sheaf it was built on is dropped.
     """
 
     def __init__(self, base: FinitePoset, sheaf: PosetSheaf):
@@ -60,7 +59,6 @@ class CochainComplex(FaceComplex):
                 f"the cochain complex would have {total} strict chains, over the limit of {MAX_STRICT_CHAINS}"
             )
         self.base = base
-        self._sheaf = weakref.ref(sheaf)
         self._restrictions = sheaf.restrictions
         stalks = sheaf.stalks
         super().__init__(
@@ -69,10 +67,6 @@ class CochainComplex(FaceComplex):
                 for k in range(max(base.height, 0) + 1)
             ]
         )
-
-    @property
-    def sheaf(self) -> Optional[PosetSheaf]:
-        return self._sheaf()
 
     def block(self, face_end: str, chain_end: str) -> IntMatrix:
         # identity unless the face drops the last element

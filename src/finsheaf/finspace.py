@@ -62,11 +62,6 @@ class FinitePoset:
                     above[a] = frozenset(via | succ[a])
                     rise[a] = 1 + max((rise[b] for b in cover_sets[a]), default=-1)
         self._above = {e: above[e] for e in self.elements}
-        below = {e: set() for e in self.elements}
-        for a, up in above.items():
-            for b in up:
-                below[b].add(a)
-        self._below = {e: frozenset(s) for e, s in below.items()}
         self._less = frozenset((a, b) for a, up in above.items() for b in up)
         # up-sets in element order: chains extend along them
         self._above_ordered = {e: tuple(sorted(s, key=self._index.__getitem__)) for e, s in above.items()}
@@ -107,11 +102,6 @@ class FinitePoset:
             raise InputError(f"unknown element {p!r}")
         return self._above[p] | {p}
 
-    def down_set(self, p: str) -> frozenset:
-        if p not in self._index:
-            raise InputError(f"unknown element {p!r}")
-        return self._below[p] | {p}
-
     def min_open(self, p: str) -> "OpenSet":
         """The smallest open set containing p: its up-set."""
         return OpenSet(self, self.up_set(p))
@@ -139,16 +129,6 @@ class FinitePoset:
         kept = tuple(e for e in self.elements if e in s)
         rels = [(a, b) for a in kept for b in self._above[a] if b in s]
         return FinitePoset(kept, rels)
-
-    def open_subspace(self, members: Iterable[str]) -> "FinitePoset":
-        if not self.is_open(members):
-            raise InputError("subset is not open (not an up-set)")
-        return self.subposet(members)
-
-    def closed_subspace(self, members: Iterable[str]) -> "FinitePoset":
-        if not self.is_closed(members):
-            raise InputError("subset is not closed (complement is not an up-set)")
-        return self.subposet(members)
 
     def strict_chains(self, k: int) -> list:
         """All strictly increasing (k+1)-chains, ordered lexicographically

@@ -46,11 +46,20 @@ def group_to_json(g: PresentedAbGroup) -> dict:
 
 def group_from_json(obj) -> PresentedAbGroup:
     try:
-        return PresentedAbGroup.from_canonical_form(
-            int(obj["rank"]), [int(f) for f in obj.get("invariant_factors", [])]
-        )
+        rank = int(obj["rank"])
+        factors = [int(f) for f in obj.get("invariant_factors", [])]
     except (KeyError, TypeError, ValueError):
         raise InputError("group must have integer 'rank' and 'invariant_factors'")
+    if rank < 0:
+        raise InputError(f"group rank must be >= 0, not {rank}")
+    return PresentedAbGroup.from_canonical_form(rank, factors)
+
+
+def _labels(obj, what: str) -> list:
+    """obj, refused with InputError unless it is an array of element labels."""
+    if not isinstance(obj, list) or not all(isinstance(e, str) for e in obj):
+        raise InputError(f"{what} must be an array of strings")
+    return obj
 
 
 def poset_to_json(p: FinitePoset) -> dict:
@@ -59,11 +68,12 @@ def poset_to_json(p: FinitePoset) -> dict:
 
 def poset_from_json(obj) -> FinitePoset:
     try:
-        elements = list(obj["elements"])
-        covers = [(a, b) for a, b in obj["covers"]]
-    except (KeyError, TypeError, ValueError):
+        elements, covers = obj["elements"], obj["covers"]
+    except (KeyError, TypeError):
         raise InputError("poset must have 'elements' and 'covers'")
-    return FinitePoset(elements, covers)
+    if not isinstance(covers, list) or any(len(_labels(pair, "a cover")) != 2 for pair in covers):
+        raise InputError("'covers' must be an array of [lower, upper] pairs")
+    return FinitePoset(_labels(elements, "'elements'"), covers)
 
 
 def covering_to_json(c: Covering) -> dict:
@@ -77,8 +87,8 @@ def covering_to_json(c: Covering) -> dict:
 
 def covering_from_json(base: FinitePoset, obj) -> Covering:
     try:
-        members = {name: set(labels) for name, labels in obj["members"].items()}
-        order = list(obj["order"])
+        members = {name: _labels(labels, f"member {name!r}") for name, labels in obj["members"].items()}
+        order = _labels(obj["order"], "'order'")
     except (KeyError, TypeError, AttributeError):
         raise InputError("covering must have 'members' and 'order'")
     return Covering(base, members, order)
@@ -88,7 +98,7 @@ def sheaf_to_json(s: PosetSheaf) -> dict:
     stalks = {e: group_to_json(s.stalks[e]) for e in s.base.elements}
     restrictions = {}
     for p, q in s.base.covers:
-        restrictions[f"{p}<{q}"] = matrix_to_json(s.restrict(p, q))
+        restrictions[f"{p}<{q}"] = matrix_to_json(s.restrictions(p, q))
     return {"stalks": stalks, "restrictions": restrictions}
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
-from .abgroup import IntMatrix, PresentedAbGroup, Subquotient, direct_sum
+from .abgroup import ChainComplexData, IntMatrix, PresentedAbGroup, Subquotient, direct_sum
 from .errors import ContractViolation, InputError
 from .finspace import FinitePoset, OpenSet
 
@@ -82,13 +82,9 @@ class PosetSheaf:
         if check:
             self._check_functorial()
 
-    def restrict(self, p: str, q: str) -> IntMatrix:
-        """The restriction matrix stalk(p) -> stalk(q) for p <= q."""
-        return self.restrictions(p, q)
-
     def _check_functorial(self) -> None:
         # Every cover map respects relations, and for every cover p < m and
-        # every q above m the composite through m agrees with restrict(p, q).
+        # every q above m the composite through m agrees with restrictions(p, q).
         # By induction on the length of [p, q], every factorization p < m < q
         # then agrees and every composite respects relations.
         for p, m in self.base.covers:
@@ -97,7 +93,7 @@ class PosetSheaf:
                 raise ContractViolation(f"restriction ({p},{m}) does not respect relations")
             for q in self.base.elements:
                 if self.base.lt(m, q):
-                    direct, via = self.restrict(p, q), self.restrict(m, q) @ cover
+                    direct, via = self.restrictions(p, q), self.restrictions(m, q) @ cover
                     if direct != via and not self.stalks[q].represents_zero(direct - via):
                         raise ContractViolation(f"restriction maps not functorial along {p} < {m} < {q}")
 
@@ -105,7 +101,7 @@ class PosetSheaf:
         """The sheaf induced on a subspace (restriction of the functor)."""
         sub = self.base.subposet(members)
         stalks = {e: self.stalks[e] for e in sub.elements}
-        maps = {(a, b): self.restrict(a, b) for (a, b) in sub.covers}
+        maps = {(a, b): self.restrictions(a, b) for (a, b) in sub.covers}
         return PosetSheaf(sub, stalks, maps, check=False)
 
     def __repr__(self):
@@ -193,8 +189,8 @@ class SheafMorphism:
 
     def _check_natural(self) -> None:
         for (p, q) in self.source.base.covers:
-            left = self.components[q] @ self.source.restrict(p, q)
-            right = self.target.restrict(p, q) @ self.components[p]
+            left = self.components[q] @ self.source.restrictions(p, q)
+            right = self.target.restrictions(p, q) @ self.components[p]
             if not self.target.stalks[q].represents_zero(left - right):
                 raise ContractViolation(f"naturality fails on cover relation ({p},{q})")
 
@@ -229,7 +225,7 @@ def kernel_sheaf(m: SheafMorphism) -> PosetSheaf:
     }
     maps = {}
     for (p, q) in base.covers:
-        maps[(p, q)] = kernels[q].cycle_coordinates(m.source.restrict(p, q) @ kernels[p].cycle_gens)
+        maps[(p, q)] = kernels[q].cycle_coordinates(m.source.restrictions(p, q) @ kernels[p].cycle_gens)
     return PosetSheaf(base, {p: k.presented for p, k in kernels.items()}, maps)
 
 
@@ -243,7 +239,7 @@ def cokernel_sheaf(m: SheafMorphism) -> PosetSheaf:
         )
         for p in base.elements
     }
-    maps = {(p, q): m.target.restrict(p, q) for (p, q) in base.covers}
+    maps = {(p, q): m.target.restrictions(p, q) for (p, q) in base.covers}
     return PosetSheaf(base, stalks, maps)
 
 
@@ -260,8 +256,12 @@ class ExactnessResult:
 def is_exact(morphisms: Sequence[SheafMorphism]) -> ExactnessResult:
     """Stalkwise exactness of 0 -> F_0 -> F_1 -> ... -> F_n -> 0.
 
-    Checks every object, with the sequence padded by zero maps on both ends.
-    The certificate names the first failing element and position.
+    A nonzero composite F_{i-1} -> F_{i+1} at some element fails at
+    position i: a non-complex is in particular not exact.  Otherwise the
+    stalks and components at each element are read as one complex, which is
+    zero outside its stored degrees, and position i fails where its degree-i
+    homology is not trivial.  The certificate names the first failing
+    element and position.
     """
     if not morphisms:
         raise InputError("need at least one morphism")
@@ -269,25 +269,14 @@ def is_exact(morphisms: Sequence[SheafMorphism]) -> ExactnessResult:
         if a.target is not b.source and a.target.base != b.source.base:
             raise InputError("morphisms do not compose")
     sheaves = [morphisms[0].source] + [m.target for m in morphisms]
-    base = sheaves[0].base
-    for p in base.elements:
-        groups = (
-            [PresentedAbGroup.trivial()]
-            + [s.stalks[p] for s in sheaves]
-            + [PresentedAbGroup.trivial()]
-        )
-        mats = (
-            [IntMatrix.zero(groups[1].generator_count, 0)]
-            + [m.components[p] for m in morphisms]
-            + [IntMatrix.zero(0, groups[-2].generator_count)]
-        )
-        # a non-complex is in particular not exact
-        for i in range(len(mats) - 1):
-            if not groups[i + 2].represents_zero(mats[i + 1] @ mats[i]):
+    for p in sheaves[0].base.elements:
+        stalks = [s.stalks[p] for s in sheaves]
+        maps = [m.components[p] for m in morphisms]
+        for i in range(len(maps) - 1):
+            if not stalks[i + 2].represents_zero(maps[i + 1] @ maps[i]):
+                return ExactnessResult(False, p, i + 1)
+        stalk_sequence = ChainComplexData(stalks, maps)
+        for i in range(len(stalks)):
+            if not stalk_sequence.homology(i).group.is_trivial():
                 return ExactnessResult(False, p, i)
-        # d∘d = 0 holds now, so take homology directly
-        for pos in range(1, len(groups) - 1):
-            homology = Subquotient(groups[pos], mats[pos - 1], mats[pos], groups[pos + 1])
-            if not homology.group.is_trivial():
-                return ExactnessResult(False, p, pos - 1)
     return ExactnessResult(True)

@@ -13,7 +13,6 @@ returned unreduced, never guessed at.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional
 
@@ -225,9 +224,6 @@ class Certificate:
             "transcript": self.transcript,
             "evidence": self.evidence,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
 
 def certify_theorem(evidence: dict) -> Certificate:

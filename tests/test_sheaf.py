@@ -35,7 +35,7 @@ def test_constant_sheaf_restrictions_are_identity():
     for a in p.elements:
         for b in p.elements:
             if p.lt(a, b):
-                assert s.restrict(a, b) == IntMatrix.identity(1)
+                assert s.restrictions(a, b) == IntMatrix.identity(1)
 
 
 def test_functoriality_checked():
@@ -60,7 +60,7 @@ def test_extension_by_zero_stalks():
     s = extension_by_zero(p, OpenSet(p, {"b", "c"}), Z)
     assert s.stalks["a"].is_trivial()
     assert s.stalks["b"].canonical == (1, ())
-    assert s.restrict("b", "c") == IntMatrix.identity(1)
+    assert s.restrictions("b", "c") == IntMatrix.identity(1)
 
 
 def test_closed_pushforward_counts_components():
@@ -137,6 +137,12 @@ def test_is_exact_certificates():
     ab = FinitePoset("ab", [("a", "b")])
     z = constant_sheaf(ab, Z)
     assert is_exact([SheafMorphism.identity(z), SheafMorphism.identity(z)]) == ExactnessResult(False, "a", 1)
+    # positions count the sheaves from 0, the ends of the sequence included
+    ident, zero = SheafMorphism.identity(z), SheafMorphism.zero(z, z)
+    assert is_exact([zero]) == ExactnessResult(False, "a", 0)  # ker 0 = Z at F_0
+    assert is_exact([ident, zero]) == ExactnessResult(False, "a", 2)  # coker 0 = Z at F_2
+    assert is_exact([zero, ident, ident]) == ExactnessResult(False, "a", 2)  # id∘id != 0 through F_2
+    assert bool(is_exact([ident, zero, ident]))
 
 
 def test_zero_sheaf():
@@ -156,7 +162,7 @@ def test_restriction_on_random_sheaves_respects_relations():
         m_ac = IntMatrix(1, 1, [[1]])
         maps = {("a", "b"): m_ab, ("a", "c"): m_ac, ("b", "d"): m_bd, ("c", "d"): prod}
         s = PosetSheaf(p, {e: Z for e in p.elements}, maps)
-        assert s.restrict("a", "d") == prod
+        assert s.restrictions("a", "d") == prod
 
 
 def triple_loop_verdict(base, stalks, cover_maps):
@@ -167,10 +173,10 @@ def triple_loop_verdict(base, stalks, cover_maps):
         for q in base.elements:
             if not base.lt(p, q):
                 continue
-            direct = GroupHom(stalks[p], stalks[q], s.restrict(p, q), check=False)
+            direct = GroupHom(stalks[p], stalks[q], s.restrictions(p, q), check=False)
             for m in base.elements:
                 if base.lt(p, m) and base.lt(m, q):
-                    via = s.restrict(m, q) @ s.restrict(p, m)
+                    via = s.restrictions(m, q) @ s.restrictions(p, m)
                     if not direct.equals_as_hom(GroupHom(stalks[p], stalks[q], via, check=False)):
                         return False
             images = direct.matrix @ stalks[p].relations
@@ -238,7 +244,7 @@ def reference_kernel_sheaf(m):
         gens[p], stalks[p] = kernel.cycle_gens, kernel.presented
     maps = {}
     for (p, q) in base.covers:
-        images = m.source.restrict(p, q) @ gens[p]
+        images = m.source.restrictions(p, q) @ gens[p]
         cols = []
         for j in range(images.cols):
             sol = solve(gens[q].hstack(-m.source.stalks[q].relations), column_matrix(images, j))

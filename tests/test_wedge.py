@@ -3,7 +3,7 @@ from oracles import reference_induced_map
 
 from finsheaf import abgroup, cohom, wedge
 from finsheaf.abgroup import GroupHom, IntMatrix, PresentedAbGroup, smith_decompose
-from finsheaf.cech import Covering
+from finsheaf.cech import Covering, cech_cohomology_hq
 from finsheaf.cohom import cohomology
 from finsheaf.errors import ContractViolation, InputError
 from finsheaf.sheaf import is_exact
@@ -14,7 +14,6 @@ from finsheaf.wedge import (
     gap_sheaf,
     skeleton_sheaf,
     stage_covering,
-    stage_group,
     stage_system,
     structure_sequence,
     validate_five_conditions,
@@ -134,7 +133,7 @@ def test_stage_covering_bounds_and_canonical_stage():
 def test_stage_groups_decrease():
     w = build_wedge(3)
     for m in range(1, 5):
-        assert stage_group(w, m).canonical == (3 - m + 1, ())
+        assert cech_cohomology_hq(stage_covering(w, m), gap_sheaf(w), 1, 1).canonical == (3 - m + 1, ())
 
 
 def test_stage_system_transitions():
