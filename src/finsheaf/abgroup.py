@@ -77,13 +77,11 @@ class IntMatrix:
         return cls._of(rows, cols, [{} for _ in range(rows)])
 
     @classmethod
-    def diagonal(cls, entries: Sequence[int], rows: Optional[int] = None, cols: Optional[int] = None) -> "IntMatrix":
-        r = rows if rows is not None else len(entries)
-        c = cols if cols is not None else len(entries)
-        if len(entries) > min(r, c):
-            raise IndexError(f"{len(entries)} diagonal entries do not fit {r}x{c}")
+    def diagonal(cls, entries: Sequence[int], rows: int, cols: int) -> "IntMatrix":
+        if len(entries) > min(rows, cols):
+            raise IndexError(f"{len(entries)} diagonal entries do not fit {rows}x{cols}")
         sparse = [{i: int(d)} if d else {} for i, d in enumerate(entries)]
-        return cls._of(r, c, sparse + [{} for _ in range(r - len(entries))])
+        return cls._of(rows, cols, sparse + [{} for _ in range(rows - len(entries))])
 
     @property
     def data(self) -> tuple:
@@ -497,7 +495,7 @@ class PresentedAbGroup:
     @classmethod
     def from_canonical_form(cls, rank: int, factors: Sequence[int]) -> "PresentedAbGroup":
         n = rank + len(factors)
-        g = cls(n, IntMatrix.diagonal(list(factors), rows=n, cols=len(factors)))
+        g = cls(n, IntMatrix.diagonal(list(factors), n, len(factors)))
         if all(d > 1 for d in factors) and all(b % a == 0 for a, b in zip(factors, factors[1:])):
             g.canonical = (rank, tuple(factors))  # already canonical: no Smith form to take
         return g
@@ -594,14 +592,16 @@ def direct_sum(groups: Sequence[PresentedAbGroup]) -> PresentedAbGroup:
 
 
 class GroupHom:
-    """Homomorphism of presented groups, recorded on generators."""
+    """Homomorphism of presented groups, recorded on generators; every one
+    is checked to send the source relations into the target relation
+    lattice (InputError), which for a free source takes no Smith form."""
 
     __slots__ = ("source", "target", "matrix", "__dict__")
 
-    def __init__(self, source: PresentedAbGroup, target: PresentedAbGroup, matrix: IntMatrix, check: bool = True):
+    def __init__(self, source: PresentedAbGroup, target: PresentedAbGroup, matrix: IntMatrix):
         if matrix.rows != target.generator_count or matrix.cols != source.generator_count:
             raise InputError("hom matrix dimensions do not match the groups")
-        if check and not target.represents_zero(matrix @ source.relations):
+        if not target.represents_zero(matrix @ source.relations):
             raise InputError("matrix does not map source relations into target relations")
         self.source = source
         self.target = target
@@ -609,15 +609,11 @@ class GroupHom:
 
     @classmethod
     def identity(cls, g: PresentedAbGroup) -> "GroupHom":
-        return cls(g, g, IntMatrix.identity(g.generator_count), check=False)
-
-    @classmethod
-    def zero(cls, source: PresentedAbGroup, target: PresentedAbGroup) -> "GroupHom":
-        return cls(source, target, IntMatrix.zero(target.generator_count, source.generator_count), check=False)
+        return cls(g, g, IntMatrix.identity(g.generator_count))
 
     def compose(self, first: "GroupHom") -> "GroupHom":
         """self ∘ first."""
-        return GroupHom(first.source, self.target, self.matrix @ first.matrix, check=False)
+        return GroupHom(first.source, self.target, self.matrix @ first.matrix)
 
     def equals_as_hom(self, other: "GroupHom") -> bool:
         """Equality as maps of groups (componentwise modulo target relations)."""
@@ -662,16 +658,15 @@ class Subquotient:
     None it is the kernel of the homomorphism d_out, as a presented group.
     """
 
-    def __init__(self, ambient: PresentedAbGroup, d_in: Optional[IntMatrix], d_out: Optional[IntMatrix],
-                 next_group: Optional[PresentedAbGroup] = None):
+    def __init__(self, ambient: PresentedAbGroup, d_in: Optional[IntMatrix], d_out: IntMatrix,
+                 next_group: PresentedAbGroup):
         g = ambient.generator_count
         self.ambient = ambient
-        self.d_in = d_in = IntMatrix.zero(g, 0) if d_in is None else d_in
-        self.d_out = d_out = IntMatrix.zero(0, g) if d_out is None else d_out
-        self.next_group = next_group = PresentedAbGroup.free(d_out.rows) if next_group is None else next_group
+        self.d_out = d_out
+        self.next_group = next_group
         self._reduction = s = smith_decompose(d_out.hstack(-next_group.relations))
         self.cycle_gens = s._columns("V", s.num_nonzero).submatrix_rows(range(g))
-        rel = self.cycle_coordinates(d_in.hstack(ambient.relations))
+        rel = self.cycle_coordinates(ambient.relations if d_in is None else d_in.hstack(ambient.relations))
         if next_group.relations.cols:
             loops = next_group._smith._columns("V", next_group._smith.num_nonzero)
             rel = rel.hstack(self._lift(IntMatrix.zero(g, loops.cols), loops))

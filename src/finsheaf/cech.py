@@ -42,10 +42,8 @@ MAX_NERVE_SIMPLICES = 50_000
 class Covering:
     """An ordered open covering: named members plus a total order on names."""
 
-    def __init__(self, base: FinitePoset, members: Dict[str, Sequence[str]], order: Optional[Sequence[str]] = None):
+    def __init__(self, base: FinitePoset, members: Dict[str, Sequence[str]], order: Sequence[str]):
         self.base = base
-        if order is None:
-            order = list(members)
         if sorted(order) != sorted(members):
             raise InputError("order must list exactly the member names")
         self.order = tuple(order)

@@ -33,11 +33,11 @@ from .wedge import (
 )
 
 
-def _emit(payload: dict, fmt: str, table_lines=None) -> None:
+def _emit(payload: dict, fmt: str, table_lines: list) -> None:
     if fmt == "json":
         print(json.dumps(payload, sort_keys=True, indent=2))
     else:
-        for line in table_lines or [f"{k}: {v}" for k, v in sorted(payload.items())]:
+        for line in table_lines:
             print(line)
 
 

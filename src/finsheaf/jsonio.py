@@ -21,22 +21,21 @@ def matrix_to_json(m: IntMatrix) -> list:
     return [[str(e) for e in row] for row in m.data]
 
 
-def matrix_from_json(obj, rows: int = None, cols: int = None) -> IntMatrix:
+def _integer(value, what: str) -> int:
+    """A JSON integer or decimal string as an int; floats and booleans are refused, not truncated."""
+    try:
+        if not isinstance(value, (bool, float)):
+            return int(value)
+    except (TypeError, ValueError):
+        pass
+    raise InputError(f"{what} must be an integer or a decimal string, not {value!r}")
+
+
+def matrix_from_json(obj, rows: int, cols: int) -> IntMatrix:
+    """The rows x cols matrix `obj`; a different shape is refused by IntMatrix."""
     if not isinstance(obj, list) or any(not isinstance(r, list) for r in obj):
         raise InputError("matrix must be an array of arrays")
-    try:
-        data = [[int(e) for e in row] for row in obj]
-    except (TypeError, ValueError):
-        raise InputError("matrix entries must be decimal integer strings")
-    r = len(data)
-    c = len(data[0]) if data else (cols or 0)
-    if any(len(row) != c for row in data):
-        raise InputError("matrix rows differ in length")
-    if rows is not None and r != rows:
-        raise InputError(f"expected {rows} rows, got {r}")
-    if cols is not None and c != cols:
-        raise InputError(f"expected {cols} columns, got {c}")
-    return IntMatrix(r, c, data)
+    return IntMatrix(rows, cols, [[_integer(e, "a matrix entry") for e in row] for row in obj])
 
 
 def group_to_json(g: PresentedAbGroup) -> dict:
@@ -46,12 +45,14 @@ def group_to_json(g: PresentedAbGroup) -> dict:
 
 def group_from_json(obj) -> PresentedAbGroup:
     try:
-        rank = int(obj["rank"])
-        factors = [int(f) for f in obj.get("invariant_factors", [])]
-    except (KeyError, TypeError, ValueError):
+        rank = _integer(obj["rank"], "'rank'")
+        factors = [_integer(f, "an invariant factor") for f in obj.get("invariant_factors", [])]
+    except (KeyError, TypeError):
         raise InputError("group must have integer 'rank' and 'invariant_factors'")
     if rank < 0:
         raise InputError(f"group rank must be >= 0, not {rank}")
+    if any(f < 2 for f in factors):
+        raise InputError(f"invariant factors must be >= 2, not {factors}")
     return PresentedAbGroup.from_canonical_form(rank, factors)
 
 
@@ -116,9 +117,7 @@ def sheaf_from_json(base: FinitePoset, obj) -> PosetSheaf:
         key = f"{p}<{q}"
         if key not in raw:
             raise InputError(f"missing restriction {key!r}")
-        cover_maps[(p, q)] = matrix_from_json(
-            raw[key], rows=stalks[q].generator_count, cols=stalks[p].generator_count
-        )
+        cover_maps[(p, q)] = matrix_from_json(raw[key], stalks[q].generator_count, stalks[p].generator_count)
     try:
         return PosetSheaf(base, stalks, cover_maps)
     except ContractViolation as e:

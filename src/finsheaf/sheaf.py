@@ -54,6 +54,12 @@ class _Restrictions:
 
 
 class PosetSheaf:
+    """Stalks and cover restrictions on a finite poset, checked to be a
+    functor unless `check` is False.  `constant_sheaf`, `extension_by_zero`
+    and `restricted_to` pass False: their maps are identities, zeros or a
+    checked sheaf's composites, so the check could find nothing there and
+    would only add time where many small sheaves are built."""
+
     def __init__(
         self,
         base: FinitePoset,
@@ -170,9 +176,11 @@ def closed_pushforward(base: FinitePoset, closed: Iterable[str], group: Presente
 
 
 class SheafMorphism:
-    """A natural transformation between sheaves on the same base."""
+    """A natural transformation between sheaves on the same base; every one
+    is checked to commute with the cover restrictions modulo the target
+    relations (ContractViolation)."""
 
-    def __init__(self, source: PosetSheaf, target: PosetSheaf, components: Dict[str, IntMatrix], check: bool = True):
+    def __init__(self, source: PosetSheaf, target: PosetSheaf, components: Dict[str, IntMatrix]):
         if source.base != target.base:
             raise InputError("morphism requires sheaves on the same base")
         for e in source.base.elements:
@@ -184,20 +192,16 @@ class SheafMorphism:
         self.source = source
         self.target = target
         self.components = dict(components)
-        if check:
-            self._check_natural()
-
-    def _check_natural(self) -> None:
-        for (p, q) in self.source.base.covers:
-            left = self.components[q] @ self.source.restrictions(p, q)
-            right = self.target.restrictions(p, q) @ self.components[p]
-            if not self.target.stalks[q].represents_zero(left - right):
+        for (p, q) in source.base.covers:
+            left = self.components[q] @ source.restrictions(p, q)
+            right = target.restrictions(p, q) @ self.components[p]
+            if not target.stalks[q].represents_zero(left - right):
                 raise ContractViolation(f"naturality fails on cover relation ({p},{q})")
 
     def between(self, source: PosetSheaf, target: PosetSheaf) -> "SheafMorphism":
         """This morphism between `source` and `target`, the restrictions of
         its source and target to one subspace."""
-        return SheafMorphism(source, target, {e: self.components[e] for e in source.base.elements}, check=False)
+        return SheafMorphism(source, target, {e: self.components[e] for e in source.base.elements})
 
     @classmethod
     def zero(cls, source: PosetSheaf, target: PosetSheaf) -> "SheafMorphism":
@@ -207,12 +211,12 @@ class SheafMorphism:
             )
             for e in source.base.elements
         }
-        return cls(source, target, comps, check=False)
+        return cls(source, target, comps)
 
     @classmethod
     def identity(cls, sheaf: PosetSheaf) -> "SheafMorphism":
         comps = {e: IntMatrix.identity(sheaf.stalks[e].generator_count) for e in sheaf.base.elements}
-        return cls(sheaf, sheaf, comps, check=False)
+        return cls(sheaf, sheaf, comps)
 
 
 def kernel_sheaf(m: SheafMorphism) -> PosetSheaf:
@@ -256,12 +260,12 @@ class ExactnessResult:
 def is_exact(morphisms: Sequence[SheafMorphism]) -> ExactnessResult:
     """Stalkwise exactness of 0 -> F_0 -> F_1 -> ... -> F_n -> 0.
 
-    A nonzero composite F_{i-1} -> F_{i+1} at some element fails at
-    position i: a non-complex is in particular not exact.  Otherwise the
-    stalks and components at each element are read as one complex, which is
-    zero outside its stored degrees, and position i fails where its degree-i
-    homology is not trivial.  The certificate names the first failing
-    element and position.
+    The stalks and components at each element are read as one complex,
+    zero outside its stored degrees, whose construction checks d∘d once.
+    Where it fails, the first nonzero composite F_{i-1} -> F_{i+1} is
+    sought and fails position i: a non-complex is not exact.  Otherwise
+    position i fails where the degree-i homology is not trivial.  The
+    certificate names the first failing element and position.
     """
     if not morphisms:
         raise InputError("need at least one morphism")
@@ -272,10 +276,11 @@ def is_exact(morphisms: Sequence[SheafMorphism]) -> ExactnessResult:
     for p in sheaves[0].base.elements:
         stalks = [s.stalks[p] for s in sheaves]
         maps = [m.components[p] for m in morphisms]
-        for i in range(len(maps) - 1):
-            if not stalks[i + 2].represents_zero(maps[i + 1] @ maps[i]):
-                return ExactnessResult(False, p, i + 1)
-        stalk_sequence = ChainComplexData(stalks, maps)
+        try:
+            stalk_sequence = ChainComplexData(stalks, maps)
+        except ContractViolation:
+            i = next(i for i in range(len(maps) - 1) if not stalks[i + 2].represents_zero(maps[i + 1] @ maps[i]))
+            return ExactnessResult(False, p, i + 1)
         for i in range(len(stalks)):
             if not stalk_sequence.homology(i).group.is_trivial():
                 return ExactnessResult(False, p, i)

@@ -274,7 +274,7 @@ class StageSystem:
         proj = IntMatrix.from_blocks(
             tgt.generator_count, src.generator_count, [(0, m2 - m, 1, IntMatrix.identity(tgt.generator_count))]
         )
-        return GroupHom(src, tgt, self.readbacks[m2] @ proj @ self.readouts[m], check=False)
+        return GroupHom(src, tgt, self.readbacks[m2] @ proj @ self.readouts[m])
 
     def inclusion(self, m: int, m2: int) -> GroupHom:
         """The refinement-induced map Ȟ¹(stage m') -> Ȟ¹(stage m) for m <= m'

@@ -462,7 +462,7 @@ def test_refinement_chain_maps_match_the_reference_loop(monkeypatch, n):
                     refinement_map(fine, coarse, {name: name for name in order}, F, p, q)
                     assignments.append({name: name for name in order})
     fine = stage_covering(w, 3)
-    both = Covering(w.poset, {"A": w.poset.elements, "B": w.poset.elements})
+    both = Covering(w.poset, {"A": w.poset.elements, "B": w.poset.elements}, ["A", "B"])
     onto_b = {name: "A" if name == "U0" else "B" for name in fine.order}
     for q in (0, 1):
         for p in (0, 1):

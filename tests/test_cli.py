@@ -280,6 +280,40 @@ def test_cohomology_of_a_json_sheaf_with_torsion_stalks(capsys, tmp_path):
         assert code == 0 and json.loads(out)["pretty"] == pretty
 
 
+@pytest.mark.parametrize(
+    "stalk, entry",
+    [
+        ({"rank": 0, "invariant_factors": [0]}, "1"),  # read as Z before
+        ({"rank": 0, "invariant_factors": [1]}, "1"),  # read as 0 before
+        ({"rank": 0, "invariant_factors": [-2]}, "1"),  # read as Z/2 before
+        ({"rank": 1}, 2.7),  # read as 2 before
+        ({"rank": 1}, True),  # read as 1 before
+        ({"rank": 1.9}, "1"),  # read as rank 1 before
+        ({"rank": True}, "1"),  # read as rank 1 before
+    ],
+    ids=["factor-0", "factor-1", "factor-negative", "float-entry", "bool-entry", "float-rank", "bool-rank"],
+)
+def test_json_sheaf_that_states_another_group_exits_1(capsys, tmp_path, stalk, entry):
+    """A group or matrix the file does not state exactly is refused, not
+    read as a different one."""
+    space = tmp_path / "space.json"
+    space.write_text(json.dumps({"elements": ["a", "b"], "covers": [["a", "b"]]}))
+    sheaf = tmp_path / "sheaf.json"
+    sheaf.write_text(json.dumps({"stalks": {"a": stalk, "b": stalk}, "restrictions": {"a<b": [[entry]]}}))
+    code, out, err = run(capsys, "cohomology", "--space", str(space), "--sheaf", str(sheaf), "--degree", "0")
+    assert code == 1 and out == ""
+    assert err.startswith("error:")
+
+
+def test_json_integers_and_decimal_strings_are_read_alike(capsys, tmp_path):
+    space = tmp_path / "space.json"
+    space.write_text(json.dumps({"elements": ["a", "b"], "covers": [["a", "b"]]}))
+    sheaf = tmp_path / "sheaf.json"
+    sheaf.write_text(json.dumps({"stalks": {"a": {"rank": 1}, "b": {"rank": "1"}}, "restrictions": {"a<b": [[1]]}}))
+    code, out, _ = run(capsys, "cohomology", "--space", str(space), "--sheaf", str(sheaf), "--degree", "0")
+    assert code == 0 and json.loads(out)["pretty"] == "Z"
+
+
 def test_table_format(capsys):
     code, out, _ = run(capsys, "cohomology", "--disks", "2", "--degree", "2", "--format", "table")
     assert code == 0 and out.strip() == "H^2 = Z^2"

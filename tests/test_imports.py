@@ -42,33 +42,80 @@ def test_no_unused_module_level_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
-def referenced_names(source: str) -> set:
-    """Every name, attribute and imported name the source mentions."""
-    referenced = set()
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Name):
-            referenced.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            referenced.add(node.attr)
-        elif isinstance(node, ast.alias):
-            referenced.add(node.name)
-    return referenced
+def references(source: str) -> tuple:
+    """What the source mentions: the set of bare and imported names, the
+    set of attribute names, and the set of (name, attribute) pairs written
+    `name.attribute`, with `cls` read as the class it is written in."""
+    names, attributes, qualified = set(), set(), set()
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Name):
+                names.add(child.id)
+            elif isinstance(child, ast.Attribute):
+                attributes.add(child.attr)
+                if isinstance(child.value, ast.Name):
+                    value = owner if child.value.id == "cls" else child.value.id
+                    qualified.add((value, child.attr))
+            elif isinstance(child, ast.alias):
+                names.add(child.name)
+            visit(child, child.name if isinstance(child, ast.ClassDef) else owner)
+
+    visit(ast.parse(source), None)
+    return names, attributes, qualified
+
+
+def definitions(source: str) -> list:
+    """(owner, name, line, kind) of every function, class and method.  A
+    method has its class as owner, and its kind is "class" for a classmethod
+    or staticmethod and "method" otherwise; everything else has owner None
+    and kind "name"."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) and owner is not None:
+                decorators = {d.id for d in child.decorator_list if isinstance(d, ast.Name)}
+                kind = "class" if decorators & {"classmethod", "staticmethod"} else "method"
+                found.append((owner, child.name, child.lineno, kind))
+                visit(child, None)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                found.append((None, child.name, child.lineno, "name"))
+                visit(child, child.name if isinstance(child, ast.ClassDef) else None)
+            else:
+                visit(child, owner)
+
+    visit(ast.parse(source), None)
+    return found
 
 
 def unreferenced_names(sources: dict, private: bool, users: dict = None) -> list:
     """Private (`_name`) or public functions, classes and methods, dunders
     aside, defined in the modules {file name: source} that neither they nor
-    the further sources `users` refer to by name."""
-    defined = {}
-    referenced = set()
-    for module, source in {**sources, **(users or {})}.items():
-        referenced |= referenced_names(source)
+    the further sources `users` refer to, a method as "file: Class.name".
+    A classmethod or staticmethod counts as referenced only as `Class.name`,
+    or as `cls.name` inside its class; any other method only as an
+    attribute `.name`; the rest by name or attribute."""
+    names, attributes, qualified = set(), set(), set()
+    for source in {**sources, **(users or {})}.values():
+        n, a, q = references(source)
+        names |= n
+        attributes |= a
+        qualified |= q
+    unused = []
     for module, source in sources.items():
-        for node in ast.walk(ast.parse(source)):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                if node.name.startswith("_") == private and not node.name.endswith("__"):
-                    defined[module, node.name] = node.lineno
-    return sorted(f"{m}: {name} (line {line})" for (m, name), line in defined.items() if name not in referenced)
+        for owner, name, line, kind in definitions(source):
+            if name.startswith("_") != private or name.endswith("__"):
+                continue
+            if kind == "class":
+                used = (owner, name) in qualified
+            elif kind == "method":
+                used = name in attributes
+            else:
+                used = name in names or name in attributes
+            if not used:
+                unused.append(f"{module}: {owner + '.' if owner else ''}{name} (line {line})")
+    return sorted(unused)
 
 
 def test_detector_flags_an_unreferenced_private_name():
@@ -89,7 +136,7 @@ class K:
         self._attr = 1
 """
     b = "from a import _used\n\n_used()\n"
-    assert unreferenced_names({"a.py": a, "b.py": b}, private=True) == ["a.py: _method (line 11)", "a.py: _unused (line 6)"]
+    assert unreferenced_names({"a.py": a, "b.py": b}, private=True) == ["a.py: K._method (line 11)", "a.py: _unused (line 6)"]
 
 
 def test_every_private_definition_is_referenced():
@@ -117,8 +164,54 @@ class K:
     b = "from a import used\n\nused()\n"
     users = {"test_a.py": "from a import K\n\nK().tested()\n"}
     assert unreferenced_names({"a.py": a, "b.py": b}, private=False, users=users) == [
-        "a.py: method (line 11)",
+        "a.py: K.method (line 11)",
         "a.py: unused (line 6)",
+    ]
+
+
+def test_detector_does_not_count_a_bare_name_as_a_method():
+    """A local variable that shares a method's name is no use of the method."""
+    a = """
+class K:
+    def column(self):
+        pass
+
+
+def pivot(rows):
+    column = rows[0]
+    return column
+"""
+    b = "from a import K, pivot\n\npivot([1])\n"
+    assert unreferenced_names({"a.py": a, "b.py": b}, private=False) == ["a.py: K.column (line 3)"]
+
+
+def test_detector_counts_a_classmethod_only_on_its_own_class():
+    """`A.zero` or `cls.zero` uses A's classmethod `zero`, not B's; neither
+    does an instance attribute `.zero`."""
+    a = """
+class A:
+    @classmethod
+    def zero(cls):
+        return cls.one()
+
+    @classmethod
+    def one(cls):
+        pass
+
+
+class B:
+    @classmethod
+    def zero(cls):
+        pass
+
+    @staticmethod
+    def one():
+        pass
+"""
+    b = "from a import A, B\n\nA.zero()\nB().one\n"
+    assert unreferenced_names({"a.py": a, "b.py": b}, private=False) == [
+        "a.py: B.one (line 18)",
+        "a.py: B.zero (line 14)",
     ]
 
 
@@ -126,27 +219,30 @@ class K:
 # `unreferenced_names` reports them, each with the reason it is kept: a
 # public name that only tests reach is deleted or listed here.
 TEST_ONLY_API = {
-    "abgroup.py: det": "the criterion-6 oracle: U and V of every Smith form have determinant +-1",
-    "abgroup.py: kernel_group": "criteria 3 and 9 read the kernels of connecting maps and stage transitions",
+    "abgroup.py: IntMatrix.det": "the criterion-6 oracle: U and V of every Smith form have determinant +-1",
+    "abgroup.py: IntMatrix.column": "one column as a tuple, as the per-vector oracles in tests/oracles.py read it",
+    "abgroup.py: GroupHom.kernel_group": "criteria 3 and 9 read the kernels of connecting maps and stage transitions",
     "cech.py: cech_complex_hq": "the untruncated Čech complex, oracle of the truncated ones; perfbench names it",
-    "cech.py: intersection": "the plain intersection of named members, oracle of the interned ones",
+    "cech.py: Covering.intersection": "the plain intersection of named members, oracle of the interned ones",
     "cech.py: nerve": "exported: the whole nerve of a covering, oracle of `simplex_count`",
     "cech.py: refinement_map": "exported: refinement maps between coverings given as such; perfbench names it",
-    "cech.py: table": "the comparison report as text, for readers of `covering_comparison_report`",
-    "cech.py: tuples": "perfbench/tracer.py hooks it; goes with the tracer rework (ROADMAP item 3)",
+    "cech.py: ComparisonReport.table": "the comparison report as text, for readers of `covering_comparison_report`",
+    "cech.py: Covering.tuples": "perfbench/tracer.py hooks it; goes with the tracer rework (ROADMAP item 3)",
     "cohom.py: component_identity_check": "criterion 4: the component-count identity for open sets",
-    "cohom.py: isomorphic": "the verdict of `component_identity_check`",
+    "cohom.py: ComponentIdentityResult.isomorphic": "the verdict of `component_identity_check`",
     "cohom.py: les_of_short_exact": "the criterion-3 cross-check of H^2 through the long exact sequence",
     "cohom.py: restriction_induced": "restrictions between `OpenSet`s; perfbench/tracer.py hooks it (ROADMAP item 3)",
-    "cohom.py: segment": "reads a node of `les_of_short_exact` by degree and position",
-    "finspace.py: leq": "the order itself, which oracles compare with; perfbench/tracer.py names it",
-    "finspace.py: min_open": "the minimal open set of a point as the `OpenSet` that callers pass on",
+    "cohom.py: LongExactSequence.segment": "reads a node of `les_of_short_exact` by degree and position",
+    "finspace.py: FinitePoset.leq": "the order itself, which oracles compare with; perfbench/tracer.py names it",
+    "finspace.py: FinitePoset.min_open": "the minimal open set of a point as the `OpenSet` that callers pass on",
     "jsonio.py: covering_to_json": "writes the covering files that `covering_from_json` reads",
     "jsonio.py: sheaf_to_json": "writes the sheaf files that `sheaf_from_json` reads",
+    "sheaf.py: SheafMorphism.identity": "the identity morphism, from which the `is_exact` tests build sequences",
+    "sheaf.py: SheafMorphism.zero": "the zero morphism, from which the `is_exact` and LES tests build non-exact sequences",
     "sheaf.py: cokernel_sheaf": "exported sheaf construction; perfbench/tracer.py names it",
     "sheaf.py: kernel_sheaf": "exported sheaf construction; perfbench/tracer.py names it",
     "sheaf.py: zero_sheaf": "exported sheaf construction; perfbench/tracer.py names it",
-    "wedge.py: failed": "the failed conditions of a five-condition report, read by criterion 8",
+    "wedge.py: FiveConditionReport.failed": "the failed conditions of a five-condition report, read by criterion 8",
     "wedge.py: structure_sequence": "the short exact sequence 0 -> F -> Z_X -> Z_{X^1} -> 0 of criterion 3",
 }
 
@@ -170,7 +266,7 @@ class K:
 """
     b = "from a import used\n\nused()\n"
     users = {"test_a.py": "from a import K\n\nK().tested()\n"}
-    assert reached_only_by({"a.py": a, "b.py": b}, users) == {"a.py: K", "a.py: tested"}
+    assert reached_only_by({"a.py": a, "b.py": b}, users) == {"a.py: K", "a.py: K.tested"}
 
 
 def test_every_public_definition_is_referenced():

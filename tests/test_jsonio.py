@@ -13,14 +13,14 @@ def roundtrip(obj):
 
 
 def test_matrix_roundtrip_and_validation():
-    m = jsonio.matrix_from_json([["3", "-4"], ["0", "7"]])
+    m = jsonio.matrix_from_json([["3", "-4"], ["0", "7"]], 2, 2)
     assert jsonio.matrix_to_json(m) == [["3", "-4"], ["0", "7"]]
     with pytest.raises(InputError):
-        jsonio.matrix_from_json([["a"]])
+        jsonio.matrix_from_json([["a"]], 1, 1)
     with pytest.raises(InputError):
-        jsonio.matrix_from_json([["1", "2"], ["3"]])
+        jsonio.matrix_from_json([["1", "2"], ["3"]], 2, 2)
     with pytest.raises(InputError):
-        jsonio.matrix_from_json([["1"]], rows=2)
+        jsonio.matrix_from_json([["1"]], 2, 1)
 
 
 def test_poset_roundtrip():

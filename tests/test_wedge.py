@@ -241,7 +241,9 @@ def reference_readout(w, m, cx):
     mapped, one generator at a time, into a free group of the live rank."""
     h = cx.homology(1)
     rows = [cx.summand(1, ("U0", f"U{k}"))[1] for k in range(m, w.n + 1)]
-    coordinates = abgroup.Subquotient(PresentedAbGroup.free(len(rows)), None, None)
+    coordinates = abgroup.Subquotient(
+        PresentedAbGroup.free(len(rows)), None, IntMatrix.zero(0, len(rows)), PresentedAbGroup.trivial()
+    )
     select = IntMatrix.identity(h.ambient.generator_count).submatrix_rows(rows)
     readout = reference_induced_map(h, coordinates, select)
     s = smith_decompose(readout)
