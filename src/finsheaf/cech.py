@@ -145,7 +145,8 @@ def nerve(c: Covering) -> List[tuple]:
 class _Coefficients:
     """H^q(-, F) on the opens of a covering, with restriction maps.
 
-    Keeps, per open set, the cochain complex of F on it, whose degree-q
+    Keeps, per open set, the cochain complex of F on it (the chains of the
+    base inside it, with F's own restriction table), whose degree-q
     homology is computed once, and memoizes every restriction
     H^q(big) -> H^q(small) by (big, small); an open set met in many
     intersections, or a pair met again, is computed once.
@@ -162,8 +163,7 @@ class _Coefficients:
     def _complex(self, members: frozenset) -> _cohom.CochainComplex:
         cx = self._complexes.get(members)
         if cx is None:
-            sub = self.sheaf.restricted_to(members)
-            cx = self._complexes[members] = _cohom.cochain_complex(sub.base, sub)
+            cx = self._complexes[members] = _cohom.CochainComplex(self.sheaf, members)
         return cx
 
     def group(self, members: frozenset) -> PresentedAbGroup:

@@ -12,6 +12,7 @@ simplicial cochain complex of the order complex.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 from typing import List, Mapping, Optional, Sequence
 
 from .abgroup import (
@@ -30,8 +31,8 @@ from .sheaf import PosetSheaf, SheafMorphism, constant_sheaf, extension_by_zero,
 
 # The most strict chains a cochain complex is built on.  Degree k has one
 # summand per strict (k+1)-chain, and a chain of h + 1 elements alone has
-# 2^(h+1) - 1 of them.  A poset with more is refused with InputError as soon
-# as `FinitePoset.strict_chain_counts` has counted them, before any chain is
+# 2^(h+1) - 1 of them.  A subset with more is refused with InputError as
+# soon as `FinitePoset.chain_count` has counted them, before any chain is
 # listed, instead of being left to run out of time or memory.  For scale, on
 # a 2-core machine: 65,535 chains (8 levels of 3, all adjacent pairs
 # related) take 2.6 s to build and 100 s and 215 MiB for every degree of
@@ -40,33 +41,34 @@ MAX_STRICT_CHAINS = 100_000
 
 
 class CochainComplex(FaceComplex):
-    """Strict-chain cochain complex of a sheaf: the summand of a chain is the
-    stalk at its end, and its data is that end.  Chains whose end has no
-    generators are left out, as `FaceComplex` leaves out every summand
-    without generators.
+    """Strict-chain cochain complex of a sheaf on a subspace: the summands
+    sit on the chains of the base inside `members`, the summand of a chain
+    is the stalk at its end, and its data is that end.  Chains whose end
+    has no generators are left out, as `FaceComplex` leaves out every
+    summand without generators.
 
-    The complex reads its blocks from the sheaf's restriction table and
-    holds no reference to the sheaf itself: a sheaf keeps its complex
-    (`cochain_complex`) without a reference cycle, and a complex kept in a
-    coefficient cache still serves restriction maps after the restricted
-    sheaf it was built on is dropped.
+    The sheaf induced on a subspace is the same functor on the induced
+    order, so this is the complex of `sheaf.restricted_to(members)`, built
+    with no subposet and no restricted sheaf: the same chains in the same
+    order, and blocks that agree modulo the relations of their target
+    stalks (as matrices wherever restrictions compose exactly).  The whole
+    base is one such subset.  The complex reads its blocks
+    from the sheaf's restriction table and holds no reference to the sheaf
+    itself: a sheaf keeps its complex (`cochain_complex`) without a
+    reference cycle, and a complex kept in a coefficient cache serves
+    restriction maps without keeping the sheaf alive.
     """
 
-    def __init__(self, base: FinitePoset, sheaf: PosetSheaf):
-        total = sum(base.strict_chain_counts())
+    def __init__(self, sheaf: PosetSheaf, members: frozenset):
+        total = sheaf.base.chain_count(members)
         if total > MAX_STRICT_CHAINS:
             raise InputError(
                 f"the cochain complex would have {total} strict chains, over the limit of {MAX_STRICT_CHAINS}"
             )
-        self.base = base
         self._restrictions = sheaf.restrictions
         stalks = sheaf.stalks
-        super().__init__(
-            [
-                [(c, stalks[c[-1]], c[-1]) for c in base.strict_chains(k)]
-                for k in range(max(base.height, 0) + 1)
-            ]
-        )
+        degrees = groupby(sheaf.base.strict_chains(members), len)
+        super().__init__([[(c, stalks[c[-1]], c[-1]) for c in chains] for _, chains in degrees] or [[]])
 
     def block(self, face_end: str, chain_end: str) -> IntMatrix:
         # identity unless the face drops the last element
@@ -84,7 +86,7 @@ def cochain_complex(base: FinitePoset, sheaf: PosetSheaf) -> CochainComplex:
     if sheaf.base != base:
         raise InputError("sheaf is not defined on the given poset")
     if sheaf._cochains is None:
-        sheaf._cochains = CochainComplex(base, sheaf)
+        sheaf._cochains = CochainComplex(sheaf, frozenset(base.elements))
     return sheaf._cochains
 
 
@@ -126,11 +128,9 @@ def restriction_induced(
     """The map H^q(V,F) -> H^q(W,F) induced by W ⊆ V, both open."""
     if not W.members <= V.members:
         raise InputError("W must be contained in V")
-    if V.parent != base or W.parent != base:
-        raise InputError("open sets must live on the given poset")
-    src, tgt = sheaf.restricted_to(V.members), sheaf.restricted_to(W.members)
-    src_cx, tgt_cx = cochain_complex(src.base, src), cochain_complex(tgt.base, tgt)
-    return restriction_on_homology(src_cx, tgt_cx, q)
+    if V.parent != base or W.parent != base or sheaf.base != base:
+        raise InputError("open sets and sheaf must live on the given poset")
+    return restriction_on_homology(CochainComplex(sheaf, V.members), CochainComplex(sheaf, W.members), q)
 
 
 @dataclass

@@ -68,9 +68,8 @@ class FinitePoset:
         self.covers = tuple(
             (a, b) for a in self.elements for b in sorted(cover_sets[a], key=self._index.__getitem__)
         )
-        # height bound cuts chain enumeration early
+        # the length of the longest chain, less one: the top cochain degree
         self.height = max(rise.values(), default=-1)
-        self._chain_counts = None  # `strict_chain_counts`, on first use
 
     def __len__(self):
         return len(self.elements)
@@ -130,39 +129,31 @@ class FinitePoset:
         rels = [(a, b) for a in kept for b in self._above[a] if b in s]
         return FinitePoset(kept, rels)
 
-    def strict_chains(self, k: int) -> list:
-        """All strictly increasing (k+1)-chains, ordered lexicographically
-        by the fixed element order."""
-        if k < 0:
-            raise InputError("chain length must be >= 0")
-        if k > self.height:
-            return []
-        # one element longer per pass; extending each chain in order by the
-        # elements above its end, in order, keeps the list sorted
-        chains = [(e,) for e in self.elements]
-        for _ in range(k):
-            chains = [c + (e,) for c in chains for e in self._above_ordered[c[-1]]]
+    def strict_chains(self, members: frozenset) -> list:
+        """All strictly increasing chains of elements of `members`, by
+        length, each length ordered lexicographically by the fixed element
+        order.  One pass: the chains of each length extend those one
+        shorter, in order, by the members above their end, in order, which
+        keeps every length sorted.  These are the chains of
+        `subposet(members)`, which keeps the element order."""
+        chains = [(e,) for e in self.elements if e in members]
+        start = 0
+        while start < len(chains):
+            shorter, start = chains[start:], len(chains)
+            chains += [c + (e,) for c in shorter for e in self._above_ordered[c[-1]] if e in members]
         return chains
 
-    def strict_chain_counts(self) -> tuple:
-        """counts[k] == len(strict_chains(k)) for k = 0..height, by dynamic
-        programming over the up-sets without enumerating a chain; computed
-        once per poset.  The chains of k+1 elements starting at e are e
-        followed by a chain of k elements starting above e, and an element
-        comes after everything above it in order of up-set size."""
-        if self._chain_counts is None:
-            n = self.height + 1
-            starting = {}  # e -> number of chains starting at e, by length
-            totals = [0] * n
-            for e in sorted(self.elements, key=lambda e: len(self._above[e])):
-                here = [1] + [0] * (n - 1)
-                for b in self._above[e]:
-                    for k, c in enumerate(starting[b][: n - 1]):
-                        here[k + 1] += c
-                starting[e] = here
-                totals = [t + c for t, c in zip(totals, here)]
-            self._chain_counts = tuple(totals)
-        return self._chain_counts
+    def chain_count(self, members: frozenset) -> int:
+        """len(strict_chains(members)), without listing a chain.  The chains
+        starting at e are e alone and e followed by a chain starting above
+        e, and an element comes after everything above it in order of
+        up-set size."""
+        if not self._index.keys() >= members:
+            raise InputError("chains must lie inside the poset")
+        starting = {}  # e -> the number of chains inside members starting at e
+        for e in sorted(members, key=lambda e: len(self._above[e])):
+            starting[e] = 1 + sum(map(starting.__getitem__, self._above[e] & members))
+        return sum(starting.values())
 
     def connected_components(self) -> list:
         """Partition of the elements by the equivalence closure of comparability."""

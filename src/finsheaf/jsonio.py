@@ -22,11 +22,14 @@ def matrix_to_json(m: IntMatrix) -> list:
 
 
 def _integer(value, what: str) -> int:
-    """A JSON integer or decimal string as an int; floats and booleans are refused, not truncated."""
+    """A JSON integer, or a string of ASCII digits with an optional leading
+    minus, as an int; floats, booleans and every other spelling (signs,
+    spaces, digit separators, non-ASCII digits) are refused, not read."""
+    digits = value.removeprefix("-") if isinstance(value, str) else ""
     try:
-        if not isinstance(value, (bool, float)):
+        if type(value) is int or (digits.isascii() and digits.isdigit()):
             return int(value)
-    except (TypeError, ValueError):
+    except ValueError:  # more digits than Python converts
         pass
     raise InputError(f"{what} must be an integer or a decimal string, not {value!r}")
 
@@ -45,10 +48,13 @@ def group_to_json(g: PresentedAbGroup) -> dict:
 
 def group_from_json(obj) -> PresentedAbGroup:
     try:
-        rank = _integer(obj["rank"], "'rank'")
-        factors = [_integer(f, "an invariant factor") for f in obj.get("invariant_factors", [])]
-    except (KeyError, TypeError):
+        rank, factors = obj["rank"], obj.get("invariant_factors", [])
+    except (KeyError, TypeError, AttributeError):
         raise InputError("group must have integer 'rank' and 'invariant_factors'")
+    if not isinstance(factors, list):
+        raise InputError(f"'invariant_factors' must be an array, not {factors!r}")
+    rank = _integer(rank, "'rank'")
+    factors = [_integer(f, "an invariant factor") for f in factors]
     if rank < 0:
         raise InputError(f"group rank must be >= 0, not {rank}")
     if any(f < 2 for f in factors):

@@ -14,7 +14,7 @@ from typing import Dict, List, Tuple
 
 from .abgroup import GroupHom, IntMatrix, PresentedAbGroup, kernel_basis, solve
 from .cech import CechComplex, Covering, _Coefficients, _refinement_map
-from .cohom import cochain_complex
+from .cohom import CochainComplex
 from .errors import ContractViolation, InputError
 from .finspace import FinitePoset, OpenSet, RegularCWData, face_poset
 from .sheaf import PosetSheaf, SheafMorphism, closed_pushforward, constant_sheaf, extension_by_zero
@@ -116,12 +116,14 @@ class FiveConditionReport:
         }
 
 
-def _acyclic_connected(space: FinitePoset) -> bool:
-    """Order complex has the cohomology of a point (the computable proxy for
-    CW-contractibility used by condition (i))."""
-    cx = cochain_complex(space, constant_sheaf(space, PresentedAbGroup.free(1)))
+def _acyclic_connected(ZX: PosetSheaf, members: frozenset) -> bool:
+    """The order complex of `members` has the cohomology of a point (the
+    computable proxy for CW-contractibility used by condition (i)), read
+    from the constant sheaf ZX of the whole space on the chains inside
+    `members`."""
+    cx = CochainComplex(ZX, members)
     return cx.homology(0).group.canonical == (1, ()) and all(
-        cx.homology(q).group.is_trivial() for q in range(1, space.height + 1)
+        cx.homology(q).group.is_trivial() for q in range(1, len(cx.groups))
     )
 
 
@@ -134,12 +136,13 @@ def validate_five_conditions(w: WedgeSpace, c: Covering) -> FiveConditionReport:
 
     # (i) each member and its skeleton trace, if nonempty, acyclic and connected
     bad = []
+    ZX = constant_sheaf(w.poset, PresentedAbGroup.free(1))
     for name in c.order:
         m = c.members[name]
-        if m and not _acyclic_connected(w.poset.subposet(m)):
+        if m and not _acyclic_connected(ZX, m):
             bad.append(name)
         trace = m & w.skeleton
-        if trace and not _acyclic_connected(w.poset.subposet(trace)):
+        if trace and not _acyclic_connected(ZX, trace):
             bad.append(f"{name} ∩ skeleton")
     verdicts.append(
         ConditionVerdict("i", not bad, "; ".join(f"{b} not acyclic+connected" for b in bad))

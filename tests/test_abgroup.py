@@ -6,6 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from counting import counting_calls
 from oracles import column_matrix, dense_smith_diagonal, from_columns, reference_induced_map, reference_subquotient
 
 from finsheaf import abgroup, cli, wedge
@@ -120,8 +121,7 @@ def test_presented_group_canonical():
 
 
 def test_canonical_form_of_a_canonical_presentation_takes_no_smith_form(monkeypatch):
-    calls = []
-    monkeypatch.setattr(abgroup, "smith_decompose", lambda m: calls.append(m) or smith_decompose(m))
+    calls = counting_calls(monkeypatch, abgroup, "smith_decompose")
     g = PresentedAbGroup.from_canonical_form(1, [2, 4])
     assert g.canonical == (1, (2, 4)) and PresentedAbGroup.free(3).canonical == (3, ())
     assert PresentedAbGroup(2, IntMatrix(2, 1, [[0], [0]])).canonical == (2, ())
@@ -237,15 +237,8 @@ def test_membership_through_the_cached_smith_form_agrees_with_solve():
 
 
 def test_membership_reuses_one_smith_form(monkeypatch):
-    from finsheaf import abgroup
+    calls = counting_calls(monkeypatch, abgroup, "smith_decompose")
 
-    calls = []
-
-    def counting(m):
-        calls.append((m.rows, m.cols))
-        return smith_decompose(m)
-
-    monkeypatch.setattr(abgroup, "smith_decompose", counting)
     def column(*entries):
         return IntMatrix(len(entries), 1, [[e] for e in entries])
 
@@ -258,7 +251,7 @@ def test_membership_reuses_one_smith_form(monkeypatch):
     assert not g.represents_zero(column(1, 2)) and not g.represents_zero(column(2, 0))
     assert g.represents_zero(IntMatrix(2, 2, [[2, -4], [4, -8]]))
     assert not g.represents_zero(IntMatrix(2, 2, [[2, 2], [4, 0]]))
-    assert calls == [(2, 1)]  # the group's own Smith form, computed once
+    assert [(call["M"].rows, call["M"].cols) for call in calls] == [(2, 1)]  # the group's own Smith form, computed once
 
 
 def check_against_dense_oracle(m):

@@ -3,6 +3,7 @@ import time
 from itertools import combinations
 
 import pytest
+from counting import counting_calls
 
 from finsheaf import cech, cohom, finspace
 from finsheaf.abgroup import GroupHom, IntMatrix, PresentedAbGroup, direct_sum
@@ -20,7 +21,7 @@ from finsheaf.cech import (
 from finsheaf.cohom import cohomology, restriction_induced
 from finsheaf.errors import ContractViolation, InputError
 from finsheaf.finspace import FinitePoset, OpenSet
-from finsheaf.sheaf import constant_sheaf
+from finsheaf.sheaf import PosetSheaf, constant_sheaf
 from finsheaf.wedge import build_wedge, canonical_covering, gap_sheaf, stage_covering, stage_system
 
 Z = PresentedAbGroup.free(1)
@@ -189,22 +190,20 @@ def test_cached_restrictions_match_uncached(n):
 
 
 def test_stage_complex_builds_each_open_set_once(monkeypatch):
+    """Every cochain complex a stage's Čech complex reads, by any route, is
+    built once per coefficient cache, on an intersection of its nerve, from
+    the sheaf itself rather than a restriction of it."""
     w = build_wedge(4)
     F = gap_sheaf(w)
-    built = []
-    original = cohom.cochain_complex
-
-    def counting(base, sheaf):
-        built.append(frozenset(base.elements))
-        return original(base, sheaf)
-
-    monkeypatch.setattr(cohom, "cochain_complex", counting)
+    built = counting_calls(monkeypatch, cohom.CochainComplex, "__init__")
     for m in range(1, w.n + 2):
         c = stage_covering(w, m)
         built.clear()
         cech_complex_hq(c, F, 1)
-        assert len(built) == len(set(built))
-        assert set(built) == {c.intersection(t) for t in nerve(c)}
+        opens = [call["members"] for call in built]
+        assert len(opens) == len(set(opens))
+        assert set(opens) == {c.intersection(t) for t in nerve(c)}
+        assert all(call["sheaf"] is F for call in built)
 
 
 def test_truncated_complex_has_no_homology_at_its_top():
@@ -320,22 +319,21 @@ def test_a_nerve_over_the_budget_is_refused_before_any_tuple_is_listed(monkeypat
     assert time.perf_counter() - start < 1.0
 
 
-def test_coefficients_build_one_poset_per_open_set(monkeypatch):
+def test_coefficients_build_one_complex_and_no_poset_per_open_set(monkeypatch):
+    """The coefficient complex of each intersection lies on the chains of
+    the base inside it: `cech_complex_hq` builds one cochain complex per
+    open set and no poset and no sheaf at all."""
     w = build_wedge(4)
     F = gap_sheaf(w)
     c = canonical_covering(w)
     opens = {c.intersection(t) for t in nerve(c)}
-    built = []
-    original = finspace.FinitePoset.__init__
-
-    def counting(self, elements, relations=()):
-        built.append(self)
-        original(self, elements, relations)
-
-    monkeypatch.setattr(finspace.FinitePoset, "__init__", counting)
+    posets = counting_calls(monkeypatch, finspace.FinitePoset, "__init__")
+    sheaves = counting_calls(monkeypatch, PosetSheaf, "__init__")
+    complexes = counting_calls(monkeypatch, cohom.CochainComplex, "__init__")
     cech_complex_hq(c, F, 1)
-    assert len(built) == len(opens)
-    assert {frozenset(p.elements) for p in built} == opens
+    assert posets == [] and sheaves == []
+    assert len(complexes) == len(opens)
+    assert {call["members"] for call in complexes} == opens
 
 
 # -- reference loops ----------------------------------------------------------

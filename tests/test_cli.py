@@ -2,10 +2,11 @@ import hashlib
 import json
 
 import pytest
+from counting import counting_calls
 
-from finsheaf import abgroup, cech, cohom, jsonio
+from finsheaf import abgroup, cech, cohom, finspace, jsonio
 from finsheaf.cli import main
-from finsheaf.sheaf import constant_sheaf
+from finsheaf.sheaf import PosetSheaf, constant_sheaf
 from finsheaf.wedge import build_wedge, canonical_covering
 
 
@@ -108,22 +109,9 @@ def test_reproduce_stdout_bytes_pinned(capsys, n):
 REPRODUCE_SMITH_FORMS = {2: 73, 3: 98, 4: 123}
 
 
-def counting_smith_forms(monkeypatch):
-    """The shapes of the Smith forms taken from now on, as a growing list."""
-    built = []
-    init = abgroup.SmithDecomposition.__init__
-
-    def counting(self, *args, **kwargs):
-        built.append(kwargs["shape"])
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(abgroup.SmithDecomposition, "__init__", counting)
-    return built
-
-
 @pytest.mark.parametrize("n", sorted(REPRODUCE_SMITH_FORMS))
 def test_reproduce_smith_form_count_pinned(capsys, monkeypatch, n):
-    built = counting_smith_forms(monkeypatch)
+    built = counting_calls(monkeypatch, abgroup.SmithDecomposition, "__init__")
     code, _, _ = run(capsys, "reproduce", "--disks", str(n))
     assert code == 0
     assert len(built) == REPRODUCE_SMITH_FORMS[n]
@@ -136,17 +124,29 @@ REPRODUCE_CECH_COMPLEXES = {2: 5, 3: 6, 4: 7}
 
 @pytest.mark.parametrize("n", sorted(REPRODUCE_CECH_COMPLEXES))
 def test_reproduce_cech_complex_count_pinned(capsys, monkeypatch, n):
-    built = []
-    init = cech.CechComplex.__init__
-
-    def counting(self, *args):
-        built.append(self)
-        init(self, *args)
-
-    monkeypatch.setattr(cech.CechComplex, "__init__", counting)
+    built = counting_calls(monkeypatch, cech.CechComplex, "__init__")
     code, _, _ = run(capsys, "reproduce", "--disks", str(n))
     assert code == 0
     assert len(built) == REPRODUCE_CECH_COMPLEXES[n]
+
+
+# Posets and sheaves built by `reproduce --disks N`.  The wedge is the one
+# poset: every cochain complex on an intersection, stage member or skeleton
+# trace lies on the chains of the wedge inside it.  The sheaves are the gap
+# sheaf of the comparison report, the one of the stage system, and the
+# constant sheaf of condition (i); none is a restricted sheaf.
+REPRODUCE_POSETS = {2: 1, 3: 1, 4: 1}
+REPRODUCE_SHEAVES = {2: 3, 3: 3, 4: 3}
+
+
+@pytest.mark.parametrize("n", sorted(REPRODUCE_POSETS))
+def test_reproduce_poset_and_sheaf_counts_pinned(capsys, monkeypatch, n):
+    posets = counting_calls(monkeypatch, finspace.FinitePoset, "__init__")
+    sheaves = counting_calls(monkeypatch, PosetSheaf, "__init__")
+    code, _, _ = run(capsys, "reproduce", "--disks", str(n))
+    assert code == 0
+    assert len(posets) == REPRODUCE_POSETS[n]
+    assert len(sheaves) == REPRODUCE_SHEAVES[n]
 
 
 def test_constant_z_cohomology_takes_at_most_two_smith_forms_per_degree(monkeypatch):
@@ -155,7 +155,7 @@ def test_constant_z_cohomology_takes_at_most_two_smith_forms_per_degree(monkeypa
     zero; the canonical group of the result takes none."""
     w = build_wedge(3)
     Z = constant_sheaf(w.poset, abgroup.PresentedAbGroup.free(1))
-    built = counting_smith_forms(monkeypatch)
+    built = counting_calls(monkeypatch, abgroup.SmithDecomposition, "__init__")
     groups = [cohom.cohomology(w.poset, Z, q).canonical for q in range(w.poset.height + 1)]
     assert groups == [(1, ()), (0, ()), (0, ())]
     assert len(built) == 5 <= 2 * len(groups)
@@ -171,22 +171,12 @@ REPRODUCE_CECH_SUMMANDS = {4: 39, 16: 3892}
 
 @pytest.mark.parametrize("n", sorted(REPRODUCE_RESTRICTIONS))
 def test_reproduce_restriction_and_summand_counts_pinned(capsys, monkeypatch, n):
-    restrictions, summands = [], []
-    restrict, init = cohom.restriction_on_homology, cech.CechComplex.__init__
-
-    def counting_restriction(*args):
-        restrictions.append(args)
-        return restrict(*args)
-
-    def counting_summands(self, *args):
-        init(self, *args)
-        summands.append(sum(len(self.summands(k)) for k in range(len(self.groups))))
-
-    monkeypatch.setattr(cohom, "restriction_on_homology", counting_restriction)
-    monkeypatch.setattr(cech.CechComplex, "__init__", counting_summands)
+    restrictions = counting_calls(monkeypatch, cohom, "restriction_on_homology")
+    complexes = counting_calls(monkeypatch, cech.CechComplex, "__init__")
     code, _, _ = run(capsys, "reproduce", "--disks", str(n))
     assert code == 0
     assert len(restrictions) == REPRODUCE_RESTRICTIONS[n]
+    summands = [len(cx.summands(k)) for cx in (call["self"] for call in complexes) for k in range(len(cx.groups))]
     assert sum(summands) == REPRODUCE_CECH_SUMMANDS[n]
 
 
@@ -290,8 +280,24 @@ def test_cohomology_of_a_json_sheaf_with_torsion_stalks(capsys, tmp_path):
         ({"rank": 1}, True),  # read as 1 before
         ({"rank": 1.9}, "1"),  # read as rank 1 before
         ({"rank": True}, "1"),  # read as rank 1 before
+        ({"rank": 1}, "1_0"),  # read as 10 before
+        ({"rank": 1}, "+1"),  # read as 1 before
+        ({"rank": 1}, " 1"),  # read as 1 before
+        ({"rank": 1}, "\u0661"),  # an Arabic-Indic one, read as 1 before
     ],
-    ids=["factor-0", "factor-1", "factor-negative", "float-entry", "bool-entry", "float-rank", "bool-rank"],
+    ids=[
+        "factor-0",
+        "factor-1",
+        "factor-negative",
+        "float-entry",
+        "bool-entry",
+        "float-rank",
+        "bool-rank",
+        "entry-separator",
+        "entry-plus",
+        "entry-space",
+        "entry-non-ascii-digit",
+    ],
 )
 def test_json_sheaf_that_states_another_group_exits_1(capsys, tmp_path, stalk, entry):
     """A group or matrix the file does not state exactly is refused, not
@@ -305,11 +311,36 @@ def test_json_sheaf_that_states_another_group_exits_1(capsys, tmp_path, stalk, e
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "stalk",
+    [
+        {"rank": 0, "invariant_factors": "23"},  # read as Z/6 before
+        {"rank": 0, "invariant_factors": {"4": 1}},  # read as Z/4 before
+        {"rank": "1_0"},  # read as Z^10 before
+        {"rank": 0, "invariant_factors": ["1_2"]},  # read as Z/12 before
+        {"rank": "+1"},  # read as Z before
+        {"rank": "\u0661"},  # an Arabic-Indic one, read as Z before
+    ],
+    ids=["factors-string", "factors-object", "rank-separator", "factor-separator", "rank-plus", "rank-non-ascii-digit"],
+)
+def test_json_stalk_spelled_otherwise_exits_1(capsys, tmp_path, stalk):
+    """On a one-point space, where any group would fit, a stalk not stated
+    as an array of factors and a rank and factors in plain decimal is
+    refused, not read as some group."""
+    space = tmp_path / "space.json"
+    space.write_text(json.dumps({"elements": ["a"], "covers": []}))
+    sheaf = tmp_path / "sheaf.json"
+    sheaf.write_text(json.dumps({"stalks": {"a": stalk}, "restrictions": {}}))
+    code, out, err = run(capsys, "cohomology", "--space", str(space), "--sheaf", str(sheaf), "--degree", "0")
+    assert code == 1 and out == ""
+    assert err.startswith("error:")
+
+
 def test_json_integers_and_decimal_strings_are_read_alike(capsys, tmp_path):
     space = tmp_path / "space.json"
     space.write_text(json.dumps({"elements": ["a", "b"], "covers": [["a", "b"]]}))
     sheaf = tmp_path / "sheaf.json"
-    sheaf.write_text(json.dumps({"stalks": {"a": {"rank": 1}, "b": {"rank": "1"}}, "restrictions": {"a<b": [[1]]}}))
+    sheaf.write_text(json.dumps({"stalks": {"a": {"rank": 1}, "b": {"rank": "1"}}, "restrictions": {"a<b": [["-1"]]}}))
     code, out, _ = run(capsys, "cohomology", "--space", str(space), "--sheaf", str(sheaf), "--degree", "0")
     assert code == 0 and json.loads(out)["pretty"] == "Z"
 

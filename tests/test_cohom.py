@@ -4,6 +4,7 @@ import time
 import weakref
 
 import pytest
+from counting import counting_calls
 from oracles import reference_induced_map
 
 from finsheaf import abgroup, cech, cohom, finspace
@@ -139,14 +140,7 @@ def test_les_restricts_each_sheaf_once(monkeypatch):
     w = build_wedge(4)
     V = OpenSet(w.poset, frozenset(w.poset.elements))
     ses = structure_sequence(w)
-    built = []
-    original = finspace.FinitePoset.__init__
-
-    def counting(self, elements, relations=()):
-        built.append(self)
-        original(self, elements, relations)
-
-    monkeypatch.setattr(finspace.FinitePoset, "__init__", counting)
+    built = counting_calls(monkeypatch, finspace.FinitePoset, "__init__")
     les = les_of_short_exact(w.poset, ses, V)
     assert les.exact
     assert len(built) == 3
@@ -176,17 +170,10 @@ def test_component_identity_full_space():
 def test_component_identity_builds_each_subposet_once(monkeypatch):
     w = build_wedge(4)
     V = OpenSet(w.poset, frozenset(w.poset.elements))
-    built = []
-    original = finspace.FinitePoset.__init__
-
-    def counting(self, elements, relations=()):
-        built.append(self)
-        original(self, elements, relations)
-
-    monkeypatch.setattr(finspace.FinitePoset, "__init__", counting)
+    built = counting_calls(monkeypatch, finspace.FinitePoset, "__init__")
     assert component_identity_check(w.poset, V, w.skeleton).status == "pass"
     assert len(built) == 2
-    assert {frozenset(p.elements) for p in built} == {V.members, w.skeleton}
+    assert {frozenset(call["self"].elements) for call in built} == {V.members, w.skeleton}
 
 
 # -- reference loops ----------------------------------------------------------
@@ -198,9 +185,10 @@ def test_component_identity_builds_each_subposet_once(monkeypatch):
 def reference_cochain_complex(base, sheaf):
     """(layout, differentials) of the strict-chain cochain complex."""
     layout, index = [], []
+    chains = base.strict_chains(frozenset(base.elements))
     for k in range(base.height + 1):
         entries, idx, offset = [], {}, 0
-        for chain in base.strict_chains(k):
+        for chain in (c for c in chains if len(c) == k + 1):
             r = sheaf.stalks[chain[-1]].generator_count
             if r:
                 idx[chain] = offset
@@ -313,8 +301,8 @@ def test_les_arrows_match_the_reference_chain_maps(monkeypatch, n):
     def reference(source, target, components):
         # a complex holds no sheaf: rebuild it from the restriction table
         source_layout, target_layout = (
-            reference_cochain_complex(cx.base, PosetSheaf(cx.base, cx._restrictions.stalks, cx._restrictions.cover_maps))[0]
-            for cx in (source, target)
+            reference_cochain_complex(table.base, PosetSheaf(table.base, table.stalks, table.cover_maps))[0]
+            for table in (source._restrictions, target._restrictions)
         )
         return reference_stalkwise_chain_map(source_layout, target_layout, components)
 
@@ -364,26 +352,20 @@ def test_les_arrows_match_the_per_generator_route(n):
 
 def test_cohomology_builds_one_complex_per_sheaf(monkeypatch):
     w = build_wedge(3)
-    built = []
-    original = CochainComplex.__init__
-
-    def counting(self, base, sheaf):
-        built.append(sheaf)
-        original(self, base, sheaf)
-
-    monkeypatch.setattr(CochainComplex, "__init__", counting)
+    built = counting_calls(monkeypatch, CochainComplex, "__init__")
     sheaves = [gap_sheaf(w), constant_sheaf(w.poset, Z), extension_by_zero(w.poset, w.poset.min_open("x"), Z)]
     for sheaf in sheaves:
         for q in range(w.poset.height + 2):
             cohomology(w.poset, sheaf, q)
         assert cochain_complex(w.poset, sheaf) is cochain_complex(w.poset, sheaf)
-    assert [id(s) for s in built] == [id(s) for s in sheaves]
+    assert [id(call["sheaf"]) for call in built] == [id(s) for s in sheaves]
+    assert [call["members"] for call in built] == [frozenset(w.poset.elements)] * len(sheaves)
 
 
 def test_shared_complex_matches_a_fresh_one():
     for base, sheaf in reference_corpus():
         shared = cochain_complex(base, sheaf)
-        fresh = CochainComplex(base, sheaf)
+        fresh = CochainComplex(sheaf, frozenset(base.elements))
         assert shared.groups == fresh.groups and shared.maps == fresh.maps
         for q in range(base.height + 1):
             assert cohomology(base, sheaf, q).canonical == fresh.homology(q).group.canonical
@@ -452,9 +434,9 @@ def test_sheaf_complex_and_coefficients_leave_no_reference_cycle():
 def test_cochain_complex_refuses_too_many_chains_before_enumerating(monkeypatch):
     labels = [f"c{i}" for i in range(40)]
     chain = FinitePoset(labels, list(zip(labels, labels[1:])))
-    assert sum(chain.strict_chain_counts()) == 2**40 - 1 > MAX_STRICT_CHAINS
+    assert chain.chain_count(frozenset(labels)) == 2**40 - 1 > MAX_STRICT_CHAINS
 
-    def enumerating(self, k):
+    def enumerating(self, members):
         raise AssertionError("strict chains were enumerated")
 
     monkeypatch.setattr(finspace.FinitePoset, "strict_chains", enumerating)
@@ -465,4 +447,11 @@ def test_cochain_complex_refuses_too_many_chains_before_enumerating(monkeypatch)
     # the budget counts every chain, whatever the stalks
     with pytest.raises(InputError, match="strict chains"):
         cochain_complex(chain, zero_sheaf(chain))
+    # and it counts the chains inside a subset, not those of the whole base
+    inside = frozenset(labels[:17])
+    assert chain.chain_count(inside) == 2**17 - 1 > MAX_STRICT_CHAINS
+    with pytest.raises(InputError, match="strict chains"):
+        CochainComplex(constant_sheaf(chain, Z), inside)
+    with pytest.raises(InputError, match="strict chains"):
+        cech._Coefficients(constant_sheaf(chain, Z), 0).group(inside)
 

@@ -39,34 +39,42 @@ def test_up_down_sets_and_openness():
     assert p.min_open("a").members == {"a", "b", "c"}
 
 
+def random_subsets(rng, p):
+    """The whole poset, the empty set and three random subsets."""
+    return [frozenset(p.elements), frozenset()] + [frozenset(e for e in p.elements if rng.random() < 0.6) for _ in range(3)]
+
+
 def test_strict_chain_counts_against_brute_force():
     rng = random.Random(11)
     for _ in range(30):
         p = random_poset(rng)
-        for k in range(0, p.height + 2):
-            brute = [
-                c
-                for c in combinations(p.elements, k + 1)
-                if all(p.lt(c[i], c[i + 1]) for i in range(k))
-            ]
-            assert len(p.strict_chains(k)) == len(brute)
+        for members in random_subsets(rng, p):
+            chains = p.strict_chains(members)
+            for k in range(0, p.height + 2):
+                brute = [
+                    c
+                    for c in combinations([e for e in p.elements if e in members], k + 1)
+                    if all(p.lt(c[i], c[i + 1]) for i in range(k))
+                ]
+                assert [c for c in chains if len(c) == k + 1] == brute
+            assert all(len(c) <= p.height + 1 for c in chains)  # every chain compared above
 
 
 def test_strict_chain_counts_match_the_enumeration():
     rng = random.Random(40)
     for _ in range(40):
         p = random_poset(rng, max_elems=12)
-        counts = p.strict_chain_counts()
-        assert counts == tuple(len(p.strict_chains(k)) for k in range(p.height + 1))
-        assert p.strict_chain_counts() is counts
-    assert FinitePoset([], []).strict_chain_counts() == ()
+        for members in random_subsets(rng, p):
+            assert p.chain_count(members) == len(p.strict_chains(members))
+    assert FinitePoset([], []).chain_count(frozenset()) == 0
+    with pytest.raises(InputError):
+        FinitePoset("ab", []).chain_count(frozenset("abc"))
 
 
 def test_strict_chains_deterministic_order():
     p = FinitePoset("abcd", [("a", "c"), ("a", "d"), ("b", "c")])
-    assert p.strict_chains(1) == [("a", "c"), ("a", "d"), ("b", "c")]
-    with pytest.raises(InputError):
-        p.strict_chains(-1)
+    assert p.strict_chains(frozenset(p.elements)) == [("a",), ("b",), ("c",), ("d",), ("a", "c"), ("a", "d"), ("b", "c")]
+    assert p.strict_chains(frozenset("dca")) == [("a",), ("c",), ("d",), ("a", "c"), ("a", "d")]
 
 
 def test_connected_components():
@@ -135,8 +143,8 @@ def test_strict_chains_match_the_order_test_enumeration():
         rng.shuffle(order)
         rels = [(a, b) for a in base.elements for b in base.elements if base.lt(a, b)]
         p = FinitePoset(order, rels)
-        for k in range(0, p.height + 2):
-            assert p.strict_chains(k) == strict_chains_by_order_tests(p, k)
+        chains = p.strict_chains(frozenset(p.elements))
+        assert chains == [c for k in range(p.height + 2) for c in strict_chains_by_order_tests(p, k)]
 
 
 def brute_closure(elements, relations):
@@ -223,7 +231,7 @@ def test_one_pass_closure_rejects_every_cycle():
         if not p.covers:
             continue
         # close a loop through a chain of covers of any length
-        chain = max(p.strict_chains(p.height), key=len)
+        chain = p.strict_chains(frozenset(p.elements))[-1]
         with pytest.raises(InputError):
             FinitePoset(elements, rels + [(chain[-1], chain[0])])
     with pytest.raises(InputError):

@@ -64,3 +64,15 @@ def test_group_forms():
     assert jsonio.group_to_json(g) == {"rank": 1, "invariant_factors": [2]}
     with pytest.raises(InputError):
         jsonio.group_from_json({"rank": "x"})
+    assert jsonio.group_from_json({"rank": "2", "invariant_factors": ["0004", 6]}).canonical == (2, (2, 12))
+    for stated_otherwise in (
+        {"rank": 0, "invariant_factors": "23"},
+        {"rank": 0, "invariant_factors": {"4": 1}},
+        {"rank": 0, "invariant_factors": (4,)},
+        {"rank": "1_0"},
+        {"rank": 0, "invariant_factors": ["1_2"]},
+        {"rank": "9" * 5000},
+        {"rank": "-"},
+    ):
+        with pytest.raises(InputError):
+            jsonio.group_from_json(stated_otherwise)

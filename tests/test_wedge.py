@@ -1,4 +1,5 @@
 import pytest
+from counting import counting_calls
 from oracles import reference_induced_map
 
 from finsheaf import abgroup, cohom, wedge
@@ -6,7 +7,8 @@ from finsheaf.abgroup import GroupHom, IntMatrix, PresentedAbGroup, smith_decomp
 from finsheaf.cech import Covering, cech_cohomology_hq
 from finsheaf.cohom import cohomology
 from finsheaf.errors import ContractViolation, InputError
-from finsheaf.sheaf import is_exact
+from finsheaf.finspace import FinitePoset
+from finsheaf.sheaf import PosetSheaf, constant_sheaf, is_exact
 from finsheaf.wedge import (
     build_wedge,
     canonical_covering,
@@ -173,20 +175,40 @@ def test_collect_stage_evidence():
 
 def test_stage_evidence_builds_each_open_set_once(monkeypatch):
     """One coefficient cache and one Čech complex per stage serve every
-    readout and refinement map of the run."""
+    readout and refinement map of the run: every cochain complex it builds,
+    by any route, is on a distinct intersection, from the gap sheaf itself."""
     w = build_wedge(4)
-    built = []
-    original = cohom.cochain_complex
-
-    def counting(base, sheaf):
-        built.append(frozenset(base.elements))
-        return original(base, sheaf)
-
-    monkeypatch.setattr(cohom, "cochain_complex", counting)
+    built = counting_calls(monkeypatch, cohom.CochainComplex, "__init__")
     collect_stage_evidence(w)
-    assert len(built) == len(set(built))
+    opens = [call["members"] for call in built]
+    assert len(opens) == len(set(opens))
     stages = [stage_covering(w, m) for m in range(1, w.n + 2)]
-    assert set(built) == {c.intersection(t) for c in stages for p in range(3) for t in c.tuples(p)}
+    assert set(opens) == {c.intersection(t) for c in stages for p in range(3) for t in c.tuples(p)}
+    assert len({id(call["sheaf"]) for call in built}) == 1
+
+
+def test_condition_i_and_stage_evidence_build_no_subposet(monkeypatch):
+    """Condition (i) reads each member and skeleton trace on the chains of
+    the wedge inside it, with the verdicts of the subposets' own complexes,
+    and neither it nor the stage evidence builds a subposet or restricts a
+    sheaf."""
+    w = build_wedge(3)
+    c = canonical_covering(w)
+    Z = constant_sheaf(w.poset, PresentedAbGroup.free(1))
+    subsets = [c.members[n] for n in c.order] + [c.members[n] & w.skeleton for n in c.order]
+    subsets += [frozenset({"a1", "b1"}), frozenset({"x", "v1", "a1", "b1"}), w.skeleton, frozenset(w.poset.elements)]
+    want = []
+    for members in subsets:
+        sub = w.poset.subposet(members)
+        forms = [cohomology(sub, constant_sheaf(sub, PresentedAbGroup.free(1)), q).canonical for q in range(sub.height + 1)]
+        want.append(forms == [(1, ())] + [(0, ())] * sub.height)
+    assert True in want and False in want
+    subposets = counting_calls(monkeypatch, FinitePoset, "subposet")
+    restricted = counting_calls(monkeypatch, PosetSheaf, "restricted_to")
+    assert [wedge._acyclic_connected(Z, members) for members in subsets] == want
+    assert validate_five_conditions(w, c).ok
+    collect_stage_evidence(w)
+    assert subposets == [] and restricted == []
 
 
 def test_stage_evidence_intersects_each_nerve_tuple_at_most_once(monkeypatch):
@@ -266,14 +288,7 @@ def test_stage_readout_builds_no_subquotient_of_its_own(monkeypatch):
     complexes = wedge.stage_system(w).complexes
     for cx in complexes.values():
         cx.homology(1)
-    built = []
-    init = abgroup.Subquotient.__init__
-
-    def counting(self, *args):
-        built.append(self)
-        init(self, *args)
-
-    monkeypatch.setattr(abgroup.Subquotient, "__init__", counting)
+    built = counting_calls(monkeypatch, abgroup.Subquotient, "__init__")
     for m, cx in complexes.items():
         wedge._stage_readout(w, m, cx)
     assert built == []
