@@ -193,6 +193,8 @@ class CechComplex(FaceComplex):
     """
 
     def __init__(self, covering: Covering, coefficients: _Coefficients, top: Optional[int] = None):
+        if covering.base != coefficients.sheaf.base:
+            raise InputError("the covering and the sheaf must live on the same poset")
         self.covering = covering
         self.coefficients = coefficients
         self.top = top

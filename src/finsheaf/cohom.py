@@ -52,16 +52,14 @@ class CochainComplex(FaceComplex):
     with no subposet and no restricted sheaf: the same chains in the same
     order, and blocks that agree modulo the relations of their target
     stalks (as matrices wherever restrictions compose exactly).  The whole
-    base is one such subset.  The complex reads its blocks
-    from the sheaf's restriction table and holds no reference to the sheaf
-    itself: a sheaf keeps its complex (`cochain_complex`) without a
-    reference cycle, and a complex kept in a coefficient cache serves
-    restriction maps without keeping the sheaf alive.
+    base is one such subset.  The blocks come from the sheaf's restriction
+    table, and the complex holds no reference to the sheaf itself: a sheaf
+    keeps its complex (`cochain_complex`) without a reference cycle.
     """
 
     def __init__(self, sheaf: PosetSheaf, members: frozenset):
-        total = sheaf.base.chain_count(members)
-        if total > MAX_STRICT_CHAINS:
+        # n elements have at most 2^n - 1 chains, so only a larger subset is counted
+        if 2 ** len(members) > MAX_STRICT_CHAINS and (total := sheaf.base.chain_count(members)) > MAX_STRICT_CHAINS:
             raise InputError(
                 f"the cochain complex would have {total} strict chains, over the limit of {MAX_STRICT_CHAINS}"
             )

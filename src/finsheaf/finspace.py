@@ -130,7 +130,7 @@ class FinitePoset:
         return FinitePoset(kept, rels)
 
     def strict_chains(self, members: frozenset) -> list:
-        """All strictly increasing chains of elements of `members`, by
+        """All strictly increasing chains of the elements in `members`, by
         length, each length ordered lexicographically by the fixed element
         order.  One pass: the chains of each length extend those one
         shorter, in order, by the members above their end, in order, which
@@ -148,10 +148,8 @@ class FinitePoset:
         starting at e are e alone and e followed by a chain starting above
         e, and an element comes after everything above it in order of
         up-set size."""
-        if not self._index.keys() >= members:
-            raise InputError("chains must lie inside the poset")
         starting = {}  # e -> the number of chains inside members starting at e
-        for e in sorted(members, key=lambda e: len(self._above[e])):
+        for e in sorted(self._index.keys() & members, key=lambda e: len(self._above[e])):
             starting[e] = 1 + sum(map(starting.__getitem__, self._above[e] & members))
         return sum(starting.values())
 

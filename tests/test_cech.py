@@ -206,6 +206,19 @@ def test_stage_complex_builds_each_open_set_once(monkeypatch):
         assert all(call["sheaf"] is F for call in built)
 
 
+def test_cech_complex_refuses_a_sheaf_on_another_poset():
+    """The coefficient complexes lie on the sheaf's own base, so a covering
+    of another poset is refused, even where its labels all occur there."""
+    c = canonical_covering(build_wedge(2))
+    F = gap_sheaf(build_wedge(3))
+    with pytest.raises(InputError, match="same poset"):
+        cech_complex_hq(c, F, 1)
+    with pytest.raises(InputError, match="same poset"):
+        cech_cohomology_hq(c, F, 0, 1)
+    with pytest.raises(InputError, match="same poset"):
+        covering_comparison_report(c, F)
+
+
 def test_truncated_complex_has_no_homology_at_its_top():
     """Degree top has no outgoing differential stored; reading it as zero
     would give a wrong group, so the complex refuses."""
