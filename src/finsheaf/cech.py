@@ -35,7 +35,7 @@ from . import cohom as _cohom
 # degrees 0..2 hold N + 1 + C(N + 1, 2) + C(N + 1, 3), about N³/6,
 # simplices: 19,649 in `reproduce --disks 48`, and N = 66 is the first wedge
 # refused.  For scale, on a 2-core machine `reproduce --disks 48` takes
-# about 11 s and 250 MiB.
+# about 4.8 s and 250 MiB.
 MAX_NERVE_SIMPLICES = 50_000
 
 

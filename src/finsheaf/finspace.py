@@ -153,6 +153,30 @@ class FinitePoset:
             starting[e] = 1 + sum(map(starting.__getitem__, self._above[e] & members))
         return sum(starting.values())
 
+    def core(self, members: Iterable[str]) -> frozenset:
+        """What is left of `members` once its beat points are removed, in
+        element order and pass after pass, until none is left.  A beat point
+        p is one whose members above it have a minimum or whose members
+        below it have a maximum.  Removing it is a strong deformation
+        retraction of the subspace (Stong, "Finite topological spaces",
+        Trans. AMS 123, 1966), so by McCord's theorem (Duke Math. J. 33,
+        1966) the order complexes of `members` and of its core are homotopy
+        equivalent, and their cohomology is the same."""
+        kept = set(members)
+        removed = True
+        while removed:
+            removed = False
+            for p in [e for e in self.elements if e in kept]:
+                up = self._above[p] & kept
+                down = [q for q in kept if p in self._above[q]]
+                # a minimum lies below the rest; a unique maximal element is the maximum
+                if any(len(self._above[u] & up) == len(up) - 1 for u in up) or sum(
+                    self._above[u].isdisjoint(down) for u in down
+                ) == 1:
+                    kept.discard(p)
+                    removed = True
+        return frozenset(kept)
+
     def connected_components(self) -> list:
         """Partition of the elements by the equivalence closure of comparability."""
         parent = {e: e for e in self.elements}

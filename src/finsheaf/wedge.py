@@ -116,12 +116,17 @@ class FiveConditionReport:
         }
 
 
-def _acyclic_connected(ZX: PosetSheaf, members: frozenset) -> bool:
-    """The order complex of `members` has the cohomology of a point (the
-    computable proxy for CW-contractibility used by condition (i)), read
-    from the constant sheaf ZX of the whole space on the chains inside
-    `members`."""
-    cx = CochainComplex(ZX, members)
+def _acyclic_connected(base: FinitePoset, members: frozenset) -> bool:
+    """The order complex of the nonempty subset `members` has the cohomology
+    of a point (the computable proxy for CW-contractibility used by
+    condition (i)).  Its core (`FinitePoset.core`) has a homotopy-equivalent
+    order complex (Stong 1966, McCord 1966), so a one-point core settles it
+    with no algebra; any other core is read from constant Z of the whole
+    space on the chains inside the core."""
+    core = base.core(members)
+    if len(core) == 1:
+        return True
+    cx = CochainComplex(constant_sheaf(base, PresentedAbGroup.free(1)), core)
     return cx.homology(0).group.canonical == (1, ()) and all(
         cx.homology(q).group.is_trivial() for q in range(1, len(cx.groups))
     )
@@ -136,13 +141,12 @@ def validate_five_conditions(w: WedgeSpace, c: Covering) -> FiveConditionReport:
 
     # (i) each member and its skeleton trace, if nonempty, acyclic and connected
     bad = []
-    ZX = constant_sheaf(w.poset, PresentedAbGroup.free(1))
     for name in c.order:
         m = c.members[name]
-        if m and not _acyclic_connected(ZX, m):
+        if m and not _acyclic_connected(w.poset, m):
             bad.append(name)
         trace = m & w.skeleton
-        if trace and not _acyclic_connected(ZX, trace):
+        if trace and not _acyclic_connected(w.poset, trace):
             bad.append(f"{name} ∩ skeleton")
     verdicts.append(
         ConditionVerdict("i", not bad, "; ".join(f"{b} not acyclic+connected" for b in bad))

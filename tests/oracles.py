@@ -21,11 +21,17 @@ its one-reduction `Subquotient`.
 
 `universal_coefficients` turns the simplicial oracle's integral cohomology
 into cohomology with coefficients Z/p.
+
+`reference_acyclic_connected` keeps condition (i)'s earlier test, the
+whole constant-Z cohomology of the subset's own subposet, as the reference
+for the one that reads the subset's core.
 """
 
 from itertools import combinations
 
 from finsheaf.abgroup import IntMatrix, PresentedAbGroup, kernel_basis, smith_decompose, solve
+from finsheaf.cohom import cohomology
+from finsheaf.sheaf import constant_sheaf
 
 
 def _simplices(elements, leq, dim):
@@ -229,6 +235,14 @@ def universal_coefficients(integral, prime, degrees):
         return sum(1 for f in part(q)[1] if f % prime == 0)
 
     return [(0, (prime,) * (part(q)[0] + divisible(q) + divisible(q + 1))) for q in range(degrees)]
+
+
+def reference_acyclic_connected(base, members):
+    """Constant Z on the subposet of `members` has the cohomology of a
+    point, every degree computed."""
+    sub = base.subposet(members)
+    forms = [cohomology(sub, constant_sheaf(sub, PresentedAbGroup.free(1)), q).canonical for q in range(sub.height + 1)]
+    return forms == [(1, ())] + [(0, ())] * sub.height
 
 
 def _preimage_lattice(A, B):

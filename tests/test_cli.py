@@ -3,6 +3,9 @@ import json
 
 import pytest
 from counting import counting_calls
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from oracles import reference_acyclic_connected
 
 from finsheaf import abgroup, cech, cohom, finspace, jsonio
 from finsheaf.cli import main
@@ -105,8 +108,10 @@ def test_reproduce_stdout_bytes_pinned(capsys, n):
 # Smith forms computed by `reproduce --disks N`.  Unlike a time, the count
 # does not depend on the machine, so a route that adds Smith forms fails here.
 # The last stage reads out Z^0: its 0x0 readout is inverted by `solve`, which
-# takes no Smith form of a zero right-hand side.
-REPRODUCE_SMITH_FORMS = {2: 73, 3: 98, 4: 123}
+# takes no Smith form of a zero right-hand side.  Condition (i) takes none:
+# every member and skeleton trace of the canonical covering has a one-point
+# core.
+REPRODUCE_SMITH_FORMS = {2: 49, 3: 66, 4: 83}
 
 
 @pytest.mark.parametrize("n", sorted(REPRODUCE_SMITH_FORMS))
@@ -133,10 +138,11 @@ def test_reproduce_cech_complex_count_pinned(capsys, monkeypatch, n):
 # Posets and sheaves built by `reproduce --disks N`.  The wedge is the one
 # poset: every cochain complex on an intersection, stage member or skeleton
 # trace lies on the chains of the wedge inside it.  The sheaves are the gap
-# sheaf of the comparison report, the one of the stage system, and the
-# constant sheaf of condition (i); none is a restricted sheaf.
+# sheaf of the comparison report and the one of the stage system; none is a
+# restricted sheaf.  Condition (i) builds no sheaf: every member and skeleton
+# trace of the canonical covering has a one-point core.
 REPRODUCE_POSETS = {2: 1, 3: 1, 4: 1}
-REPRODUCE_SHEAVES = {2: 3, 3: 3, 4: 3}
+REPRODUCE_SHEAVES = {2: 2, 3: 2, 4: 2}
 
 
 @pytest.mark.parametrize("n", sorted(REPRODUCE_POSETS))
@@ -380,3 +386,41 @@ def test_zero_disks_is_refused_not_ignored(capsys):
         code, out, err = run(capsys, *argv)
         assert code == 1 and out == ""
         assert "need at least one disk" in err
+
+
+@st.composite
+def wedge_coverings(draw):
+    """A wedge X_N, N <= 4, and an open covering of it in JSON: each member
+    the union of the minimal open sets (up-sets) of the elements given to
+    it, each element given to one or more members, members listed in any
+    order."""
+    w = build_wedge(draw(st.integers(1, 4)))
+    names = [f"M{i}" for i in range(draw(st.integers(1, w.n + 2)))]
+    members = {name: set() for name in names}
+    for e in w.poset.elements:
+        for name in draw(st.lists(st.sampled_from(names), min_size=1, max_size=2, unique=True)):
+            members[name] |= w.poset.up_set(e)
+    order = draw(st.permutations(names))
+    return w, {"members": {n: sorted(members[n], key=w.poset.elements.index) for n in names}, "order": order}
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(wedge_coverings())
+def test_covering_validate_round_trip_matches_the_condition_i_oracle(capsys, tmp_path, drawn):
+    """`covering validate` on a covering file exits 0 or 1, never 2, and its
+    condition (i) verdict and detail are those of the subposets' own
+    constant-Z cohomology."""
+    w, covering = drawn
+    path = tmp_path / "covering.json"
+    path.write_text(json.dumps(covering))
+    code, out, _ = run(capsys, "covering", "validate", "--disks", str(w.n), "--covering", str(path))
+    assert code in (0, 1)
+    report = json.loads(out)
+    assert code == (0 if report["ok"] else 1)
+    bad = []
+    for name in covering["order"]:
+        m = frozenset(covering["members"][name])
+        for label, subset in ((name, m), (f"{name} ∩ skeleton", m & w.skeleton)):
+            if subset and not reference_acyclic_connected(w.poset, subset):
+                bad.append(f"{label} not acyclic+connected")
+    assert report["conditions"][0] == {"condition": "i", "ok": not bad, "detail": "; ".join(bad)}

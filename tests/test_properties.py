@@ -1,14 +1,16 @@
 """Property tests on random posets, drawn by hypothesis: the Euler
 characteristic of sheaves with free and torsion stalks, constant Z/2 and
 Z/3 cohomology against the simplicial oracle under universal coefficients,
-and the complex on the chains inside a subset against the complex of the
-restricted sheaf.  All read homology of cochain groups that have
+the complex on the chains inside a subset against the complex of the
+restricted sheaf, and the core of a subset against brute force and the
+simplicial oracle.  All read homology of cochain groups that have
 relations, and torsion in the group after them."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import primary_decomposition, simplicial_cohomology, universal_coefficients
+from oracles import primary_decomposition, reference_acyclic_connected, simplicial_cohomology, universal_coefficients
 
+from finsheaf import wedge
 from finsheaf.abgroup import PresentedAbGroup
 from finsheaf.cohom import CochainComplex, cochain_complex, cohomology
 from finsheaf.finspace import FinitePoset, OpenSet
@@ -99,3 +101,33 @@ def test_subset_complex_is_the_complex_of_the_restricted_sheaf(base_and_sheaf, d
     assert got.maps == want.maps
     degrees = range(len(want.groups))
     assert [got.homology(q).group.canonical for q in degrees] == [want.homology(q).group.canonical for q in degrees]
+
+
+def is_beat_point(base, members, p):
+    """The members above p have a minimum, or those below it a maximum."""
+    above = [q for q in members if base.lt(p, q)]
+    below = [q for q in members if base.lt(q, p)]
+    return any(all(base.leq(m, q) for q in above) for m in above) or any(all(base.leq(q, m) for q in below) for m in below)
+
+
+@settings(max_examples=150, deadline=None)
+@given(posets(max_elements=9), st.data())
+def test_core_is_a_beat_point_free_retract_with_the_same_cohomology(base, data):
+    """The core of a nonempty subset S lies in S, has no beat point, and its
+    order complex has the integral cohomology of S's in every degree, by
+    the simplicial oracle; condition (i)'s verdict on S is the one of S's
+    own subposet."""
+    members = frozenset(data.draw(st.lists(st.sampled_from(base.elements), min_size=1, unique=True)))
+    core = base.core(members)
+    assert core <= members
+    assert not any(is_beat_point(base, core, p) for p in core)
+
+    def integral(subset):
+        # the oracle lists a degree per simplex dimension; a core has fewer
+        groups = simplicial_cohomology([e for e in base.elements if e in subset], base.leq)
+        while groups[-1] == (0, []):
+            groups.pop()
+        return groups
+
+    assert integral(core) == integral(members)
+    assert wedge._acyclic_connected(base, members) == reference_acyclic_connected(base, members)

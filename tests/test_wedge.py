@@ -1,6 +1,6 @@
 import pytest
 from counting import counting_calls
-from oracles import reference_induced_map
+from oracles import reference_acyclic_connected, reference_induced_map
 
 from finsheaf import abgroup, cohom, wedge
 from finsheaf.abgroup import GroupHom, IntMatrix, PresentedAbGroup, smith_decompose
@@ -8,7 +8,7 @@ from finsheaf.cech import Covering, cech_cohomology_hq
 from finsheaf.cohom import cohomology
 from finsheaf.errors import ContractViolation, InputError
 from finsheaf.finspace import FinitePoset
-from finsheaf.sheaf import PosetSheaf, constant_sheaf, is_exact
+from finsheaf.sheaf import PosetSheaf, is_exact
 from finsheaf.wedge import (
     build_wedge,
     canonical_covering,
@@ -188,27 +188,61 @@ def test_stage_evidence_builds_each_open_set_once(monkeypatch):
 
 
 def test_condition_i_and_stage_evidence_build_no_subposet(monkeypatch):
-    """Condition (i) reads each member and skeleton trace on the chains of
-    the wedge inside it, with the verdicts of the subposets' own complexes,
-    and neither it nor the stage evidence builds a subposet or restricts a
-    sheaf."""
+    """Condition (i) reads each member and skeleton trace from its core, on
+    the chains of the wedge inside it where the core is not a point, with
+    the verdicts of the subposets' own complexes, and neither it nor the
+    stage evidence builds a subposet or restricts a sheaf."""
     w = build_wedge(3)
     c = canonical_covering(w)
-    Z = constant_sheaf(w.poset, PresentedAbGroup.free(1))
     subsets = [c.members[n] for n in c.order] + [c.members[n] & w.skeleton for n in c.order]
     subsets += [frozenset({"a1", "b1"}), frozenset({"x", "v1", "a1", "b1"}), w.skeleton, frozenset(w.poset.elements)]
-    want = []
-    for members in subsets:
-        sub = w.poset.subposet(members)
-        forms = [cohomology(sub, constant_sheaf(sub, PresentedAbGroup.free(1)), q).canonical for q in range(sub.height + 1)]
-        want.append(forms == [(1, ())] + [(0, ())] * sub.height)
+    want = [reference_acyclic_connected(w.poset, members) for members in subsets]
     assert True in want and False in want
     subposets = counting_calls(monkeypatch, FinitePoset, "subposet")
     restricted = counting_calls(monkeypatch, PosetSheaf, "restricted_to")
-    assert [wedge._acyclic_connected(Z, members) for members in subsets] == want
+    assert [wedge._acyclic_connected(w.poset, members) for members in subsets] == want
     assert validate_five_conditions(w, c).ok
     collect_stage_evidence(w)
     assert subposets == [] and restricted == []
+
+
+def test_cores_of_the_canonical_members_and_the_circles():
+    """Every member and skeleton trace of the canonical covering retracts to
+    a point; the circle of one disk's boundary, x, v1, a1, b1, has no beat
+    point, and neither has the whole skeleton, a wedge of circles."""
+    w = build_wedge(3)
+    c = canonical_covering(w)
+    for name in c.order:
+        for subset in (c.members[name], c.members[name] & w.skeleton):
+            assert len(w.poset.core(subset)) == 1 and wedge._acyclic_connected(w.poset, subset)
+    circle = frozenset({"x", "v1", "a1", "b1"})
+    assert w.poset.core(circle) == circle and not wedge._acyclic_connected(w.poset, circle)
+    assert w.poset.core(w.skeleton) == w.skeleton and not wedge._acyclic_connected(w.poset, w.skeleton)
+    assert not reference_acyclic_connected(w.poset, circle) and not reference_acyclic_connected(w.poset, w.skeleton)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_condition_i_on_the_canonical_covering_takes_no_algebra(monkeypatch, n):
+    """Validating the canonical covering of X_N builds no Smith form and no
+    cochain complex: every member and trace has a one-point core."""
+    w = build_wedge(n)
+    smith = counting_calls(monkeypatch, abgroup.SmithDecomposition, "__init__")
+    complexes = counting_calls(monkeypatch, cohom.CochainComplex, "__init__")
+    assert validate_five_conditions(w, canonical_covering(w)).ok
+    assert smith == [] and complexes == []
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_stage_coverings_keep_their_condition_reports(monkeypatch, n):
+    """Every stage covering's report, verdicts and details, is the one made
+    with condition (i) read from the subposets' own cohomology.  From stage
+    2 on, D_k ∩ skeleton keeps the circle x, v_k, a_k, b_k as its core, so
+    the complex route runs there."""
+    w = build_wedge(n)
+    got = [validate_five_conditions(w, stage_covering(w, m)).to_dict() for m in range(1, n + 2)]
+    monkeypatch.setattr(wedge, "_acyclic_connected", reference_acyclic_connected)
+    assert got == [validate_five_conditions(w, stage_covering(w, m)).to_dict() for m in range(1, n + 2)]
+    assert got[0]["ok"] and all("D1 ∩ skeleton not acyclic+connected" in r["conditions"][0]["detail"] for r in got[1:])
 
 
 def test_stage_evidence_intersects_each_nerve_tuple_at_most_once(monkeypatch):
