@@ -48,11 +48,11 @@ class CochainComplex(FaceComplex):
     summand without generators.
 
     The sheaf induced on a subspace is the same functor on the induced
-    order, so this is the complex of `sheaf.restricted_to(members)`, built
-    with no subposet and no restricted sheaf: the same chains in the same
-    order, and blocks that agree modulo the relations of their target
-    stalks (as matrices wherever restrictions compose exactly).  The whole
-    base is one such subset.  The blocks come from the sheaf's restriction
+    order, so this is the complex of that sheaf on the subposet of
+    `members`, built with neither: the same chains in the same order, and
+    blocks that agree modulo the relations of their target stalks (as
+    matrices wherever restrictions compose exactly).  The whole base is one
+    such subset.  The blocks come from the sheaf's restriction
     table, and the complex holds no reference to the sheaf itself: a sheaf
     keeps its complex (`cochain_complex`) without a reference cycle.
     """
@@ -164,7 +164,9 @@ def les_of_short_exact(
     ses: Sequence[SheafMorphism],
     V: OpenSet,
 ) -> LongExactSequence:
-    """The long exact cohomology sequence of 0 -> A -> B -> C -> 0 over V.
+    """The long exact cohomology sequence of 0 -> A -> B -> C -> 0 over V,
+    read from the complexes of A, B and C on the chains inside V; the
+    sequence must be exact at the elements of V.
 
     Connecting maps are computed by the snake lemma with exact integer
     preimage solving; exactness is re-verified at every node.
@@ -173,19 +175,15 @@ def les_of_short_exact(
         raise InputError("a short exact sequence is given by two morphisms A->B and B->C")
     if V.parent != base or ses[0].source.base != base:
         raise InputError("the open set and the sequence must live on the given poset")
-    # A, B and C restricted once each; both morphisms run between them
-    A, B, C = (s.restricted_to(V.members) for s in (ses[0].source, ses[0].target, ses[1].target))
-    sub = [ses[0].between(A, B), ses[1].between(B, C)]
-    verdict = is_exact(sub)
+    verdict = is_exact(ses, V.members)
     if not verdict.exact:
         raise InputError(
             f"input sequence is not exact over V (fails at {verdict.failing_element})"
         )
-    fa, fb = sub
-    cxs = [cochain_complex(sheaf.base, sheaf) for sheaf in (A, B, C)]
+    cxs = [CochainComplex(s, V.members) for s in (ses[0].source, ses[0].target, ses[1].target)]
     maxdeg = max(len(c.groups) for c in cxs)
-    fmat = stalkwise_chain_map(cxs[0], cxs[1], fa.components)
-    gmat = stalkwise_chain_map(cxs[1], cxs[2], fb.components)
+    fmat = stalkwise_chain_map(cxs[0], cxs[1], ses[0].components)
+    gmat = stalkwise_chain_map(cxs[1], cxs[2], ses[1].components)
     labels = ["A", "B", "C"]
     nodes: List[LESNode] = []
     arrows: List[LESArrow] = []
@@ -241,19 +239,18 @@ def component_identity_check(base: FinitePoset, V: OpenSet, skeleton: Sequence[s
     skeleton.  Requires H^1(V, Z) = 0; otherwise reports hypothesis-not-met
     rather than a verdict."""
     skel = frozenset(skeleton)
+    if V.parent != base:
+        raise InputError("the open set must live on the given poset")
     if not base.is_closed(skel):
         raise InputError("skeleton must be a closed subset")
     complement = OpenSet(base, set(base.elements) - skel)
     Z = PresentedAbGroup.free(1)
-    Fv = extension_by_zero(base, complement, Z).restricted_to(V.members)
-    v_space = Fv.base
-    if not cohomology(v_space, constant_sheaf(v_space, Z), 1).is_trivial():
+    if not CochainComplex(constant_sheaf(base, Z), V.members).homology(1).group.is_trivial():
         return ComponentIdentityResult("hypothesis_not_met")
-    lhs = cohomology(v_space, Fv, 1)
+    lhs = CochainComplex(extension_by_zero(base, complement, Z), V.members).homology(1).group
     # coker of the component-refinement matrix H^0(V) -> H^0(V ∩ skeleton)
-    trace = V.members & skel
-    trace_comps = base.subposet(trace).connected_components()
-    v_comps = v_space.connected_components()
+    trace_comps = base.components(V.members & skel)
+    v_comps = base.components(V.members)
     entries = [[1 if d <= c else 0 for c in v_comps] for d in trace_comps]
     mat = IntMatrix(len(trace_comps), len(v_comps), entries)
     rhs = PresentedAbGroup(len(trace_comps), mat)

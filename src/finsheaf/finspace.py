@@ -119,23 +119,13 @@ class FinitePoset:
         s = set(members)
         return self.is_open(set(self.elements) - s)
 
-    def subposet(self, members: Iterable[str]) -> "FinitePoset":
-        """The induced order on an arbitrary subset (subspace topology)."""
-        s = set(members)
-        for p in s:
-            if p not in self._index:
-                raise InputError(f"unknown element {p!r}")
-        kept = tuple(e for e in self.elements if e in s)
-        rels = [(a, b) for a in kept for b in self._above[a] if b in s]
-        return FinitePoset(kept, rels)
-
     def strict_chains(self, members: frozenset) -> list:
         """All strictly increasing chains of the elements in `members`, by
         length, each length ordered lexicographically by the fixed element
         order.  One pass: the chains of each length extend those one
         shorter, in order, by the members above their end, in order, which
-        keeps every length sorted.  These are the chains of
-        `subposet(members)`, which keeps the element order."""
+        keeps every length sorted.  These are the chains of the induced
+        order on `members`, listed in the element order."""
         chains = [(e,) for e in self.elements if e in members]
         start = 0
         while start < len(chains):
@@ -177,25 +167,26 @@ class FinitePoset:
                     removed = True
         return frozenset(kept)
 
-    def connected_components(self) -> list:
-        """Partition of the elements by the equivalence closure of comparability."""
-        parent = {e: e for e in self.elements}
+    def components(self, members: frozenset) -> list:
+        """The connected components of the subspace `members`, each a
+        frozenset, ordered by their first element.  Two members are joined
+        when one lies above the other, not only along the base's covers: a
+        subset may hold a < c without the b between them."""
+        root = {e: e for e in self.elements if e in members}
 
         def find(e):
-            while parent[e] != e:
-                parent[e] = parent[parent[e]]
-                e = parent[e]
+            while root[e] != e:
+                root[e] = root[root[e]]
+                e = root[e]
             return e
 
-        for a, b in self.covers:
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
+        for a in root:
+            for b in self._above[a] & members:
+                root[find(a)] = find(b)
         comps = {}
-        for e in self.elements:
+        for e in root:
             comps.setdefault(find(e), []).append(e)
-        # deterministic: order components by first element
-        return [frozenset(v) for _, v in sorted(comps.items(), key=lambda kv: self._index[kv[1][0]])]
+        return [frozenset(v) for v in comps.values()]
 
 
 class OpenSet:

@@ -55,10 +55,10 @@ class _Restrictions:
 
 class PosetSheaf:
     """Stalks and cover restrictions on a finite poset, checked to be a
-    functor unless `check` is False.  `constant_sheaf`, `extension_by_zero`
-    and `restricted_to` pass False: their maps are identities, zeros or a
-    checked sheaf's composites, so the check could find nothing there and
-    would only add time where many small sheaves are built."""
+    functor unless `check` is False.  `constant_sheaf` and
+    `extension_by_zero` pass False: their maps are identities and zeros, so
+    the check could find nothing there and would only add time where many
+    small sheaves are built."""
 
     def __init__(
         self,
@@ -102,13 +102,6 @@ class PosetSheaf:
                     direct, via = self.restrictions(p, q), self.restrictions(m, q) @ cover
                     if direct != via and not self.stalks[q].represents_zero(direct - via):
                         raise ContractViolation(f"restriction maps not functorial along {p} < {m} < {q}")
-
-    def restricted_to(self, members: Iterable[str]) -> "PosetSheaf":
-        """The sheaf induced on a subspace (restriction of the functor)."""
-        sub = self.base.subposet(members)
-        stalks = {e: self.stalks[e] for e in sub.elements}
-        maps = {(a, b): self.restrictions(a, b) for (a, b) in sub.covers}
-        return PosetSheaf(sub, stalks, maps, check=False)
 
     def __repr__(self):
         return f"<PosetSheaf on {len(self.base)} elements>"
@@ -156,10 +149,7 @@ def closed_pushforward(base: FinitePoset, closed: Iterable[str], group: Presente
     a_set = frozenset(closed)
     if not base.is_closed(a_set):
         raise InputError("subset is not closed (complement is not an up-set)")
-    comps: Dict[str, list] = {}
-    for p in base.elements:
-        trace = base.up_set(p) & a_set
-        comps[p] = base.subposet(trace).connected_components() if trace else []
+    comps = {p: base.components(base.up_set(p) & a_set) for p in base.elements}
     g = group.generator_count
     stalks = {p: direct_sum([group] * len(comps[p])) for p in base.elements}
     maps = {}
@@ -197,11 +187,6 @@ class SheafMorphism:
             right = target.restrictions(p, q) @ self.components[p]
             if not target.stalks[q].represents_zero(left - right):
                 raise ContractViolation(f"naturality fails on cover relation ({p},{q})")
-
-    def between(self, source: PosetSheaf, target: PosetSheaf) -> "SheafMorphism":
-        """This morphism between `source` and `target`, the restrictions of
-        its source and target to one subspace."""
-        return SheafMorphism(source, target, {e: self.components[e] for e in source.base.elements})
 
     @classmethod
     def zero(cls, source: PosetSheaf, target: PosetSheaf) -> "SheafMorphism":
@@ -257,8 +242,9 @@ class ExactnessResult:
         return self.exact
 
 
-def is_exact(morphisms: Sequence[SheafMorphism]) -> ExactnessResult:
-    """Stalkwise exactness of 0 -> F_0 -> F_1 -> ... -> F_n -> 0.
+def is_exact(morphisms: Sequence[SheafMorphism], elements: Iterable[str]) -> ExactnessResult:
+    """Stalkwise exactness of 0 -> F_0 -> F_1 -> ... -> F_n -> 0 at the given
+    elements of the base, which are checked in the base's element order.
 
     The stalks and components at each element are read as one complex,
     zero outside its stored degrees, whose construction checks d∘d once.
@@ -273,7 +259,8 @@ def is_exact(morphisms: Sequence[SheafMorphism]) -> ExactnessResult:
         if a.target is not b.source and a.target.base != b.source.base:
             raise InputError("morphisms do not compose")
     sheaves = [morphisms[0].source] + [m.target for m in morphisms]
-    for p in sheaves[0].base.elements:
+    checked = frozenset(elements)
+    for p in (e for e in sheaves[0].base.elements if e in checked):
         stalks = [s.stalks[p] for s in sheaves]
         maps = [m.components[p] for m in morphisms]
         try:

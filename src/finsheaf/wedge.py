@@ -116,20 +116,26 @@ class FiveConditionReport:
         }
 
 
-def _acyclic_connected(base: FinitePoset, members: frozenset) -> bool:
-    """The order complex of the nonempty subset `members` has the cohomology
+def _acyclic_connected(base: FinitePoset, subsets: List[frozenset]) -> List[bool]:
+    """Whether the order complex of each nonempty subset has the cohomology
     of a point (the computable proxy for CW-contractibility used by
-    condition (i)).  Its core (`FinitePoset.core`) has a homotopy-equivalent
-    order complex (Stong 1966, McCord 1966), so a one-point core settles it
-    with no algebra; any other core is read from constant Z of the whole
-    space on the chains inside the core."""
-    core = base.core(members)
-    if len(core) == 1:
-        return True
-    cx = CochainComplex(constant_sheaf(base, PresentedAbGroup.free(1)), core)
-    return cx.homology(0).group.canonical == (1, ()) and all(
-        cx.homology(q).group.is_trivial() for q in range(1, len(cx.groups))
-    )
+    condition (i)).  A subset's core (`FinitePoset.core`) has a
+    homotopy-equivalent order complex (Stong 1966, McCord 1966), so a
+    one-point core settles it with no algebra; every other core is read
+    from one constant-Z sheaf of the whole space, on the chains inside the
+    core, built only if some core is not a point."""
+    cores = [base.core(members) for members in subsets]
+    if all(len(core) == 1 for core in cores):
+        return [True] * len(cores)
+    Z = constant_sheaf(base, PresentedAbGroup.free(1))
+
+    def acyclic(core):
+        cx = CochainComplex(Z, core)
+        return cx.homology(0).group.canonical == (1, ()) and all(
+            cx.homology(q).group.is_trivial() for q in range(1, len(cx.groups))
+        )
+
+    return [len(core) == 1 or acyclic(core) for core in cores]
 
 
 def validate_five_conditions(w: WedgeSpace, c: Covering) -> FiveConditionReport:
@@ -140,14 +146,14 @@ def validate_five_conditions(w: WedgeSpace, c: Covering) -> FiveConditionReport:
     verdicts: List[ConditionVerdict] = []
 
     # (i) each member and its skeleton trace, if nonempty, acyclic and connected
-    bad = []
-    for name in c.order:
-        m = c.members[name]
-        if m and not _acyclic_connected(w.poset, m):
-            bad.append(name)
-        trace = m & w.skeleton
-        if trace and not _acyclic_connected(w.poset, trace):
-            bad.append(f"{name} ∩ skeleton")
+    subsets = [
+        (label, subset)
+        for name in c.order
+        for label, subset in ((name, c.members[name]), (f"{name} ∩ skeleton", c.members[name] & w.skeleton))
+        if subset
+    ]
+    oks = _acyclic_connected(w.poset, [subset for _, subset in subsets])
+    bad = [label for (label, _), ok in zip(subsets, oks) if not ok]
     verdicts.append(
         ConditionVerdict("i", not bad, "; ".join(f"{b} not acyclic+connected" for b in bad))
     )

@@ -22,6 +22,11 @@ its one-reduction `Subquotient`.
 `universal_coefficients` turns the simplicial oracle's integral cohomology
 into cohomology with coefficients Z/p.
 
+`reference_subposet`, `reference_restricted_sheaf` and
+`reference_components` keep the package's earlier reading of a subspace,
+its own subposet and the sheaf restricted to it, as the reference for the
+complexes and components read on the whole space's chains.
+
 `reference_acyclic_connected` keeps condition (i)'s earlier test, the
 whole constant-Z cohomology of the subset's own subposet, as the reference
 for the one that reads the subset's core.
@@ -31,7 +36,8 @@ from itertools import combinations
 
 from finsheaf.abgroup import IntMatrix, PresentedAbGroup, kernel_basis, smith_decompose, solve
 from finsheaf.cohom import cohomology
-from finsheaf.sheaf import constant_sheaf
+from finsheaf.finspace import FinitePoset
+from finsheaf.sheaf import PosetSheaf, constant_sheaf
 
 
 def _simplices(elements, leq, dim):
@@ -237,10 +243,44 @@ def universal_coefficients(integral, prime, degrees):
     return [(0, (prime,) * (part(q)[0] + divisible(q) + divisible(q + 1))) for q in range(degrees)]
 
 
+def reference_subposet(base, members):
+    """The induced order on `members`, in the base's element order: every
+    pair of members that `base.lt` relates."""
+    kept = [e for e in base.elements if e in members]
+    return FinitePoset(kept, [(a, b) for a in kept for b in kept if base.lt(a, b)])
+
+
+def reference_restricted_sheaf(sheaf, members):
+    """The sheaf induced on the subposet of `members`, its cover maps the
+    sheaf's restrictions, checked to be a functor."""
+    sub = reference_subposet(sheaf.base, members)
+    stalks = {e: sheaf.stalks[e] for e in sub.elements}
+    return PosetSheaf(sub, stalks, {(a, b): sheaf.restrictions(a, b) for a, b in sub.covers})
+
+
+def reference_components(base, members):
+    """The connected components of the subposet of `members`, by a union-find
+    over its covers, ordered by their first element."""
+    sub = reference_subposet(base, members)
+    parent = {e: e for e in sub.elements}
+
+    def find(e):
+        while parent[e] != e:
+            e = parent[e]
+        return e
+
+    for a, b in sub.covers:
+        parent[find(a)] = find(b)
+    comps = {}
+    for e in sub.elements:
+        comps.setdefault(find(e), []).append(e)
+    return sorted((frozenset(v) for v in comps.values()), key=lambda c: min(map(base.elements.index, c)))
+
+
 def reference_acyclic_connected(base, members):
     """Constant Z on the subposet of `members` has the cohomology of a
     point, every degree computed."""
-    sub = base.subposet(members)
+    sub = reference_subposet(base, members)
     forms = [cohomology(sub, constant_sheaf(sub, PresentedAbGroup.free(1)), q).canonical for q in range(sub.height + 1)]
     return forms == [(1, ())] + [(0, ())] * sub.height
 

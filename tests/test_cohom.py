@@ -5,7 +5,9 @@ import weakref
 
 import pytest
 from counting import counting_calls
-from oracles import reference_induced_map
+from itertools import combinations
+
+from oracles import reference_components, reference_induced_map, reference_restricted_sheaf, reference_subposet
 
 from finsheaf import abgroup, cech, cohom, finspace
 from finsheaf.abgroup import GroupHom, IntMatrix, PresentedAbGroup, solve
@@ -22,7 +24,7 @@ from finsheaf.cohom import (
 )
 from finsheaf.errors import InputError
 from finsheaf.finspace import FinitePoset, OpenSet
-from finsheaf.sheaf import PosetSheaf, constant_sheaf, extension_by_zero, zero_sheaf
+from finsheaf.sheaf import PosetSheaf, SheafMorphism, constant_sheaf, extension_by_zero, zero_sheaf
 from finsheaf.wedge import build_wedge, collect_stage_evidence, gap_sheaf, structure_sequence
 
 Z = PresentedAbGroup.free(1)
@@ -121,8 +123,6 @@ def test_les_rejects_non_exact_input():
     w = build_wedge(1)
     p = w.poset
     seq = structure_sequence(w)
-    from finsheaf.sheaf import SheafMorphism
-
     broken = [SheafMorphism.zero(seq[0].source, seq[0].target), seq[1]]
     with pytest.raises(InputError):
         les_of_short_exact(p, broken, OpenSet(p, frozenset(p.elements)))
@@ -135,15 +135,15 @@ def test_les_rejects_non_exact_input():
 
 
 def test_les_restricts_each_sheaf_once(monkeypatch):
-    """A, B and C are restricted to V once each; both morphisms of the
-    restricted sequence run between those three sheaves."""
+    """A, B and C are read on the chains inside V, the whole space or a
+    proper open set, with no subposet and no restricted sheaf built."""
     w = build_wedge(4)
-    V = OpenSet(w.poset, frozenset(w.poset.elements))
     ses = structure_sequence(w)
-    built = counting_calls(monkeypatch, finspace.FinitePoset, "__init__")
-    les = les_of_short_exact(w.poset, ses, V)
-    assert les.exact
-    assert len(built) == 3
+    posets = counting_calls(monkeypatch, finspace.FinitePoset, "__init__")
+    sheaves = counting_calls(monkeypatch, PosetSheaf, "__init__")
+    for V in (OpenSet(w.poset, frozenset(w.poset.elements)), w.poset.min_open("x")):
+        assert les_of_short_exact(w.poset, ses, V).exact
+    assert posets == [] and sheaves == []
 
 
 def test_component_identity_pass_and_hypothesis_gate():
@@ -165,15 +165,106 @@ def test_component_identity_full_space():
     p = w.poset
     res = component_identity_check(p, OpenSet(p, frozenset(p.elements)), w.skeleton)
     assert res.status == "pass" and res.isomorphic
+    # an open set of another poset is refused, even where its labels are p's
+    other = build_wedge(3).poset
+    for members in (other.elements, {"f1"}):
+        with pytest.raises(InputError):
+            component_identity_check(p, OpenSet(other, members), w.skeleton)
 
 
 def test_component_identity_builds_each_subposet_once(monkeypatch):
+    """V and its skeleton trace are read on the whole space: no subposet is
+    built, and two sheaves, constant Z and F, each on the whole space."""
     w = build_wedge(4)
     V = OpenSet(w.poset, frozenset(w.poset.elements))
     built = counting_calls(monkeypatch, finspace.FinitePoset, "__init__")
+    sheaves = counting_calls(monkeypatch, PosetSheaf, "__init__")
     assert component_identity_check(w.poset, V, w.skeleton).status == "pass"
-    assert len(built) == 2
-    assert {frozenset(call["self"].elements) for call in built} == {V.members, w.skeleton}
+    assert built == []
+    assert [call["base"] for call in sheaves] == [w.poset, w.poset]
+
+
+# -- subspaces against their own subposets --------------------------------------
+
+
+def subposet_les(base, ses, V):
+    """The long exact sequence over the whole subposet of V, of the sheaves
+    restricted to it by the oracles and the morphisms between them."""
+    A, B, C = (reference_restricted_sheaf(s, V.members) for s in (ses[0].source, ses[0].target, ses[1].target))
+    sub = A.base
+    f = SheafMorphism(A, B, {e: ses[0].components[e] for e in sub.elements})
+    g = SheafMorphism(B, C, {e: ses[1].components[e] for e in sub.elements})
+    return les_of_short_exact(sub, [f, g], OpenSet(sub, sub.elements))
+
+
+def subposet_component_identity(base, V, skeleton):
+    """(status, lhs, rhs) of the component identity read on V's subposet:
+    H^1 of constant Z and of F restricted there, and the components of V
+    and of its skeleton trace by the oracle."""
+    sub = reference_subposet(base, V.members)
+    if not cohomology(sub, constant_sheaf(sub, Z), 1).is_trivial():
+        return "hypothesis_not_met", None, None
+    F = extension_by_zero(base, OpenSet(base, set(base.elements) - skeleton), Z)
+    lhs = cohomology(sub, reference_restricted_sheaf(F, V.members), 1)
+    v_comps, trace_comps = reference_components(base, V.members), reference_components(base, V.members & skeleton)
+    entries = [[1 if d <= c else 0 for c in v_comps] for d in trace_comps]
+    rhs = PresentedAbGroup(len(trace_comps), IntMatrix(len(trace_comps), len(v_comps), entries))
+    return ("pass" if lhs.is_isomorphic_to(rhs) else "fail"), lhs, rhs
+
+
+def group_data(g):
+    return None if g is None else (g.generator_count, g.relations)
+
+
+def les_data(les):
+    nodes = [(n.degree, n.position, n.label, group_data(n.group)) for n in les.nodes]
+    arrows = [(a.hom.matrix, group_data(a.hom.source), group_data(a.hom.target), a.connecting) for a in les.arrows]
+    return nodes, arrows, les.exact, les.failing_node
+
+
+def test_les_and_component_identity_on_open_sets_match_their_subposets():
+    """On every open set of X_1 and X_2 and every minimal open set of X_3,
+    the structure sequence's long exact sequence read on the chains inside
+    V is the one of the sheaves restricted to V's subposet, node for node
+    and arrow for arrow, and the component identity has the same status and
+    the same two groups."""
+    cases = []
+    for n in (1, 2):
+        p = build_wedge(n).poset
+        subsets = (frozenset(c) for r in range(len(p) + 1) for c in combinations(p.elements, r))
+        cases += [(n, OpenSet(p, s)) for s in subsets if p.is_open(s)]
+    cases += [(3, build_wedge(3).poset.min_open(e)) for e in build_wedge(3).poset.elements]
+    assert len(cases) == 61  # the empty open set of X_1 and of X_2 included
+    statuses = set()
+    for n, V in cases:
+        w = build_wedge(n)
+        ses = structure_sequence(w)
+        assert les_data(les_of_short_exact(w.poset, ses, V)) == les_data(subposet_les(w.poset, ses, V))
+        got = component_identity_check(w.poset, V, w.skeleton)
+        status, lhs, rhs = subposet_component_identity(w.poset, V, w.skeleton)
+        assert (got.status, group_data(got.lhs), group_data(got.rhs)) == (status, group_data(lhs), group_data(rhs))
+        statuses.add(status)
+    assert statuses == {"pass"}
+    # the circle is the one case here where H^1(V, Z) = Z gates the identity out
+    c = circle_poset()
+    got = component_identity_check(c, OpenSet(c, c.elements), frozenset("pq"))
+    want = subposet_component_identity(c, OpenSet(c, c.elements), frozenset("pq"))
+    assert (got.status, got.lhs, got.rhs) == want == ("hypothesis_not_met", None, None)
+
+
+def test_les_needs_exactness_only_on_v():
+    """0 -> 0 -> Z_U -> Z -> 0 on a < b, with U = {b}, is exact at b and not
+    at a: its long exact sequence is read over U, as on U's subposet, and
+    refused over the whole space."""
+    p = FinitePoset("ab", [("a", "b")])
+    U = OpenSet(p, {"b"})
+    B, C = extension_by_zero(p, U, Z), constant_sheaf(p, Z)
+    ses = [SheafMorphism.zero(zero_sheaf(p), B), SheafMorphism(B, C, {"a": IntMatrix.zero(1, 0), "b": IntMatrix.identity(1)})]
+    got = les_of_short_exact(p, ses, U)
+    assert got.exact and les_data(got) == les_data(subposet_les(p, ses, U))
+    assert [node.group.canonical for node in got.nodes] == [(0, ()), (1, ()), (1, ())]
+    with pytest.raises(InputError, match="fails at a"):
+        les_of_short_exact(p, ses, OpenSet(p, p.elements))
 
 
 # -- reference loops ----------------------------------------------------------
@@ -267,7 +358,7 @@ def test_cochain_complexes_and_restrictions_match_the_reference_loops(monkeypatc
         summands = [[(t, off, g.generator_count) for t, off, g, _ in cx.summands(k)] for k in range(len(cx.groups))]
         assert summands == layout
         for e in base.elements:
-            sub = sheaf.restricted_to(base.up_set(e))
+            sub = reference_restricted_sheaf(sheaf, base.up_set(e))
             tgt_layout, _ = reference_cochain_complex(sub.base, sub)
             tgt = cochain_complex(sub.base, sub)
             want = reference_stalkwise_chain_map(layout, tgt_layout, identities(sub))
@@ -279,7 +370,7 @@ def test_cochain_complexes_and_restrictions_match_the_reference_loops(monkeypatc
                 assert got.matrix == reference_induced_map(src_h, tgt_h, f)
         W = base.min_open(base.elements[0])
         restriction_induced(base, OpenSet(base, base.elements), W, sheaf, 1)
-        sub = sheaf.restricted_to(W.members)
+        sub = reference_restricted_sheaf(sheaf, W.members)
         want = reference_stalkwise_chain_map(layout, reference_cochain_complex(sub.base, sub)[0], identities(sub))
         assert chain_maps.pop() == want
 
@@ -322,10 +413,10 @@ def test_les_arrows_match_the_per_generator_route(n):
     V = OpenSet(w.poset, w.poset.elements)
     ses = structure_sequence(w)
     got = les_of_short_exact(w.poset, ses, V)
-    A, B, C = (s.restricted_to(V.members) for s in (ses[0].source, ses[0].target, ses[1].target))
+    A, B, C = (reference_restricted_sheaf(s, V.members) for s in (ses[0].source, ses[0].target, ses[1].target))
     cxs = [cochain_complex(s.base, s) for s in (A, B, C)]
-    fmat = stalkwise_chain_map(cxs[0], cxs[1], ses[0].between(A, B).components)
-    gmat = stalkwise_chain_map(cxs[1], cxs[2], ses[1].between(B, C).components)
+    fmat = stalkwise_chain_map(cxs[0], cxs[1], ses[0].components)
+    gmat = stalkwise_chain_map(cxs[1], cxs[2], ses[1].components)
 
     def preimage(m, target, y):
         x = solve(m.hstack(target.relations), y)
@@ -379,7 +470,7 @@ def test_a_kept_complex_serves_restrictions_after_its_sheaf_is_gone():
     F = gap_sheaf(w)
     big, small = frozenset(w.poset.elements), frozenset(w.poset.min_open("a1").members)
     want = [restriction_induced(w.poset, OpenSet(w.poset, big), OpenSet(w.poset, small), F, q) for q in range(3)]
-    sheaves = [F.restricted_to(members) for members in (big, small)]
+    sheaves = [reference_restricted_sheaf(F, members) for members in (big, small)]
     gone = [weakref.ref(s) for s in sheaves]
     source, target = (cochain_complex(s.base, s) for s in sheaves)
     del sheaves

@@ -78,10 +78,13 @@ def test_strict_chains_deterministic_order():
     assert p.strict_chains(frozenset("az")) == [("a",)]
 
 
-def test_connected_components():
-    p = FinitePoset("abcd", [("a", "b"), ("c", "d")])
-    comps = p.connected_components()
-    assert sorted(sorted(c) for c in comps) == [["a", "b"], ["c", "d"]]
+def test_components_join_members_across_a_missing_middle():
+    """a < b < c: the subset {a, c} is connected although it holds no cover
+    of the base; {d} and the empty set are read as well."""
+    p = FinitePoset("abcd", [("a", "b"), ("b", "c")])
+    assert p.components(frozenset("ac")) == [frozenset("ac")]
+    assert p.components(frozenset("dca")) == [frozenset("ac"), frozenset("d")]
+    assert p.components(frozenset()) == []
 
 
 def test_face_poset_of_disk():
@@ -194,34 +197,10 @@ def test_one_pass_closure_against_brute_force():
         for e in elements:
             assert p.up_set(e) == {e} | {b for a, b in less if a == e}
             assert {a for a in elements if p.leq(a, e)} == {e} | {a for a, b in less if b == e}
-        # subposet keeps the induced order of an arbitrary subset
-        kept = [e for e in elements if rng.random() < 0.6]
-        sub = p.subposet(kept)
-        assert sub.elements == tuple(kept)
-        assert sub._less == frozenset((a, b) for a, b in less if a in kept and b in kept)
-
-
-def subposet_by_whole_relation_filter(p, members):
-    """The induced order as `subposet` once built it: every relation of the
-    whole poset, kept when both ends are members."""
-    s = set(members)
-    kept = tuple(e for e in p.elements if e in s)
-    return FinitePoset(kept, [(a, b) for (a, b) in p._less if a in s and b in s])
-
-
-def test_subposet_from_up_sets_matches_the_whole_relation_filter():
-    rng = random.Random(61)
-    for _ in range(40):
-        elements, rels = random_generating_set(rng, max_elems=12)
-        p = FinitePoset(elements, rels)
-        subsets = [[e for e in elements if rng.random() < 0.5] for _ in range(4)]
-        subsets += [p.up_set(e) for e in elements] + [[a for a in elements if p.leq(a, e)] for e in elements] + [elements, []]
-        for members in subsets:
-            got, want = p.subposet(members), subposet_by_whole_relation_filter(p, members)
-            assert got.elements == want.elements
-            assert got._less == want._less
-            assert got.covers == want.covers
-            assert got.height == want.height
+        # the chains inside an arbitrary subset follow the induced order
+        kept = frozenset(e for e in elements if rng.random() < 0.6)
+        pairs = {c for c in p.strict_chains(kept) if len(c) == 2}
+        assert pairs == {(a, b) for a, b in less if a in kept and b in kept}
 
 
 def test_one_pass_closure_rejects_every_cycle():

@@ -2,13 +2,21 @@
 characteristic of sheaves with free and torsion stalks, constant Z/2 and
 Z/3 cohomology against the simplicial oracle under universal coefficients,
 the complex on the chains inside a subset against the complex of the
-restricted sheaf, and the core of a subset against brute force and the
-simplicial oracle.  All read homology of cochain groups that have
+restricted sheaf, the components of a subset against those of its
+subposet, and the core of a subset against brute force and the
+simplicial oracle.  The homology tests read cochain groups that have
 relations, and torsion in the group after them."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import primary_decomposition, reference_acyclic_connected, simplicial_cohomology, universal_coefficients
+from oracles import (
+    primary_decomposition,
+    reference_acyclic_connected,
+    reference_components,
+    reference_restricted_sheaf,
+    simplicial_cohomology,
+    universal_coefficients,
+)
 
 from finsheaf import wedge
 from finsheaf.abgroup import PresentedAbGroup
@@ -95,12 +103,27 @@ def test_subset_complex_is_the_complex_of_the_restricted_sheaf(base_and_sheaf, d
     kept = data.draw(st.lists(st.booleans(), min_size=len(base), max_size=len(base)))
     members = frozenset(e for e, keep in zip(base.elements, kept) if keep)
     got = CochainComplex(sheaf, members)
-    restricted = sheaf.restricted_to(members)
+    restricted = reference_restricted_sheaf(sheaf, members)
     want = cochain_complex(restricted.base, restricted)
     assert layout(got) == layout(want)
     assert got.maps == want.maps
     degrees = range(len(want.groups))
     assert [got.homology(q).group.canonical for q in degrees] == [want.homology(q).group.canonical for q in degrees]
+
+
+@settings(max_examples=150, deadline=None)
+@given(posets(max_elements=9), st.data())
+def test_components_of_a_subset_are_those_of_its_subposet(base, data):
+    """On an open set, its closed complement, an arbitrary subset (often not
+    convex: it may hold a < c without the b between them) and the empty
+    set, the components read on the base are those of the subposet, in
+    content and in order."""
+    seeds = data.draw(st.lists(st.sampled_from(base.elements), unique=True))
+    opens = frozenset().union(*(base.up_set(e) for e in seeds))
+    kept = data.draw(st.lists(st.booleans(), min_size=len(base), max_size=len(base)))
+    arbitrary = frozenset(e for e, keep in zip(base.elements, kept) if keep)
+    for members in (opens, frozenset(base.elements) - opens, arbitrary, frozenset()):
+        assert base.components(members) == reference_components(base, members)
 
 
 def is_beat_point(base, members, p):
@@ -130,4 +153,4 @@ def test_core_is_a_beat_point_free_retract_with_the_same_cohomology(base, data):
         return groups
 
     assert integral(core) == integral(members)
-    assert wedge._acyclic_connected(base, members) == reference_acyclic_connected(base, members)
+    assert wedge._acyclic_connected(base, [members]) == [reference_acyclic_connected(base, members)]

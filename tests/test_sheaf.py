@@ -2,12 +2,14 @@ import random
 
 import pytest
 
+from counting import counting_calls
 from oracles import column_matrix, from_columns
 
 from finsheaf import jsonio
 from finsheaf.abgroup import GroupHom, IntMatrix, PresentedAbGroup, Subquotient, solve
 from finsheaf.errors import ContractViolation, InputError
 from finsheaf.finspace import FinitePoset, OpenSet
+from finsheaf.wedge import build_wedge
 from finsheaf.sheaf import (
     ExactnessResult,
     PosetSheaf,
@@ -73,6 +75,18 @@ def test_closed_pushforward_counts_components():
     assert s.stalks["u"].canonical == (1, ())
 
 
+def test_closed_pushforward_builds_no_poset(monkeypatch):
+    """The components of each closed trace are read on the base: pushing Z
+    forward from the skeleton of X_4 builds no poset, and the stalk at p
+    has one Z per component of up_set(p) ∩ skeleton."""
+    w = build_wedge(4)
+    built = counting_calls(monkeypatch, FinitePoset, "__init__")
+    s = closed_pushforward(w.poset, w.skeleton, Z)
+    assert built == []
+    ranks = {p: s.stalks[p].rank for p in w.poset.elements}
+    assert ranks == {p: 0 if p.startswith("f") else 1 for p in w.poset.elements}
+
+
 def test_structure_sequence_every_open_set():
     """Extension by zero from U, constant in the middle, pushforward from the
     closed complement: exact for every open U of a fixed test poset."""
@@ -98,7 +112,7 @@ def test_structure_sequence_every_open_set():
             for e in p.elements
         }
         seq = [SheafMorphism(F, G, comp_a), SheafMorphism(G, H, comp_b)]
-        assert bool(is_exact(seq)), f"not exact for U={sorted(u)}"
+        assert bool(is_exact(seq, p.elements)), f"not exact for U={sorted(u)}"
 
 
 def test_kernel_sheaf_of_projection_is_extension_by_zero():
@@ -129,20 +143,24 @@ def test_is_exact_certificates():
     p = chain_poset(2)
     s = constant_sheaf(p, Z)
     # 0 -> Z_X --0--> Z_X -> 0 is not exact anywhere
-    res = is_exact([SheafMorphism.zero(s, s)])
+    res = is_exact([SheafMorphism.zero(s, s)], p.elements)
     assert not res.exact and res.failing_element is not None
     # 0 -> Z_X --id--> Z_X -> 0 is exact
-    assert bool(is_exact([SheafMorphism.identity(s)]))
+    assert bool(is_exact([SheafMorphism.identity(s)], p.elements))
     # 0 -> Z --id--> Z --id--> Z -> 0 is not even a complex: id∘id != 0
     ab = FinitePoset("ab", [("a", "b")])
     z = constant_sheaf(ab, Z)
-    assert is_exact([SheafMorphism.identity(z), SheafMorphism.identity(z)]) == ExactnessResult(False, "a", 1)
+    assert is_exact([SheafMorphism.identity(z), SheafMorphism.identity(z)], ab.elements) == ExactnessResult(False, "a", 1)
     # positions count the sheaves from 0, the ends of the sequence included
     ident, zero = SheafMorphism.identity(z), SheafMorphism.zero(z, z)
-    assert is_exact([zero]) == ExactnessResult(False, "a", 0)  # ker 0 = Z at F_0
-    assert is_exact([ident, zero]) == ExactnessResult(False, "a", 2)  # coker 0 = Z at F_2
-    assert is_exact([zero, ident, ident]) == ExactnessResult(False, "a", 2)  # id∘id != 0 through F_2
-    assert bool(is_exact([ident, zero, ident]))
+    assert is_exact([zero], ab.elements) == ExactnessResult(False, "a", 0)  # ker 0 = Z at F_0
+    assert is_exact([ident, zero], ab.elements) == ExactnessResult(False, "a", 2)  # coker 0 = Z at F_2
+    assert is_exact([zero, ident, ident], ab.elements) == ExactnessResult(False, "a", 2)  # id∘id != 0 through F_2
+    assert bool(is_exact([ident, zero, ident], ab.elements))
+    # only the elements given are checked, in the base's order
+    assert is_exact([zero], "ba") == ExactnessResult(False, "a", 0)
+    assert is_exact([zero], "b") == ExactnessResult(False, "b", 0)
+    assert bool(is_exact([zero], ()))
 
 
 def test_zero_sheaf():

@@ -56,7 +56,8 @@ def test_skeleton_sheaf_cohomology():
 
 def test_structure_sequence_exact():
     for n in (1, 2):
-        assert bool(is_exact(structure_sequence(build_wedge(n))))
+        w = build_wedge(n)
+        assert bool(is_exact(structure_sequence(w), w.poset.elements))
 
 
 def test_canonical_covering_members_disjoint_as_expected():
@@ -190,20 +191,34 @@ def test_stage_evidence_builds_each_open_set_once(monkeypatch):
 def test_condition_i_and_stage_evidence_build_no_subposet(monkeypatch):
     """Condition (i) reads each member and skeleton trace from its core, on
     the chains of the wedge inside it where the core is not a point, with
-    the verdicts of the subposets' own complexes, and neither it nor the
-    stage evidence builds a subposet or restricts a sheaf."""
+    the verdicts of the subposets' own complexes.  It builds no poset, and
+    one constant sheaf for all the subsets whose core is not a point; the
+    canonical covering's are all points, so its validation builds no sheaf,
+    and the stage evidence builds one, the gap sheaf."""
     w = build_wedge(3)
     c = canonical_covering(w)
     subsets = [c.members[n] for n in c.order] + [c.members[n] & w.skeleton for n in c.order]
     subsets += [frozenset({"a1", "b1"}), frozenset({"x", "v1", "a1", "b1"}), w.skeleton, frozenset(w.poset.elements)]
     want = [reference_acyclic_connected(w.poset, members) for members in subsets]
     assert True in want and False in want
-    subposets = counting_calls(monkeypatch, FinitePoset, "subposet")
-    restricted = counting_calls(monkeypatch, PosetSheaf, "restricted_to")
-    assert [wedge._acyclic_connected(w.poset, members) for members in subsets] == want
+    posets = counting_calls(monkeypatch, FinitePoset, "__init__")
+    sheaves = counting_calls(monkeypatch, PosetSheaf, "__init__")
+    assert wedge._acyclic_connected(w.poset, subsets) == want
+    assert (len(posets), len(sheaves)) == (0, 1)
     assert validate_five_conditions(w, c).ok
+    assert (len(posets), len(sheaves)) == (0, 1)
     collect_stage_evidence(w)
-    assert subposets == [] and restricted == []
+    assert (len(posets), len(sheaves)) == (0, 2)
+
+
+def test_validation_builds_one_constant_sheaf_for_every_core_that_is_not_a_point(monkeypatch):
+    """Stage 9 of X_8 has 8 skeleton traces whose core is a circle; all of
+    them are read from one constant sheaf of the wedge."""
+    w = build_wedge(8)
+    sheaves = counting_calls(monkeypatch, PosetSheaf, "__init__")
+    report = validate_five_conditions(w, stage_covering(w, 9))
+    assert report.verdicts[0].detail.count("not acyclic+connected") == 8
+    assert len(sheaves) == 1
 
 
 def test_cores_of_the_canonical_members_and_the_circles():
@@ -212,12 +227,12 @@ def test_cores_of_the_canonical_members_and_the_circles():
     point, and neither has the whole skeleton, a wedge of circles."""
     w = build_wedge(3)
     c = canonical_covering(w)
-    for name in c.order:
-        for subset in (c.members[name], c.members[name] & w.skeleton):
-            assert len(w.poset.core(subset)) == 1 and wedge._acyclic_connected(w.poset, subset)
+    subsets = [subset for name in c.order for subset in (c.members[name], c.members[name] & w.skeleton)]
+    assert all(len(w.poset.core(subset)) == 1 for subset in subsets)
+    assert wedge._acyclic_connected(w.poset, subsets) == [True] * len(subsets)
     circle = frozenset({"x", "v1", "a1", "b1"})
-    assert w.poset.core(circle) == circle and not wedge._acyclic_connected(w.poset, circle)
-    assert w.poset.core(w.skeleton) == w.skeleton and not wedge._acyclic_connected(w.poset, w.skeleton)
+    assert w.poset.core(circle) == circle and w.poset.core(w.skeleton) == w.skeleton
+    assert wedge._acyclic_connected(w.poset, [circle, w.skeleton]) == [False, False]
     assert not reference_acyclic_connected(w.poset, circle) and not reference_acyclic_connected(w.poset, w.skeleton)
 
 
@@ -240,7 +255,9 @@ def test_stage_coverings_keep_their_condition_reports(monkeypatch, n):
     the complex route runs there."""
     w = build_wedge(n)
     got = [validate_five_conditions(w, stage_covering(w, m)).to_dict() for m in range(1, n + 2)]
-    monkeypatch.setattr(wedge, "_acyclic_connected", reference_acyclic_connected)
+    monkeypatch.setattr(
+        wedge, "_acyclic_connected", lambda base, subsets: [reference_acyclic_connected(base, s) for s in subsets]
+    )
     assert got == [validate_five_conditions(w, stage_covering(w, m)).to_dict() for m in range(1, n + 2)]
     assert got[0]["ok"] and all("D1 ∩ skeleton not acyclic+connected" in r["conditions"][0]["detail"] for r in got[1:])
 
