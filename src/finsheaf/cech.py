@@ -143,22 +143,19 @@ def nerve(c: Covering) -> List[tuple]:
 
 
 class _Coefficients:
-    """H^q(-, F) on the opens of a covering, with restriction maps.
+    """H^q(-, F) on open sets, in every degree q, with restriction maps.
 
     Keeps, per open set, the cochain complex of F on it (the chains of the
-    base inside it, with F's own restriction table), whose degree-q
-    homology is computed once, and memoizes every restriction
-    H^q(big) -> H^q(small) by (big, small); an open set met in many
-    intersections, or a pair met again, is computed once.
+    base inside it, with F's own restriction table), whose homology is
+    computed once per degree, and memoizes every restriction H^q(big) ->
+    H^q(small) by (big, small, q).  The table belongs to the call or run
+    that made it and keeps nothing on the sheaf: dropping it frees all.
     """
 
-    def __init__(self, sheaf: PosetSheaf, q: int):
-        if q < 0:
-            raise InputError("coefficient degree must be >= 0")
+    def __init__(self, sheaf: PosetSheaf):
         self.sheaf = sheaf
-        self.q = q
         self._complexes: Dict[frozenset, _cohom.CochainComplex] = {}
-        self._restrictions: Dict[Tuple[frozenset, frozenset], GroupHom] = {}
+        self._restrictions: Dict[Tuple[frozenset, frozenset, int], GroupHom] = {}
 
     def _complex(self, members: frozenset) -> _cohom.CochainComplex:
         cx = self._complexes.get(members)
@@ -166,23 +163,23 @@ class _Coefficients:
             cx = self._complexes[members] = _cohom.CochainComplex(self.sheaf, members)
         return cx
 
-    def group(self, members: frozenset) -> PresentedAbGroup:
-        return self._complex(members).homology(self.q).group
+    def group(self, members: frozenset, q: int) -> PresentedAbGroup:
+        return self._complex(members).homology(q).group
 
-    def restriction(self, big: frozenset, small: frozenset) -> GroupHom:
-        got = self._restrictions.get((big, small))
+    def restriction(self, big: frozenset, small: frozenset, q: int) -> GroupHom:
+        got = self._restrictions.get((big, small, q))
         if got is None:
             if not small <= big:
                 raise InputError("restriction needs the smaller open set inside the bigger one")
-            got = _cohom.restriction_on_homology(self._complex(big), self._complex(small), self.q)
-            self._restrictions[(big, small)] = got
+            got = _cohom.restriction_on_homology(self._complex(big), self._complex(small), q)
+            self._restrictions[(big, small, q)] = got
         return got
 
 
 class CechComplex(FaceComplex):
-    """Alternating Čech complex of a covering on a coefficient cache: the
-    summand of an index tuple is the coefficient group on its intersection,
-    and its data is that intersection.
+    """Alternating Čech complex of a covering with coefficients
+    V -> H^q(V, F) from a coefficient table of F: the summand of an index
+    tuple is H^q of its intersection, and its data is that intersection.
 
     A complex truncated at degree `top` stores degrees 0..top only, so its
     homology is known below `top` alone (Ȟ^p needs top = p + 1); `top` is
@@ -192,11 +189,14 @@ class CechComplex(FaceComplex):
     tuple is listed.
     """
 
-    def __init__(self, covering: Covering, coefficients: _Coefficients, top: Optional[int] = None):
+    def __init__(self, covering: Covering, coefficients: _Coefficients, q: int, top: Optional[int] = None):
+        if q < 0:
+            raise InputError("coefficient degree must be >= 0")
         if covering.base != coefficients.sheaf.base:
             raise InputError("the covering and the sheaf must live on the same poset")
         self.covering = covering
         self.coefficients = coefficients
+        self.q = q
         self.top = top
         degrees = len(covering.order) if top is None else min(len(covering.order), top + 1)
         if covering.simplex_count(degrees - 1) > MAX_NERVE_SIMPLICES:
@@ -204,10 +204,10 @@ class CechComplex(FaceComplex):
                 f"the Čech complex would have over {MAX_NERVE_SIMPLICES} nerve simplices in degrees 0..{degrees - 1}"
             )
         levels = covering.simplices(degrees - 1)
-        super().__init__([[(t, coefficients.group(meet), meet) for t, meet in level] for level in levels])
+        super().__init__([[(t, coefficients.group(meet, q), meet) for t, meet in level] for level in levels])
 
     def block(self, big: frozenset, small: frozenset) -> IntMatrix:
-        return self.coefficients.restriction(big, small).matrix
+        return self.coefficients.restriction(big, small, self.q).matrix
 
     def homology(self, k: int) -> Subquotient:
         # past the top the differential is missing, not zero
@@ -218,13 +218,13 @@ class CechComplex(FaceComplex):
 
 def cech_complex_hq(c: Covering, sheaf: PosetSheaf, q: int) -> CechComplex:
     """The Čech complex of the covering with coefficients V -> H^q(V, F)."""
-    return CechComplex(c, _Coefficients(sheaf, q))
+    return CechComplex(c, _Coefficients(sheaf), q)
 
 
 def cech_cohomology_hq(c: Covering, sheaf: PosetSheaf, q: int, p: int) -> PresentedAbGroup:
     if p < 0:
         raise InputError("degree must be >= 0")
-    return CechComplex(c, _Coefficients(sheaf, q), p + 1).homology(p).group
+    return CechComplex(c, _Coefficients(sheaf), q, p + 1).homology(p).group
 
 
 def cech_cohomology(c: Covering, sheaf: PosetSheaf, p: int) -> PresentedAbGroup:
@@ -244,8 +244,8 @@ def refinement_map(
     The assignment must witness the refinement: each fine member contained
     in its assigned coarse member.
     """
-    coeffs = _Coefficients(sheaf, q)
-    return _refinement_map(CechComplex(fine, coeffs, p + 1), CechComplex(coarse, coeffs, p + 1), assignment, p)
+    coeffs = _Coefficients(sheaf)
+    return _refinement_map(CechComplex(fine, coeffs, q, p + 1), CechComplex(coarse, coeffs, q, p + 1), assignment, p)
 
 
 def _refinement_map(fine_cx: CechComplex, coarse_cx: CechComplex, assignment: Dict[str, str], p: int) -> GroupHom:
@@ -309,13 +309,13 @@ class ComparisonReport:
         return "\n".join(f"{k:<{width}}  {v}" for k, v in rows)
 
 
-def covering_comparison_report(c: Covering, sheaf: PosetSheaf) -> ComparisonReport:
-    """Compute both pipelines and report the low-degree corner of the
-    Čech-to-derived comparison for this covering."""
-    cech = CechComplex(c, _Coefficients(sheaf, 0), 3)
+def covering_comparison_report(c: Covering, coefficients: _Coefficients) -> ComparisonReport:
+    """Compute both pipelines, Čech with H^0 and H^1 coefficients from the
+    one table, and report the low-degree corner of the comparison."""
+    cech = CechComplex(c, coefficients, 0, 3)
     cech_h0, cech_h1, cech_h2 = (cech.homology(p).group for p in range(3))
-    cech_h1h1 = cech_cohomology_hq(c, sheaf, 1, 1)
-    cochains = _cohom.cochain_complex(c.base, sheaf)
+    cech_h1h1 = CechComplex(c, coefficients, 1, 2).homology(1).group
+    cochains = _cohom.cochain_complex(c.base, coefficients.sheaf)
     sheaf_h0, sheaf_h1, sheaf_h2 = (cochains.homology(q).group for q in range(3))
     combined = direct_sum([cech_h2, cech_h1h1])
     return ComparisonReport(

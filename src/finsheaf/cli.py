@@ -17,7 +17,7 @@ from typing import Optional
 
 from . import jsonio
 from .abgroup import IntMatrix, PresentedAbGroup, smith_decompose
-from .cech import Covering, cech_cohomology, cech_cohomology_hq, covering_comparison_report
+from .cech import Covering, _Coefficients, cech_cohomology, cech_cohomology_hq, covering_comparison_report
 from .cohom import cohomology
 from .errors import ContractViolation, InputError
 from .finspace import FinitePoset
@@ -155,12 +155,12 @@ def cmd_reproduce(args) -> int:
         return ok
 
     w = build_wedge(n)
-    F = gap_sheaf(w)
+    coefficients = _Coefficients(gap_sheaf(w))
     cov = canonical_covering(w)
 
     link("five conditions on the canonical covering", validate_five_conditions(w, cov).ok)
 
-    rep = covering_comparison_report(cov, F)
+    rep = covering_comparison_report(cov, coefficients)
     link(
         "corner group Hcheck^1 of degree-one coefficients",
         rep.cech_h1_of_h1.canonical == (n, ()),
@@ -170,7 +170,7 @@ def cmd_reproduce(args) -> int:
     link("sheaf H^2", rep.sheaf_h2.canonical == (n, ()), f"got {rep.sheaf_h2}, want Z^{n}")
     link("gap detected with consistent bookkeeping", rep.gap and rep.rank_bookkeeping_ok and rep.torsion_ok)
 
-    evidence = collect_stage_evidence(w)
+    evidence = collect_stage_evidence(w, coefficients)
     tr_ok = all(t["surjective"] and t["kernel_rank"] == t["m2"] - t["m"] for t in evidence.transitions)
     link("stage transitions are surjective projections", tr_ok)
 

@@ -256,7 +256,8 @@ def is_exact(morphisms: Sequence[SheafMorphism], elements: Iterable[str]) -> Exa
     if not morphisms:
         raise InputError("need at least one morphism")
     for a, b in zip(morphisms, morphisms[1:]):
-        if a.target is not b.source and a.target.base != b.source.base:
+        # b starts at a's target, or at a sheaf with the same stalks and cover maps
+        if a.target is not b.source and (a.target.stalks, a.target.cover_maps) != (b.source.stalks, b.source.cover_maps):
             raise InputError("morphisms do not compose")
     sheaves = [morphisms[0].source] + [m.target for m in morphisms]
     checked = frozenset(elements)

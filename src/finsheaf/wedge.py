@@ -300,13 +300,20 @@ class StageSystem:
         return _refinement_map(fine_cx, coarse_cx, assignment, 1)
 
 
-def stage_system(w: WedgeSpace) -> StageSystem:
+def stage_system(w: WedgeSpace, coefficients: _Coefficients) -> StageSystem:
     """The stage Čech complexes with coefficients H¹(-, F), up to degree 2,
-    all on one coefficient cache, and their readouts.  The latest stage,
-    whose nerve is the largest, is built first, so a wedge over the nerve
-    budget is refused before any stage is built."""
-    coeffs = _Coefficients(gap_sheaf(w), 1)
-    complexes = {m: CechComplex(stage_covering(w, m), coeffs, 2) for m in range(w.n + 1, 0, -1)}
+    all read from the given coefficient table of the gap sheaf F, and their
+    readouts.  A table whose sheaf is not on w's poset, with stalk Z exactly
+    on the open 2-cells and 0 elsewhere, is refused (the stalks fix F up to
+    sign: the 2-cells are maximal and pairwise incomparable).  The latest
+    stage, whose nerve is the largest, is built first, so a wedge over the
+    nerve budget is refused before any stage is built."""
+    sheaf = coefficients.sheaf
+    if sheaf.base != w.poset or any(
+        sheaf.stalks[e].canonical != ((1, ()) if e in w.open_u else (0, ())) for e in w.poset.elements
+    ):
+        raise InputError("the coefficient table is not of the gap sheaf of this wedge")
+    complexes = {m: CechComplex(stage_covering(w, m), coefficients, 1, 2) for m in range(w.n + 1, 0, -1)}
     groups: Dict[int, PresentedAbGroup] = {}
     readouts: Dict[int, IntMatrix] = {}
     readbacks: Dict[int, IntMatrix] = {}
@@ -331,13 +338,14 @@ class StageEvidence:
         }
 
 
-def collect_stage_evidence(w: WedgeSpace) -> StageEvidence:
-    """Run the stage pipeline and record what the certificate may rely on.
+def collect_stage_evidence(w: WedgeSpace, coefficients: _Coefficients) -> StageEvidence:
+    """Run the stage pipeline on the given coefficient table of the gap
+    sheaf and record what the certificate may rely on.
 
-    Each stage's Čech complex is built once, on one coefficient cache, and
-    serves both its readout and every refinement map it takes part in.
+    Each stage's Čech complex is built once, on that table, and serves both
+    its readout and every refinement map it takes part in.
     """
-    sys_ = stage_system(w)
+    sys_ = stage_system(w, coefficients)
     forms = {m: sys_.groups[m].canonical for m in range(1, w.n + 2)}
     transitions = []
     pairs = [(m, m + 1) for m in range(1, w.n + 1)]

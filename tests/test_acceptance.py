@@ -9,6 +9,7 @@ from oracles import primary_decomposition, simplicial_cohomology, universal_coef
 from finsheaf.abgroup import IntMatrix, PresentedAbGroup, smith_decompose
 from finsheaf.cech import (
     Covering,
+    _Coefficients,
     cech_cohomology,
     cech_cohomology_hq,
     covering_comparison_report,
@@ -57,7 +58,7 @@ def test_criterion_2_gap_with_consistent_bookkeeping():
         c = canonical_covering(w)
         assert cech_cohomology(c, F, 2).is_trivial()
         assert cohomology(w.poset, F, 2).canonical == (n, ())
-        rep = covering_comparison_report(c, F)
+        rep = covering_comparison_report(c, _Coefficients(F))
         assert rep.gap
         assert rep.rank_bookkeeping_ok and rep.torsion_ok
         assert rep.cech_h2.canonical[0] + rep.cech_h1_of_h1.canonical[0] == n
@@ -285,7 +286,8 @@ def test_criterion_9_stage_system_and_certificate():
     kernel ranks, the symbolic limit normalizes to (∏Z)/(⊕Z) and is
     classified uncountable, and the full pipeline command exits 0."""
     w = build_wedge(4)
-    sys_ = stage_system(w)
+    coefficients = _Coefficients(gap_sheaf(w))
+    sys_ = stage_system(w, coefficients)
     for m in range(1, 5):
         t = sys_.transition(m, m + 1)
         assert t.is_surjective()
@@ -296,7 +298,7 @@ def test_criterion_9_stage_system_and_certificate():
     assert normalize(term) == Quotient(CountableProduct(), CountableSum())
     assert cardinality_class(term) == "uncountable"
 
-    cert = certify_theorem(collect_stage_evidence(w).to_dict())
+    cert = certify_theorem(collect_stage_evidence(w, coefficients).to_dict())
     assert cert.ok and cert.limit_cardinality == "uncountable" and not cert.caveats
 
     assert cli_main(["reproduce", "--disks", "4"]) == 0

@@ -4,6 +4,7 @@ from itertools import combinations
 
 import pytest
 from counting import counting_calls
+from test_leray import leray_corpus
 
 from finsheaf import cech, cohom, finspace
 from finsheaf.abgroup import GroupHom, IntMatrix, PresentedAbGroup, direct_sum
@@ -142,7 +143,7 @@ def test_refinement_requires_containment():
 def test_comparison_report_flags_the_gap():
     w = build_wedge(2)
     F = gap_sheaf(w)
-    rep = covering_comparison_report(canonical_covering(w), F)
+    rep = covering_comparison_report(canonical_covering(w), _Coefficients(F))
     assert rep.gap
     assert rep.h0_agrees
     assert rep.rank_bookkeeping_ok and rep.torsion_ok
@@ -153,7 +154,7 @@ def test_comparison_report_flags_the_gap():
 def test_comparison_report_no_gap_for_constant_sheaf():
     w = build_wedge(2)
     s = constant_sheaf(w.poset, Z)
-    rep = covering_comparison_report(canonical_covering(w), s)
+    rep = covering_comparison_report(canonical_covering(w), _Coefficients(s))
     assert not rep.gap
 
 
@@ -178,32 +179,85 @@ def test_cached_restrictions_match_uncached(n):
             cold = cech_complex_hq(c, F, q)
             coeffs = cold.coefficients
             for big, small in face_pairs(c):
-                cached = coeffs.restriction(big, small)
+                cached = coeffs.restriction(big, small, q)
                 fresh = restriction_induced(w.poset, OpenSet(w.poset, big), OpenSet(w.poset, small), F, q)
                 assert cached.source.canonical == fresh.source.canonical
                 assert cached.target.canonical == fresh.target.canonical
                 assert cached.equals_as_hom(fresh)
                 assert cached.matrix == fresh.matrix
-            warm = CechComplex(c, coeffs)
+            warm = CechComplex(c, coeffs, q)
             assert warm.maps == cold.maps
             assert warm.groups == cold.groups
 
 
+def shared_table_cases():
+    """(coverings, sheaf, refinements) to read from one table: every stage
+    covering of X_N, N <= 4, with the gap sheaf and the adjacent stage
+    refinements; every Leray covering with each of its sheaves; and seeded
+    random coverings with constant Z, whose open sets may carry H^0 and H^1
+    at once.  Each of the latter two refines the one-member covering by the
+    whole space."""
+    for n in range(1, 5):
+        w = build_wedge(n)
+        stages = [stage_covering(w, m) for m in range(1, n + 2)]
+        refinements = [
+            (fine, coarse, {name: name if name in coarse.members else f"D{name[1:]}" for name in fine.order})
+            for fine, coarse in zip(stages, stages[1:])
+        ]
+        yield stages, gap_sheaf(w), refinements
+    corpus = list(leray_corpus())
+    rng = random.Random(89)
+    for _ in range(20):
+        p = random_poset(rng)
+        corpus.append((random_covering(rng, p), [constant_sheaf(p, Z)]))
+    for c, sheaves in corpus:
+        whole = Covering(c.base, {"X": c.base.elements}, ["X"])
+        for F in sheaves:
+            yield [c, whole], F, [(c, whole, {name: "X" for name in c.order})]
+
+
+def test_one_table_for_every_degree_matches_a_fresh_table_per_complex():
+    """Čech complexes with coefficients H^0 and H^1, full and cut at degree
+    2, built in a shuffled order on one coefficient table, have the groups
+    and maps of the same complexes built each on a fresh table, and the
+    refinement maps between them are those between the fresh ones."""
+    rng = random.Random(83)
+    for coverings, F, refinements in shared_table_cases():
+        table = _Coefficients(F)
+        keys = [(c, q, top) for c in coverings for q in (0, 1) for top in (None, 2)]
+        rng.shuffle(keys)
+        shared = {}
+        for c, q, top in keys:
+            cx = shared[c, q, top] = CechComplex(c, table, q, top)
+            fresh = CechComplex(c, _Coefficients(F), q, top)
+            assert cx.groups == fresh.groups
+            assert cx.maps == fresh.maps
+        for fine, coarse, assignment in refinements:
+            for q in (0, 1):
+                for p in (0, 1):
+                    got = cech._refinement_map(shared[fine, q, 2], shared[coarse, q, 2], assignment, p)
+                    fine_cx, coarse_cx = (CechComplex(c, _Coefficients(F), q, 2) for c in (fine, coarse))
+                    want = cech._refinement_map(fine_cx, coarse_cx, assignment, p)
+                    assert (got.source, got.target, got.matrix) == (want.source, want.target, want.matrix)
+
+
 def test_stage_complex_builds_each_open_set_once(monkeypatch):
-    """Every cochain complex a stage's Čech complex reads, by any route, is
-    built once per coefficient cache, on an intersection of its nerve, from
-    the sheaf itself rather than a restriction of it."""
+    """Every cochain complex the stage Čech complexes read, by any route and
+    in any coefficient degree, is built once per coefficient table across
+    all the stages, on an intersection of their nerves, from the sheaf
+    itself rather than a restriction of it."""
     w = build_wedge(4)
     F = gap_sheaf(w)
+    coefficients = _Coefficients(F)
+    coverings = [stage_covering(w, m) for m in range(1, w.n + 2)]
     built = counting_calls(monkeypatch, cohom.CochainComplex, "__init__")
-    for m in range(1, w.n + 2):
-        c = stage_covering(w, m)
-        built.clear()
-        cech_complex_hq(c, F, 1)
-        opens = [call["members"] for call in built]
-        assert len(opens) == len(set(opens))
-        assert set(opens) == {c.intersection(t) for t in nerve(c)}
-        assert all(call["sheaf"] is F for call in built)
+    for c in coverings:
+        for q in (0, 1):
+            CechComplex(c, coefficients, q)
+    opens = [call["members"] for call in built]
+    assert len(opens) == len(set(opens))
+    assert set(opens) == {c.intersection(t) for c in coverings for t in nerve(c)}
+    assert all(call["sheaf"] is F for call in built)
 
 
 def test_cech_complex_refuses_a_sheaf_on_another_poset():
@@ -216,7 +270,7 @@ def test_cech_complex_refuses_a_sheaf_on_another_poset():
     with pytest.raises(InputError, match="same poset"):
         cech_cohomology_hq(c, F, 0, 1)
     with pytest.raises(InputError, match="same poset"):
-        covering_comparison_report(c, F)
+        covering_comparison_report(c, _Coefficients(F))
 
 
 def test_truncated_complex_has_no_homology_at_its_top():
@@ -226,7 +280,7 @@ def test_truncated_complex_has_no_homology_at_its_top():
     c = stage_covering(w, 3)
     full = cech_complex_hq(c, gap_sheaf(w), 1)
     assert full.top is None and len(full.groups) > 3
-    cut = CechComplex(c, full.coefficients, 2)
+    cut = CechComplex(c, full.coefficients, 1, 2)
     assert cut.top == 2 and len(cut.groups) == 3
     assert cut.homology(1).group.canonical == full.homology(1).group.canonical
     for k in (2, 3):
@@ -320,7 +374,7 @@ def test_a_nerve_over_the_budget_is_refused_before_any_tuple_is_listed(monkeypat
     assert stage_covering(build_wedge(65), 66).simplex_count(2) == 47_971
     assert stage_covering(build_wedge(66), 67).simplex_count(2) > cech.MAX_NERVE_SIMPLICES
     w = build_wedge(100)
-    c, coeffs = stage_covering(w, 101), _Coefficients(gap_sheaf(w), 1)
+    c, coeffs = stage_covering(w, 101), _Coefficients(gap_sheaf(w))
 
     def listing(self, top):
         raise AssertionError("a tuple was listed")
@@ -328,7 +382,7 @@ def test_a_nerve_over_the_budget_is_refused_before_any_tuple_is_listed(monkeypat
     monkeypatch.setattr(Covering, "simplices", listing)
     start = time.perf_counter()
     with pytest.raises(InputError, match="nerve simplices"):
-        CechComplex(c, coeffs, 2)
+        CechComplex(c, coeffs, 1, 2)
     assert time.perf_counter() - start < 1.0
 
 
@@ -355,8 +409,9 @@ def test_coefficients_build_one_complex_and_no_poset_per_open_set(monkeypatch):
 # independent of the shared face-complex builder.
 
 
-def reference_cech_complex(c, coeffs, top=None):
-    """(layout, differentials) of the Čech complex, in degrees 0..top."""
+def reference_cech_complex(c, coeffs, q, top=None):
+    """(layout, differentials) of the Čech complex with coefficients H^q,
+    in degrees 0..top."""
     layout = []
     p = 0
     while p < len(c.order) and (top is None or p <= top):
@@ -365,7 +420,7 @@ def reference_cech_complex(c, coeffs, top=None):
         off = 0
         for t in tups:
             meet = c.intersection(t)
-            g = coeffs.group(meet)
+            g = coeffs.group(meet, q)
             entries.append((t, off, g, meet))
             off += g.generator_count
         layout.append(entries)
@@ -381,7 +436,7 @@ def reference_cech_complex(c, coeffs, top=None):
                 face = src_index.get(t[:i] + t[i + 1:])
                 if face is not None:
                     soff, big = face
-                    blocks.append((toff, soff, -1 if i % 2 else 1, coeffs.restriction(big, meet).matrix))
+                    blocks.append((toff, soff, -1 if i % 2 else 1, coeffs.restriction(big, meet, q).matrix))
         maps.append(IntMatrix.from_blocks(layout_rank(layout, k + 1), layout_rank(layout, k), blocks))
     return layout, maps
 
@@ -394,9 +449,9 @@ def reference_refinement_chain_map(fine_cx, coarse_cx, assignment):
     """Per degree of the coarse complex, the map to the fine one: each fine
     tuple takes the restriction of its sorted image under the assignment,
     signed by the parity of the sort; degenerate images contribute zero."""
-    coarse, coeffs = coarse_cx.covering, fine_cx.coefficients
-    fine_layout = reference_cech_complex(fine_cx.covering, coeffs, fine_cx.top)[0]
-    coarse_layout = reference_cech_complex(coarse, coeffs, coarse_cx.top)[0]
+    coarse, coeffs, q = coarse_cx.covering, fine_cx.coefficients, fine_cx.q
+    fine_layout = reference_cech_complex(fine_cx.covering, coeffs, q, fine_cx.top)[0]
+    coarse_layout = reference_cech_complex(coarse, coeffs, q, coarse_cx.top)[0]
     coarse_pos = {name: i for i, name in enumerate(coarse.order)}
     fmat = []
     for k in range(len(coarse_layout)):
@@ -414,7 +469,7 @@ def reference_refinement_chain_map(fine_cx, coarse_cx, assignment):
                         sign = -sign
             source = src_index.get(tuple(mapped[i] for i in perm))
             if source is not None:
-                blocks.append((toff, source[0], sign, coeffs.restriction(source[1], meet).matrix))
+                blocks.append((toff, source[0], sign, coeffs.restriction(source[1], meet, q).matrix))
         fmat.append(IntMatrix.from_blocks(layout_rank(fine_layout, k), layout_rank(coarse_layout, k), blocks))
     return fmat
 
@@ -425,10 +480,10 @@ def test_cech_complexes_match_the_reference_loop(n):
     F = gap_sheaf(w)
     for c in [canonical_covering(w)] + [stage_covering(w, m) for m in range(2, n + 2)]:
         for q in (0, 1):
-            coeffs = _Coefficients(F, q)
+            coeffs = _Coefficients(F)
             for top in (None, 2):
-                layout, maps = reference_cech_complex(c, coeffs, top)
-                cx = CechComplex(c, coeffs, top)
+                layout, maps = reference_cech_complex(c, coeffs, q, top)
+                cx = CechComplex(c, coeffs, q, top)
                 assert cx.maps == maps
                 # summands without generators add no row or column and are not laid out
                 placed = [[s for s in entries if s[2].generator_count] for entries in layout]
@@ -456,7 +511,7 @@ def test_refinement_chain_maps_match_the_reference_loop(monkeypatch, n):
     w = build_wedge(n)
     F = gap_sheaf(w)
     assignments = []
-    stages = stage_system(w)
+    stages = stage_system(w, _Coefficients(F))
     for m in range(1, n + 1):
         stages.inclusion(m, m + 1)
         fine, coarse = stage_covering(w, m), stage_covering(w, m + 1)

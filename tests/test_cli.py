@@ -110,8 +110,9 @@ def test_reproduce_stdout_bytes_pinned(capsys, n):
 # The last stage reads out Z^0: its 0x0 readout is inverted by `solve`, which
 # takes no Smith form of a zero right-hand side.  Condition (i) takes none:
 # every member and skeleton trace of the canonical covering has a one-point
-# core.
-REPRODUCE_SMITH_FORMS = {2: 49, 3: 66, 4: 83}
+# core.  The comparison report and the stage run share one coefficient
+# table, so the homology of each open set is computed once per degree.
+REPRODUCE_SMITH_FORMS = {2: 39, 3: 52, 4: 65}
 
 
 @pytest.mark.parametrize("n", sorted(REPRODUCE_SMITH_FORMS))
@@ -137,12 +138,12 @@ def test_reproduce_cech_complex_count_pinned(capsys, monkeypatch, n):
 
 # Posets and sheaves built by `reproduce --disks N`.  The wedge is the one
 # poset: every cochain complex on an intersection, stage member or skeleton
-# trace lies on the chains of the wedge inside it.  The sheaves are the gap
-# sheaf of the comparison report and the one of the stage system; none is a
-# restricted sheaf.  Condition (i) builds no sheaf: every member and skeleton
-# trace of the canonical covering has a one-point core.
+# trace lies on the chains of the wedge inside it.  The one sheaf is the gap
+# sheaf, whose coefficient table the comparison report and the stage system
+# share; none is a restricted sheaf.  Condition (i) builds no sheaf: every
+# member and skeleton trace of the canonical covering has a one-point core.
 REPRODUCE_POSETS = {2: 1, 3: 1, 4: 1}
-REPRODUCE_SHEAVES = {2: 2, 3: 2, 4: 2}
+REPRODUCE_SHEAVES = {2: 1, 3: 1, 4: 1}
 
 
 @pytest.mark.parametrize("n", sorted(REPRODUCE_POSETS))
@@ -153,6 +154,22 @@ def test_reproduce_poset_and_sheaf_counts_pinned(capsys, monkeypatch, n):
     assert code == 0
     assert len(posets) == REPRODUCE_POSETS[n]
     assert len(sheaves) == REPRODUCE_SHEAVES[n]
+
+
+# Cochain complexes built by `reproduce --disks N`: one per open set of the
+# coefficient table that the comparison report and the stage run share, in
+# whichever covering and coefficient degree meets it first, and the gap
+# sheaf's complex on the whole wedge for its sheaf cohomology.
+REPRODUCE_COCHAIN_COMPLEXES = {2: 8, 3: 11, 4: 14}
+
+
+@pytest.mark.parametrize("n", sorted(REPRODUCE_COCHAIN_COMPLEXES))
+def test_reproduce_cochain_complex_count_pinned(capsys, monkeypatch, n):
+    built = counting_calls(monkeypatch, cohom.CochainComplex, "__init__")
+    code, _, _ = run(capsys, "reproduce", "--disks", str(n))
+    assert code == 0
+    assert len(built) == REPRODUCE_COCHAIN_COMPLEXES[n]
+    assert len({call["members"] for call in built}) == len(built)
 
 
 def test_constant_z_cohomology_takes_at_most_two_smith_forms_per_degree(monkeypatch):
@@ -240,6 +257,9 @@ def test_bad_input_exits_one(capsys, tmp_path):
 
     code, _, _ = run(capsys, "cohomology", "--degree", "0")
     assert code == 1  # neither --space nor --disks
+
+    code, out, err = run(capsys, "cech", "--disks", "2", "--degree", "1", "--coeff-degree", "-1")
+    assert code == 1 and out == "" and "coefficient degree" in err
 
 
 def test_malformed_json_files_exit_1(capsys, tmp_path):

@@ -25,7 +25,7 @@ from finsheaf.cohom import (
 from finsheaf.errors import InputError
 from finsheaf.finspace import FinitePoset, OpenSet
 from finsheaf.sheaf import PosetSheaf, SheafMorphism, constant_sheaf, extension_by_zero, zero_sheaf
-from finsheaf.wedge import build_wedge, collect_stage_evidence, gap_sheaf, structure_sequence
+from finsheaf.wedge import build_wedge, canonical_covering, collect_stage_evidence, gap_sheaf, structure_sequence
 
 Z = PresentedAbGroup.free(1)
 
@@ -494,9 +494,12 @@ def test_cached_complex_still_checks_the_base():
 
 def test_sheaf_complex_and_coefficients_leave_no_reference_cycle():
     """Dropping a sheaf frees its complex by reference counting alone: the
-    complex holds the sheaf weakly and reads its blocks from the restriction
-    table, so no cycle is left for the collector.  Nor does the stage
-    evidence, whose coverings list their nerve tuples one length per pass."""
+    complex reads its blocks from the restriction table and holds no
+    reference to the sheaf, so no cycle is left for the collector.  A
+    coefficient table keeps nothing on its sheaf: dropping the table frees
+    every complex it built, in every degree, while the sheaf lives on.  Nor
+    does the stage evidence leave a cycle, whose coverings list their nerve
+    tuples one length per pass."""
     w = build_wedge(3)
     members = (frozenset(w.poset.elements), frozenset(w.poset.min_open("a1").members))
     gc.collect()
@@ -506,13 +509,20 @@ def test_sheaf_complex_and_coefficients_leave_no_reference_cycle():
         cx = cochain_complex(w.poset, F)
         for q in range(len(cx.groups)):
             cx.homology(q)
-        coeffs = cech._Coefficients(F, 1)
-        coeffs.restriction(*members)
+        coeffs = cech._Coefficients(F)
+        for q in range(3):
+            coeffs.restriction(*members, q)
+        cech.CechComplex(canonical_covering(w), coeffs, 1, 2).homology(1)
+        built = [weakref.ref(table_cx) for table_cx in coeffs._complexes.values()]
+        assert len(built) > 2
+        del coeffs
+        assert [ref() for ref in built] == [None] * len(built)
         kept = weakref.ref(cx)
-        del F, cx, coeffs
+        del F, cx
         assert kept() is None
         assert gc.collect() == 0
-        evidence = collect_stage_evidence(build_wedge(6))
+        w = build_wedge(6)
+        evidence = collect_stage_evidence(w, cech._Coefficients(gap_sheaf(w)))
         del evidence
         assert gc.collect() == 0
     finally:
@@ -544,5 +554,5 @@ def test_cochain_complex_refuses_too_many_chains_before_enumerating(monkeypatch)
     with pytest.raises(InputError, match="strict chains"):
         CochainComplex(constant_sheaf(chain, Z), inside)
     with pytest.raises(InputError, match="strict chains"):
-        cech._Coefficients(constant_sheaf(chain, Z), 0).group(inside)
+        cech._Coefficients(constant_sheaf(chain, Z)).group(inside, 0)
 

@@ -301,3 +301,23 @@ def test_reimport_frees_the_previous_modules():
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     out = subprocess.run([sys.executable, "-c", RELOAD], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "freed"
+
+
+# Parameters with a default value across the package.  A default is a knob
+# every caller may leave unset; the package grows none without a reason
+# that lowers this count elsewhere.
+MAX_DEFAULTED_PARAMETERS = 10
+
+
+def defaulted_parameters(source: str) -> int:
+    return sum(
+        len(node.args.defaults) + sum(d is not None for d in node.args.kw_defaults)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+    )
+
+
+def test_defaulted_parameters_do_not_grow():
+    assert defaulted_parameters("def f(a, b=1, *, c=None, d, e=2):\n    g = lambda x=0: x\n") == 4
+    total = sum(defaulted_parameters(path.read_text()) for path in sorted(PACKAGE.glob("*.py")))
+    assert total <= MAX_DEFAULTED_PARAMETERS

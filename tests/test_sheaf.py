@@ -7,9 +7,10 @@ from oracles import column_matrix, from_columns
 
 from finsheaf import jsonio
 from finsheaf.abgroup import GroupHom, IntMatrix, PresentedAbGroup, Subquotient, solve
+from finsheaf.cohom import les_of_short_exact
 from finsheaf.errors import ContractViolation, InputError
 from finsheaf.finspace import FinitePoset, OpenSet
-from finsheaf.wedge import build_wedge
+from finsheaf.wedge import build_wedge, structure_sequence
 from finsheaf.sheaf import (
     ExactnessResult,
     PosetSheaf,
@@ -161,6 +162,28 @@ def test_is_exact_certificates():
     assert is_exact([zero], "ba") == ExactnessResult(False, "a", 0)
     assert is_exact([zero], "b") == ExactnessResult(False, "b", 0)
     assert bool(is_exact([zero], ()))
+
+
+def test_is_exact_refuses_morphisms_that_do_not_compose():
+    """The second morphism must start at the first one's target, or at a
+    sheaf with the same stalks and cover maps: on a < b, 0 -> Z followed by
+    g: B' -> Z, where B' restricts by -1, is exact stalk by stalk as
+    matrices, but g does not start at Z.  The long exact sequence refuses
+    it as bad input instead of failing inside."""
+    ab = FinitePoset("ab", [("a", "b")])
+    z = constant_sheaf(ab, Z)
+    twisted = PosetSheaf(ab, {"a": Z, "b": Z}, {("a", "b"): IntMatrix(1, 1, [[-1]])})
+    g = SheafMorphism(twisted, z, {"a": IntMatrix(1, 1, [[-1]]), "b": IntMatrix.identity(1)})
+    sequence = [SheafMorphism.zero(zero_sheaf(ab), z), g]
+    with pytest.raises(InputError, match="do not compose"):
+        is_exact(sequence, ab.elements)
+    with pytest.raises(InputError, match="do not compose"):
+        les_of_short_exact(ab, sequence, OpenSet(ab, frozenset(ab.elements)))
+    # a second copy of Z, equal stalks and cover maps, composes
+    copy = constant_sheaf(ab, Z)
+    assert bool(is_exact([SheafMorphism.identity(z), SheafMorphism.zero(copy, zero_sheaf(ab))], ab.elements))
+    w = build_wedge(2)
+    assert bool(is_exact(structure_sequence(w), w.poset.elements))
 
 
 def test_zero_sheaf():

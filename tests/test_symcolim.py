@@ -20,7 +20,13 @@ from finsheaf.symcolim import (
     certify_theorem,
     normalize,
 )
-from finsheaf.wedge import build_wedge, collect_stage_evidence
+from finsheaf.cech import _Coefficients
+from finsheaf.wedge import build_wedge, collect_stage_evidence, gap_sheaf
+
+
+def stage_evidence(n):
+    w = build_wedge(n)
+    return collect_stage_evidence(w, _Coefficients(gap_sheaf(w))).to_dict()
 
 
 def test_rewrite_product_projection_system():
@@ -87,7 +93,7 @@ def test_system_validation():
 
 
 def test_certify_on_real_evidence():
-    ev = collect_stage_evidence(build_wedge(2)).to_dict()
+    ev = stage_evidence(2)
     cert = certify_theorem(ev)
     assert cert.ok and cert.verdict == "uncountable"
     assert cert.limit_cardinality == UNCOUNTABLE
@@ -97,12 +103,12 @@ def test_certify_on_real_evidence():
 
 
 def test_certify_single_disk_carries_caveat():
-    cert = certify_theorem(collect_stage_evidence(build_wedge(1)).to_dict())
+    cert = certify_theorem(stage_evidence(1))
     assert cert.ok and cert.caveats
 
 
 def test_certify_refuses_tampered_rank():
-    ev = collect_stage_evidence(build_wedge(2)).to_dict()
+    ev = stage_evidence(2)
     bad = copy.deepcopy(ev)
     bad["stages"]["2"]["rank"] = 7
     cert = certify_theorem(bad)
@@ -110,21 +116,21 @@ def test_certify_refuses_tampered_rank():
 
 
 def test_certify_refuses_non_surjective_transition():
-    ev = collect_stage_evidence(build_wedge(2)).to_dict()
+    ev = stage_evidence(2)
     bad = copy.deepcopy(ev)
     bad["transitions"][0]["surjective"] = False
     assert not certify_theorem(bad).ok
 
 
 def test_certify_refuses_wrong_kernel_rank():
-    ev = collect_stage_evidence(build_wedge(2)).to_dict()
+    ev = stage_evidence(2)
     bad = copy.deepcopy(ev)
     bad["transitions"][1]["kernel_rank"] = 5
     assert not certify_theorem(bad).ok
 
 
 def test_certify_refuses_missing_stage_and_garbage():
-    ev = collect_stage_evidence(build_wedge(2)).to_dict()
+    ev = stage_evidence(2)
     bad = copy.deepcopy(ev)
     del bad["stages"]["3"]
     assert not certify_theorem(bad).ok

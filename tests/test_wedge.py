@@ -4,11 +4,11 @@ from oracles import reference_acyclic_connected, reference_induced_map
 
 from finsheaf import abgroup, cohom, wedge
 from finsheaf.abgroup import GroupHom, IntMatrix, PresentedAbGroup, smith_decompose
-from finsheaf.cech import Covering, cech_cohomology_hq
+from finsheaf.cech import Covering, _Coefficients, cech_cohomology_hq
 from finsheaf.cohom import cohomology
 from finsheaf.errors import ContractViolation, InputError
 from finsheaf.finspace import FinitePoset
-from finsheaf.sheaf import PosetSheaf, is_exact
+from finsheaf.sheaf import PosetSheaf, constant_sheaf, is_exact, zero_sheaf
 from finsheaf.wedge import (
     build_wedge,
     canonical_covering,
@@ -20,6 +20,11 @@ from finsheaf.wedge import (
     structure_sequence,
     validate_five_conditions,
 )
+
+
+def gap_table(w):
+    """A fresh coefficient table of the gap sheaf of w."""
+    return _Coefficients(gap_sheaf(w))
 
 
 def test_build_wedge_shape():
@@ -141,7 +146,7 @@ def test_stage_groups_decrease():
 
 def test_stage_system_transitions():
     w = build_wedge(3)
-    sys_ = stage_system(w)
+    sys_ = stage_system(w, gap_table(w))
     t12 = sys_.transition(1, 2)
     t23 = sys_.transition(2, 3)
     t13 = sys_.transition(1, 3)
@@ -154,7 +159,7 @@ def test_stage_system_transitions():
 
 def test_transition_retracts_refinement_inclusion():
     w = build_wedge(2)
-    sys_ = stage_system(w)
+    sys_ = stage_system(w, gap_table(w))
     incl = sys_.inclusion(1, 2)
     t = sys_.transition(1, 2)
     assert t.compose(incl).equals_as_hom(GroupHom.identity(sys_.groups[2]))
@@ -165,7 +170,7 @@ def test_transition_retracts_refinement_inclusion():
 
 def test_collect_stage_evidence():
     w = build_wedge(2)
-    ev = collect_stage_evidence(w)
+    ev = collect_stage_evidence(w, gap_table(w))
     assert ev.n == 2
     assert ev.stage_forms[1] == (2, ())
     assert ev.stage_forms[3] == (0, ())
@@ -174,13 +179,32 @@ def test_collect_stage_evidence():
     assert all(t["retraction_of_inclusion"] for t in ev.transitions)
 
 
+def test_stage_system_refuses_a_table_of_another_sheaf(monkeypatch):
+    """The stage run reads H¹ of the gap sheaf from the table it is given;
+    a table of the constant sheaf, of the zero sheaf, or of the gap sheaf of
+    another wedge is refused before any complex is built."""
+    w = build_wedge(2)
+    tables = [
+        _Coefficients(constant_sheaf(w.poset, PresentedAbGroup.free(1))),
+        _Coefficients(zero_sheaf(w.poset)),
+        gap_table(build_wedge(3)),
+    ]
+    built = counting_calls(monkeypatch, cohom.CochainComplex, "__init__")
+    for table in tables:
+        with pytest.raises(InputError, match="coefficient table"):
+            stage_system(w, table)
+        with pytest.raises(InputError, match="coefficient table"):
+            collect_stage_evidence(w, table)
+    assert built == []
+
+
 def test_stage_evidence_builds_each_open_set_once(monkeypatch):
-    """One coefficient cache and one Čech complex per stage serve every
+    """One coefficient table and one Čech complex per stage serve every
     readout and refinement map of the run: every cochain complex it builds,
     by any route, is on a distinct intersection, from the gap sheaf itself."""
     w = build_wedge(4)
     built = counting_calls(monkeypatch, cohom.CochainComplex, "__init__")
-    collect_stage_evidence(w)
+    collect_stage_evidence(w, gap_table(w))
     opens = [call["members"] for call in built]
     assert len(opens) == len(set(opens))
     stages = [stage_covering(w, m) for m in range(1, w.n + 2)]
@@ -207,7 +231,7 @@ def test_condition_i_and_stage_evidence_build_no_subposet(monkeypatch):
     assert (len(posets), len(sheaves)) == (0, 1)
     assert validate_five_conditions(w, c).ok
     assert (len(posets), len(sheaves)) == (0, 1)
-    collect_stage_evidence(w)
+    collect_stage_evidence(w, gap_table(w))
     assert (len(posets), len(sheaves)) == (0, 2)
 
 
@@ -279,7 +303,8 @@ def test_stage_evidence_intersects_each_nerve_tuple_at_most_once(monkeypatch):
 
     monkeypatch.setattr(Covering, "simplices", counting_simplices)
     monkeypatch.setattr(Covering, "intersection", counting_intersection)
-    collect_stage_evidence(build_wedge(4))
+    w = build_wedge(4)
+    collect_stage_evidence(w, gap_table(w))
     assert enumerated
     assert len(intersections) <= len(enumerated)
 
@@ -291,8 +316,8 @@ def test_stage_refinements_reuse_the_readout_homologies(monkeypatch):
     read, ambients = [], []
     system, init = wedge.stage_system, abgroup.Subquotient.__init__
 
-    def reading(w):
-        out = system(w)
+    def reading(w, coefficients):
+        out = system(w, coefficients)
         read.append(out)
         return out
 
@@ -303,7 +328,8 @@ def test_stage_refinements_reuse_the_readout_homologies(monkeypatch):
 
     monkeypatch.setattr(wedge, "stage_system", reading)
     monkeypatch.setattr(abgroup.Subquotient, "__init__", recording)
-    evidence = collect_stage_evidence(build_wedge(4))
+    w = build_wedge(4)
+    evidence = collect_stage_evidence(w, gap_table(w))
     assert len(read) == 1 and len(evidence.transitions) == 5
     cech_groups = {id(g) for cx in read[0].complexes.values() for g in cx.groups}
     assert not [a for a in ambients if id(a) in cech_groups]
@@ -326,7 +352,7 @@ def reference_readout(w, m, cx):
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_stage_readouts_match_the_reference(n):
     w = build_wedge(n)
-    complexes = wedge.stage_system(w).complexes
+    complexes = wedge.stage_system(w, gap_table(w)).complexes
     for m, cx in complexes.items():
         _, readout, readback = wedge._stage_readout(w, m, cx)
         assert (readout, readback) == reference_readout(w, m, cx)
@@ -336,7 +362,7 @@ def test_stage_readout_builds_no_subquotient_of_its_own(monkeypatch):
     """Once Ȟ¹ of a stage is computed, reading it out constructs no further
     homology: the columns come from its representative cycles."""
     w = build_wedge(3)
-    complexes = wedge.stage_system(w).complexes
+    complexes = wedge.stage_system(w, gap_table(w)).complexes
     for cx in complexes.values():
         cx.homology(1)
     built = counting_calls(monkeypatch, abgroup.Subquotient, "__init__")
@@ -347,7 +373,7 @@ def test_stage_readout_builds_no_subquotient_of_its_own(monkeypatch):
 
 def test_stage_readout_rejects_a_readout_that_is_not_unimodular(monkeypatch):
     w = build_wedge(3)
-    cx = wedge.stage_system(w).complexes[1]
+    cx = wedge.stage_system(w, gap_table(w)).complexes[1]
     reps = abgroup.Subquotient.reps
 
     def doubled(self):
