@@ -666,6 +666,7 @@ class Subquotient:
         self.next_group = next_group
         self._reduction = s = smith_decompose(d_out.hstack(-next_group.relations))
         self.cycle_gens = s._columns("V", s.num_nonzero).submatrix_rows(range(g))
+        s._row_ops = None  # only V⁻¹ is read from here on
         rel = self.cycle_coordinates(ambient.relations if d_in is None else d_in.hstack(ambient.relations))
         if next_group.relations.cols:
             loops = next_group._smith._columns("V", next_group._smith.num_nonzero)

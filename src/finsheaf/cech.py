@@ -148,19 +148,24 @@ class _Coefficients:
     Keeps, per open set, the cochain complex of F on it (the chains of the
     base inside it, with F's own restriction table), whose homology is
     computed once per degree, and memoizes every restriction H^q(big) ->
-    H^q(small) by (big, small, q).  The table belongs to the call or run
-    that made it and keeps nothing on the sheaf: dropping it frees all.
+    H^q(small) by (big, small, q).  Complexes with equal groups and
+    differentials, such as those on the N alike disks of a wedge, share
+    one homology; each keeps its own summands, which restrictions read.
+    The table belongs to the call or run that made it and keeps nothing on
+    the sheaf: dropping it frees all.
     """
 
     def __init__(self, sheaf: PosetSheaf):
         self.sheaf = sheaf
         self._complexes: Dict[frozenset, _cohom.CochainComplex] = {}
+        self._homologies: Dict[tuple, dict] = {}  # (groups, maps) -> their homology by degree
         self._restrictions: Dict[Tuple[frozenset, frozenset, int], GroupHom] = {}
 
     def _complex(self, members: frozenset) -> _cohom.CochainComplex:
         cx = self._complexes.get(members)
         if cx is None:
             cx = self._complexes[members] = _cohom.CochainComplex(self.sheaf, members)
+            cx._homology = self._homologies.setdefault((tuple(cx.groups), tuple(cx.maps)), cx._homology)
         return cx
 
     def group(self, members: frozenset, q: int) -> PresentedAbGroup:
@@ -171,7 +176,10 @@ class _Coefficients:
         if got is None:
             if not small <= big:
                 raise InputError("restriction needs the smaller open set inside the bigger one")
-            got = _cohom.restriction_on_homology(self._complex(big), self._complex(small), q)
+            if small == big:
+                got = GroupHom.identity(self.group(big, q))
+            else:
+                got = _cohom.restriction_on_homology(self._complex(big), self._complex(small), q)
             self._restrictions[(big, small, q)] = got
         return got
 

@@ -3,13 +3,14 @@
 Subcommands: `space build`, `cohomology`, `cech`, `covering validate`,
 `reproduce`, `selftest`.  JSON output is emitted with sorted keys so that
 identical inputs and seed give byte-identical bytes; the seed is echoed in
-every output.  Exit codes: 0 success, 1 bad input or failed verdict, 2
-internal contract violation.
+every output.  Exit codes: 0 success, 1 bad input (usage errors included)
+or failed verdict, 2 internal contract violation.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -221,7 +222,9 @@ def cmd_selftest(args) -> int:
     return 0 if ok else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: parsing leaves it as it was."""
     ap = argparse.ArgumentParser(prog="finsheaf", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -284,8 +287,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list] = None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as e:  # argparse's: 0 after --help, 2 after a usage error
+        return 1 if e.code else 0
     try:
         return args.func(args)
     except InputError as e:

@@ -4,7 +4,10 @@ from itertools import combinations
 
 import pytest
 from counting import counting_calls
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from test_leray import leray_corpus
+from test_properties import sheaves as random_sheaves
 
 from finsheaf import cech, cohom, finspace
 from finsheaf.abgroup import GroupHom, IntMatrix, PresentedAbGroup, direct_sum
@@ -111,6 +114,32 @@ def test_sheaf_axiom_h0_on_random_coverings():
         s = constant_sheaf(p, Z)
         c = random_covering(rng, p)
         assert cech_cohomology(c, s, 0).canonical == cohomology(p, s, 0).canonical
+
+
+@st.composite
+def up_set_coverings(draw):
+    """A random sheaf, free or torsion stalks, and a covering of its base by
+    up to four open sets, each the union of the up-sets of drawn elements,
+    and one more for the elements they leave out, in any order."""
+    base, sheaf = draw(random_sheaves())
+    members = {}
+    for i in range(draw(st.integers(1, 4))):
+        seeds = draw(st.lists(st.sampled_from(base.elements), min_size=1, unique=True))
+        members[f"W{i}"] = frozenset().union(*(base.up_set(e) for e in seeds))
+    left = set(base.elements).difference(*members.values())
+    if left:
+        members["Wrest"] = frozenset().union(*(base.up_set(e) for e in left))
+    return sheaf, Covering(base, members, draw(st.permutations(sorted(members))))
+
+
+@settings(max_examples=80, deadline=None)
+@given(up_set_coverings())
+def test_cech_h0_is_the_sheaf_h0_on_random_up_set_coverings(drawn):
+    """Ȟ⁰(U; F) ≅ H⁰(X; F) on every open covering, by the sheaf axiom: the
+    compatible families of sections on the members are the global ones."""
+    F, c = drawn
+    got = CechComplex(c, _Coefficients(F), 0, 1).homology(0).group
+    assert got.canonical == cohomology(c.base, F, 0).canonical
 
 
 def test_cech_h1_rank_bounded_by_sheaf_h1():

@@ -4,14 +4,20 @@ The minimal open set U_p = {q >= p} has least element p, so it is acyclic
 for every sheaf.  A covering whose nonempty finite intersections each have
 a least element is therefore a covering by minimal open sets, and its Čech
 cohomology equals sheaf cohomology in every degree.  Each Ȟ^p below comes
-from a complex cut at degree p + 1.
+from a complex cut at degree p + 1.  Drawn coverings by minimal open sets
+need not have such intersections; those whose intersections are acyclic
+for the drawn sheaf are Leray coverings all the same.
 """
 
 import random
 
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from test_properties import sheaves as random_sheaves
+
 from finsheaf.abgroup import PresentedAbGroup
-from finsheaf.cech import Covering, cech_cohomology_hq, nerve
-from finsheaf.cohom import cohomology
+from finsheaf.cech import CechComplex, Covering, _Coefficients, cech_cohomology_hq, nerve
+from finsheaf.cohom import CochainComplex, cohomology
 from finsheaf.finspace import FinitePoset, OpenSet
 from finsheaf.sheaf import constant_sheaf, extension_by_zero
 
@@ -67,3 +73,31 @@ def test_cech_equals_sheaf_cohomology_on_leray_coverings():
                 assert cech_cohomology_hq(c, F, 0, p).canonical == cohomology(c.base, F, p).canonical
     assert qualifying >= MIN_QUALIFYING
     assert cut_short >= 10
+
+
+@st.composite
+def minimal_open_coverings(draw):
+    """A random sheaf, free or torsion stalks, and a covering of its base
+    by the minimal open sets of every minimal element and of some others,
+    listed in any order."""
+    base, sheaf = draw(random_sheaves())
+    minimal = [e for e in base.elements if not any(base.lt(a, e) for a in base.elements)]
+    rest = [e for e in base.elements if e not in minimal]
+    extra = draw(st.lists(st.sampled_from(rest), unique=True)) if rest else []
+    picked = draw(st.permutations(minimal + extra))
+    return sheaf, Covering(base, {e: base.up_set(e) for e in picked}, picked)
+
+
+@settings(max_examples=80, deadline=None)
+@given(minimal_open_coverings())
+def test_cech_equals_sheaf_cohomology_on_random_leray_coverings(drawn):
+    """Leray's theorem on random coverings by minimal open sets whose
+    intersections are acyclic, as fresh complexes on them show; every
+    degree comes from one coefficient table."""
+    F, c = drawn
+    intersections = {c.intersection(t) for t in nerve(c)}
+    assume(all(CochainComplex(F, V).homology(q).group.is_trivial() for V in intersections for q in range(1, c.base.height + 1)))
+    table = _Coefficients(F)
+    for p in range(c.base.height + 1):
+        got = CechComplex(c, table, 0, p + 1).homology(p).group
+        assert got.canonical == cohomology(c.base, F, p).canonical
