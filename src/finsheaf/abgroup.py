@@ -226,6 +226,8 @@ class SmithDecomposition:
         if len(rows) != n:
             raise InputError(f"{len(rows)} rows != {n}")
         if name[0] == "U":
+            if self._row_ops is None:
+                raise ContractViolation(f"{name} of a decomposition whose row operations were dropped")
             order = [(i, self._signs[t] if t < len(self._signs) else 1) for t, i in enumerate(self._row_order)]
             if name == "U":  # S·P·E
                 before, ops, after = None, self._row_ops, order
@@ -248,6 +250,11 @@ class SmithDecomposition:
         if after is None:
             return rows
         return [rows[i] if s > 0 else {k: -v for k, v in rows[i].items()} for i, s in after]
+
+    def drop_row_operations(self) -> None:
+        """Free the row operations when only V and V⁻¹ will be read; U and
+        U⁻¹ raise ContractViolation from then on."""
+        self._row_ops = None
 
     def _columns(self, name: str, first: int = 0) -> IntMatrix:
         """Columns first, first + 1, ... of the transform `name`."""
@@ -666,7 +673,7 @@ class Subquotient:
         self.next_group = next_group
         self._reduction = s = smith_decompose(d_out.hstack(-next_group.relations))
         self.cycle_gens = s._columns("V", s.num_nonzero).submatrix_rows(range(g))
-        s._row_ops = None  # only V⁻¹ is read from here on
+        s.drop_row_operations()  # only V⁻¹ is read from here on
         rel = self.cycle_coordinates(ambient.relations if d_in is None else d_in.hstack(ambient.relations))
         if next_group.relations.cols:
             loops = next_group._smith._columns("V", next_group._smith.num_nonzero)

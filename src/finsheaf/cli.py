@@ -10,7 +10,6 @@ or failed verdict, 2 internal contract violation.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import random
 import sys
@@ -222,9 +221,7 @@ def cmd_selftest(args) -> int:
     return 0 if ok else 1
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The one parser of the process: parsing leaves it as it was."""
     ap = argparse.ArgumentParser(prog="finsheaf", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -287,8 +284,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list] = None) -> int:
+    ap = build_parser()
     try:
-        args = build_parser().parse_args(argv)
+        args = ap.parse_args(argv)
     except SystemExit as e:  # argparse's: 0 after --help, 2 after a usage error
         return 1 if e.code else 0
     try:

@@ -75,6 +75,20 @@ def test_smith_randomized():
         check_smith(random_matrix(rng))
 
 
+def test_dropped_row_operations_keep_v_and_refuse_u():
+    """After drop_row_operations, V and V⁻¹ are what they were, and U, U⁻¹
+    raise ContractViolation instead of an unrelated error."""
+    rng = random.Random(5)
+    for _ in range(20):
+        m = random_matrix(rng)
+        s, kept = smith_decompose(m), smith_decompose(m)
+        s.drop_row_operations()
+        assert s.V == kept.V and s.V_inv == kept.V_inv
+        for name in ("U", "U_inv"):
+            with pytest.raises(ContractViolation, match="row operations were dropped"):
+                getattr(s, name)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.integers(1, 5),
