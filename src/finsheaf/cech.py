@@ -176,10 +176,7 @@ class _Coefficients:
         if got is None:
             if not small <= big:
                 raise InputError("restriction needs the smaller open set inside the bigger one")
-            if small == big:
-                got = GroupHom.identity(self.group(big, q))
-            else:
-                got = _cohom.restriction_on_homology(self._complex(big), self._complex(small), q)
+            got = _cohom.restriction_on_homology(self._complex(big), self._complex(small), q)
             self._restrictions[(big, small, q)] = got
         return got
 
