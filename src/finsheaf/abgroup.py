@@ -125,9 +125,6 @@ class IntMatrix:
             raise InputError(f"cannot subtract {other.rows}x{other.cols} from {self.rows}x{self.cols}")
         return IntMatrix.from_blocks(self.rows, self.cols, [(0, 0, 1, self), (0, 0, -1, other)])
 
-    def column(self, j: int) -> tuple:
-        return tuple(row.get(j, 0) for row in self._sparse)
-
     def hstack(self, other: "IntMatrix") -> "IntMatrix":
         if self.rows != other.rows:
             raise InputError("hstack: row counts differ")
@@ -140,32 +137,6 @@ class IntMatrix:
 
     def is_zero(self) -> bool:
         return not any(self._sparse)
-
-    def det(self) -> int:
-        """Exact determinant by fraction-free (Bareiss) elimination."""
-        if self.rows != self.cols:
-            raise InputError("determinant requires a square matrix")
-        n = self.rows
-        if n == 0:
-            return 1
-        a = [list(row) for row in self.data]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if a[k][k] == 0:
-                for i in range(k + 1, n):
-                    if a[i][k] != 0:
-                        a[k], a[i] = a[i], a[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-                a[i][k] = 0
-            prev = a[k][k]
-        return sign * a[n - 1][n - 1]
 
 
 def _add_into(target: dict, row: dict, q: int, offset: int) -> None:
@@ -630,10 +601,6 @@ class GroupHom:
 
     def is_surjective(self) -> bool:
         return self.cokernel_group().is_trivial()
-
-    def kernel_group(self) -> PresentedAbGroup:
-        """The kernel, as an abstract presented group."""
-        return Subquotient(self.source, None, self.matrix, self.target).presented
 
     def cokernel_group(self) -> PresentedAbGroup:
         return PresentedAbGroup(

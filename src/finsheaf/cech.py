@@ -148,24 +148,41 @@ class _Coefficients:
     Keeps, per open set, the cochain complex of F on it (the chains of the
     base inside it, with F's own restriction table), whose homology is
     computed once per degree, and memoizes every restriction H^q(big) ->
-    H^q(small) by (big, small, q).  Complexes with equal groups and
-    differentials, such as those on the N alike disks of a wedge, share
-    one homology; each keeps its own summands, which restrictions read.
-    The table belongs to the call or run that made it and keeps nothing on
-    the sheaf: dropping it frees all.
+    H^q(small) by (big, small, q).  Before a build, an open set is keyed by
+    its stalks and the cover maps between its members, by position in the
+    base's element order.  An open set holds every element above its
+    members, so its covers generate its order: alike open sets, such as the
+    N disks of a wedge, have the same chains position for position, groups
+    and blocks.  The first of each key is built and every later one is that
+    complex relabelled.  The table belongs to the call or run that made it
+    and keeps nothing on the sheaf: dropping it frees all.
     """
 
     def __init__(self, sheaf: PosetSheaf):
         self.sheaf = sheaf
         self._complexes: Dict[frozenset, _cohom.CochainComplex] = {}
-        self._homologies: Dict[tuple, dict] = {}  # (groups, maps) -> their homology by degree
+        # key -> the first complex built with it, and its members in element order
+        self._built: Dict[tuple, Tuple[_cohom.CochainComplex, tuple]] = {}
         self._restrictions: Dict[Tuple[frozenset, frozenset, int], GroupHom] = {}
 
     def _complex(self, members: frozenset) -> _cohom.CochainComplex:
         cx = self._complexes.get(members)
         if cx is None:
-            cx = self._complexes[members] = _cohom.CochainComplex(self.sheaf, members)
-            cx._homology = self._homologies.setdefault((tuple(cx.groups), tuple(cx.maps)), cx._homology)
+            base, cover_maps = self.sheaf.base, self.sheaf.cover_maps
+            if not base.is_open(members):
+                raise InputError("coefficients are read on open sets only")
+            order = tuple(sorted(members, key=base._index.__getitem__))
+            at = {e: i for i, e in enumerate(order)}
+            # every element above a member is a member
+            covers = tuple((at[a], at[b], cover_maps[a, b]) for a in order for b in base._above_ordered[a] if (a, b) in cover_maps)
+            key = tuple(map(self.sheaf.stalks.__getitem__, order)), covers
+            first = self._built.get(key)
+            if first is None:
+                cx = _cohom.CochainComplex(self.sheaf, members)
+                self._built[key] = cx, order
+            else:
+                cx = first[0].relabelled(dict(zip(first[1], order)))
+            self._complexes[members] = cx
         return cx
 
     def group(self, members: frozenset, q: int) -> PresentedAbGroup:

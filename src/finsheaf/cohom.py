@@ -11,6 +11,7 @@ simplicial cochain complex of the order complex.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from itertools import groupby
 from typing import List, Mapping, Optional, Sequence
@@ -71,6 +72,18 @@ class CochainComplex(FaceComplex):
     def block(self, face_end: str, chain_end: str) -> IntMatrix:
         # identity unless the face drops the last element
         return self._restrictions(face_end, chain_end)
+
+    def relabelled(self, names: Mapping[str, str]) -> "CochainComplex":
+        """This complex, sharing its groups, differentials and homology, on
+        its chains renamed element by element through `names`.  The caller
+        vouches that renaming keeps the order, stalks and restrictions, so
+        the renamed chains are those of their subset, in the same order."""
+        view = copy.copy(self)
+        view._summands = []
+        for placed in self._summands:
+            renamed = ((tuple(map(names.__getitem__, t)), off, g) for t, off, g, _ in placed.values())
+            view._summands.append({c: (c, off, g, c[-1]) for c, off, g in renamed})
+        return view
 
 
 def cochain_complex(base: FinitePoset, sheaf: PosetSheaf) -> CochainComplex:

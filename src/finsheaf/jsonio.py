@@ -102,10 +102,11 @@ def covering_from_json(base: FinitePoset, obj) -> Covering:
 
 
 def sheaf_to_json(s: PosetSheaf) -> dict:
+    """Stalks by canonical form, cover maps in their canonical coordinates."""
     stalks = {e: group_to_json(s.stalks[e]) for e in s.base.elements}
     restrictions = {}
     for p, q in s.base.covers:
-        restrictions[f"{p}<{q}"] = matrix_to_json(s.restrictions(p, q))
+        restrictions[f"{p}<{q}"] = matrix_to_json(s.stalks[q].to_canonical(s.restrictions(p, q) @ s.stalks[p].section))
     return {"stalks": stalks, "restrictions": restrictions}
 
 

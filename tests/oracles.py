@@ -30,11 +30,15 @@ complexes and components read on the whole space's chains.
 `reference_acyclic_connected` keeps condition (i)'s earlier test, the
 whole constant-Z cohomology of the subset's own subposet, as the reference
 for the one that reads the subset's core.
+
+`det`, `column` and `kernel_group` read a matrix or a map in ways that only
+the tests need: the unimodularity of Smith transforms, one column as a
+tuple, and the kernel of a connecting map or stage transition.
 """
 
 from itertools import combinations
 
-from finsheaf.abgroup import IntMatrix, PresentedAbGroup, kernel_basis, smith_decompose, solve
+from finsheaf.abgroup import IntMatrix, PresentedAbGroup, Subquotient, kernel_basis, smith_decompose, solve
 from finsheaf.cohom import cohomology
 from finsheaf.finspace import FinitePoset
 from finsheaf.sheaf import PosetSheaf, constant_sheaf
@@ -303,7 +307,7 @@ def reference_subquotient(ambient, d_in, d_out, next_relations):
 
 def column_matrix(m, j):
     """Column j of the IntMatrix m, as a one-column IntMatrix."""
-    return IntMatrix(m.rows, 1, [[x] for x in m.column(j)])
+    return IntMatrix(m.rows, 1, [[x] for x in column(m, j)])
 
 
 def from_columns(columns, rows):
@@ -334,10 +338,48 @@ def reference_induced_map(source_h, target_h, f):
         assert solve(target_h.next_group.relations, target_h.d_out @ image) is not None, "image is not a cycle"
         coordinates = solve(target_h.cycle_gens, image)
         assert coordinates is not None, "cycle off the cycle lattice"
-        z = (target.U @ coordinates).column(0)
-        column = []
+        z = column(target.U @ coordinates, 0)
+        canonical = []
         for i in range(target_units, len(z)):
             d = target.diagonal[i] if i < len(target.diagonal) else 0
-            column.append(z[i] % d if d else z[i])
-        columns.append(column)
+            canonical.append(z[i] % d if d else z[i])
+        columns.append(canonical)
     return from_columns(columns, target_h.presented.generator_count - target_units)
+
+
+def det(m):
+    """The exact determinant of the square IntMatrix m, by fraction-free
+    (Bareiss) elimination."""
+    assert m.rows == m.cols, "determinant of a matrix that is not square"
+    n = m.rows
+    if n == 0:
+        return 1
+    a = [list(row) for row in m.data]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
+
+
+def column(m, j):
+    """Column j of the IntMatrix m, as a tuple: m times the j-th unit vector."""
+    unit = IntMatrix(m.cols, 1, [[int(i == j)] for i in range(m.cols)])
+    return tuple(row[0] for row in (m @ unit).data)
+
+
+def kernel_group(hom):
+    """The kernel of a GroupHom, as an abstract presented group."""
+    return Subquotient(hom.source, None, hom.matrix, hom.target).presented

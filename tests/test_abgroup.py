@@ -7,7 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from counting import counting_calls
-from oracles import column_matrix, dense_smith_diagonal, from_columns, reference_induced_map, reference_subquotient
+from oracles import (
+    column,
+    column_matrix,
+    dense_smith_diagonal,
+    det,
+    from_columns,
+    kernel_group,
+    reference_induced_map,
+    reference_subquotient,
+)
 
 from finsheaf import abgroup, cli, wedge
 from finsheaf.abgroup import (
@@ -36,7 +45,7 @@ def random_matrix(rng, max_dim=6, bound=10):
 
 
 def is_unimodular(m):
-    return m.rows == m.cols and abs(m.det()) == 1
+    return m.rows == m.cols and abs(det(m)) == 1
 
 
 def check_smith(m):
@@ -163,7 +172,7 @@ def test_direct_sum():
 def test_hom_kernel_cokernel():
     z = PresentedAbGroup.free(1)
     two = GroupHom(z, z, IntMatrix(1, 1, [[2]]))
-    assert two.kernel_group().is_trivial()
+    assert kernel_group(two).is_trivial()
     assert two.cokernel_group().canonical == (0, (2,))
     assert not two.is_surjective()
     assert GroupHom.identity(z).is_surjective()
@@ -389,7 +398,7 @@ def test_sparse_operations_agree_with_dense_reference(r, k, c, data):
         assert stores_no_zero(got), name
         assert got.is_zero() == all(e == 0 for row in want for e in row), name
     for j in range(k):
-        assert ma.column(j) == tuple(row[j] for row in a)
+        assert column(ma, j) == tuple(row[j] for row in a)
     with pytest.raises(InputError):
         ma - IntMatrix.zero(r + 1, k)
 
@@ -528,7 +537,7 @@ def test_represents_zero_is_the_column_by_column_membership_test(g, r, c, data):
             columns.append([0] * g)
         elif kind == "relation":
             combination = IntMatrix(r, 1, [[x] for x in data.draw(st.lists(st.integers(-3, 3), min_size=r, max_size=r))])
-            columns.append(list((relations @ combination).column(0)))
+            columns.append(list(column(relations @ combination, 0)))
         else:
             columns.append(data.draw(st.lists(st.integers(-4, 4), min_size=g, max_size=g)))
     M = from_columns(columns, g)
@@ -619,7 +628,7 @@ def test_batched_solve_and_membership_equal_the_per_column_results(r, c, width, 
     X = IntMatrix(c, width, data.draw(dense_entries(c, width)))
     reachable, other = M @ X, IntMatrix(r, width, data.draw(dense_entries(r, width)))
     picks = data.draw(st.lists(st.booleans(), min_size=width, max_size=width))
-    B = from_columns([(reachable if pick else other).column(j) for j, pick in enumerate(picks)], r)
+    B = from_columns([column(reachable if pick else other, j) for j, pick in enumerate(picks)], r)
     per_column = [solve(M, column_matrix(B, j)) for j in range(width)]
     got = solve(M, B)
     if any(x is None for x in per_column):

@@ -4,7 +4,7 @@ criterion.  Everything is exact; every randomized sweep is seeded."""
 import random
 from itertools import combinations
 
-from oracles import primary_decomposition, simplicial_cohomology, universal_coefficients
+from oracles import det, kernel_group, primary_decomposition, simplicial_cohomology, universal_coefficients
 
 from finsheaf.abgroup import IntMatrix, PresentedAbGroup, smith_decompose
 from finsheaf.cech import (
@@ -82,7 +82,7 @@ def test_criterion_3_h2_cross_checked_through_the_long_exact_sequence():
             if a.connecting and node.degree == 1 and node.position == 2
         ]
         assert len(conn) == 1
-        assert conn[0].hom.is_surjective() and conn[0].hom.kernel_group().is_trivial()
+        assert conn[0].hom.is_surjective() and kernel_group(conn[0].hom).is_trivial()
 
 
 def _all_open_sets(p):
@@ -200,7 +200,7 @@ def test_long_exact_sequence_of_torsion_coefficients():
         assert len(deltas) == 2
         for delta, iso in zip(deltas, isomorphic):
             if iso:
-                assert delta.is_surjective() and delta.kernel_group().is_trivial()
+                assert delta.is_surjective() and kernel_group(delta).is_trivial()
             else:
                 assert delta.target.represents_zero(delta.matrix)
 
@@ -214,7 +214,7 @@ def test_criterion_6_smith_normal_form_property_sweep():
         m = IntMatrix(r, c, [[rng.randint(-10, 10) for _ in range(c)] for _ in range(r)])
         s = smith_decompose(m)
         assert s.U @ m @ s.V == s.D
-        assert abs(s.U.det()) == 1 and abs(s.V.det()) == 1
+        assert abs(det(s.U)) == 1 and abs(det(s.V)) == 1
         nz = [d for d in s.diagonal if d != 0]
         assert list(s.diagonal[: len(nz)]) == nz
         for a, b in zip(nz, nz[1:]):
@@ -291,8 +291,8 @@ def test_criterion_9_stage_system_and_certificate():
     for m in range(1, 5):
         t = sys_.transition(m, m + 1)
         assert t.is_surjective()
-        assert t.kernel_group().canonical == (1, ())
-    assert sys_.transition(1, 5).kernel_group().canonical == (4, ())
+        assert kernel_group(t).canonical == (1, ())
+    assert kernel_group(sys_.transition(1, 5)).canonical == (4, ())
 
     term = Colim(SymbolicDirectSystem("prod_tail", "projection"))
     assert normalize(term) == Quotient(CountableProduct(), CountableSum())

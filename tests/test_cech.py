@@ -6,6 +6,7 @@ import pytest
 from counting import counting_calls
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_coefficients import assert_first_of_each_class_built
 from test_leray import leray_corpus
 from test_properties import sheaves as random_sheaves
 
@@ -272,9 +273,10 @@ def test_one_table_for_every_degree_matches_a_fresh_table_per_complex():
 
 def test_stage_complex_builds_each_open_set_once(monkeypatch):
     """Every cochain complex the stage Čech complexes read, by any route and
-    in any coefficient degree, is built once per coefficient table across
-    all the stages, on an intersection of their nerves, from the sheaf
-    itself rather than a restriction of it."""
+    in any coefficient degree, comes from one coefficient table across all
+    the stages, on an intersection of their nerves.  The first open set of
+    each class of alike ones is built, once, from the sheaf itself rather
+    than a restriction of it; every other is a view of that build."""
     w = build_wedge(4)
     F = gap_sheaf(w)
     coefficients = _Coefficients(F)
@@ -283,10 +285,10 @@ def test_stage_complex_builds_each_open_set_once(monkeypatch):
     for c in coverings:
         for q in (0, 1):
             CechComplex(c, coefficients, q)
-    opens = [call["members"] for call in built]
-    assert len(opens) == len(set(opens))
-    assert set(opens) == {c.intersection(t) for c in coverings for t in nerve(c)}
-    assert all(call["sheaf"] is F for call in built)
+    assert set(coefficients._complexes) == {c.intersection(t) for c in coverings for t in nerve(c)}
+    assert coefficients.sheaf is F
+    assert_first_of_each_class_built(coefficients, built)
+    assert len(built) < len(coefficients._complexes)
 
 
 def test_cech_complex_refuses_a_sheaf_on_another_poset():
@@ -417,8 +419,11 @@ def test_a_nerve_over_the_budget_is_refused_before_any_tuple_is_listed(monkeypat
 
 def test_coefficients_build_one_complex_and_no_poset_per_open_set(monkeypatch):
     """The coefficient complex of each intersection lies on the chains of
-    the base inside it: `cech_complex_hq` builds one cochain complex per
-    open set and no poset and no sheaf at all."""
+    the base inside it: `cech_complex_hq` builds at most one cochain
+    complex per open set, only for the first of each class of alike ones,
+    reads every other as a view, and builds no poset and no sheaf at all.
+    The canonical covering of X_4 has 9 intersections in 3 classes: U0, the
+    U_k and the S_k = U0 ∩ U_k."""
     w = build_wedge(4)
     F = gap_sheaf(w)
     c = canonical_covering(w)
@@ -426,10 +431,11 @@ def test_coefficients_build_one_complex_and_no_poset_per_open_set(monkeypatch):
     posets = counting_calls(monkeypatch, finspace.FinitePoset, "__init__")
     sheaves = counting_calls(monkeypatch, PosetSheaf, "__init__")
     complexes = counting_calls(monkeypatch, cohom.CochainComplex, "__init__")
-    cech_complex_hq(c, F, 1)
+    cx = cech_complex_hq(c, F, 1)
     assert posets == [] and sheaves == []
-    assert len(complexes) == len(opens)
-    assert {call["members"] for call in complexes} == opens
+    assert set(cx.coefficients._complexes) == opens
+    assert_first_of_each_class_built(cx.coefficients, complexes)
+    assert (len(complexes), len(opens)) == (3, 9)
 
 
 # -- reference loops ----------------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 from counting import counting_calls
 from itertools import combinations
 
-from oracles import reference_components, reference_induced_map, reference_restricted_sheaf, reference_subposet
+from oracles import kernel_group, reference_components, reference_induced_map, reference_restricted_sheaf, reference_subposet
 
 from finsheaf import abgroup, cech, cohom, finspace
 from finsheaf.abgroup import GroupHom, IntMatrix, PresentedAbGroup, solve
@@ -116,7 +116,7 @@ def test_les_connecting_map_is_isomorphism_here():
     assert len(conn) == 1
     delta = conn[0].hom
     assert delta.is_surjective()
-    assert delta.kernel_group().is_trivial()
+    assert kernel_group(delta).is_trivial()
 
 
 def test_les_rejects_non_exact_input():
@@ -553,6 +553,7 @@ def test_cochain_complex_refuses_too_many_chains_before_enumerating(monkeypatch)
     assert chain.chain_count(inside) == 2**17 - 1 > MAX_STRICT_CHAINS
     with pytest.raises(InputError, match="strict chains"):
         CochainComplex(constant_sheaf(chain, Z), inside)
+    # the coefficient table reads open sets only: the top 17 of the chain
     with pytest.raises(InputError, match="strict chains"):
-        cech._Coefficients(constant_sheaf(chain, Z)).group(inside, 0)
+        cech._Coefficients(constant_sheaf(chain, Z)).group(frozenset(labels[-17:]), 0)
 

@@ -219,9 +219,6 @@ class B:
 # `unreferenced_names` reports them, each with the reason it is kept: a
 # public name that only tests reach is deleted or listed here.
 TEST_ONLY_API = {
-    "abgroup.py: IntMatrix.det": "the criterion-6 oracle: U and V of every Smith form have determinant +-1",
-    "abgroup.py: IntMatrix.column": "one column as a tuple, as the per-vector oracles in tests/oracles.py read it",
-    "abgroup.py: GroupHom.kernel_group": "criteria 3 and 9 read the kernels of connecting maps and stage transitions",
     "cech.py: cech_complex_hq": "the untruncated Čech complex, oracle of the truncated ones; perfbench names it",
     "cech.py: Covering.intersection": "the plain intersection of named members, oracle of the interned ones",
     "cech.py: nerve": "exported: the whole nerve of a covering, oracle of `simplex_count`",

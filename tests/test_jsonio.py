@@ -1,10 +1,15 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from test_properties import sheaves
 
 from finsheaf import jsonio
+from finsheaf.abgroup import PresentedAbGroup
 from finsheaf.cohom import cohomology
 from finsheaf.errors import InputError
+from finsheaf.finspace import FinitePoset
+from finsheaf.sheaf import closed_pushforward, constant_sheaf
 from finsheaf.wedge import build_wedge, canonical_covering, gap_sheaf
 
 
@@ -45,6 +50,29 @@ def test_sheaf_roundtrip_preserves_cohomology():
     back = jsonio.sheaf_from_json(w.poset, roundtrip(jsonio.sheaf_to_json(s)))
     for q in (0, 1, 2):
         assert cohomology(w.poset, back, q).canonical == cohomology(w.poset, s, q).canonical
+
+
+def test_sheaf_roundtrip_of_stalks_presented_off_their_canonical_form():
+    """A stalk written as its canonical form may have fewer generators than
+    it is presented on (Z/2 + Z/3 on two is Z/6 on one), or other
+    relations (Z/4 + Z/6 is Z/2 + Z/12); the cover maps are written in the
+    canonical coordinates, so the file reads back as an isomorphic sheaf."""
+    base = FinitePoset("abc", [("a", "b"), ("a", "c")])
+    for s in (
+        constant_sheaf(base, PresentedAbGroup.from_canonical_form(0, [2, 3])),
+        closed_pushforward(base, {"a"}, PresentedAbGroup.from_canonical_form(1, [4, 6])),
+    ):
+        back = jsonio.sheaf_from_json(base, roundtrip(jsonio.sheaf_to_json(s)))
+        assert [cohomology(base, back, q).canonical for q in (0, 1)] == [cohomology(base, s, q).canonical for q in (0, 1)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(sheaves())
+def test_sheaf_roundtrip_with_torsion_stalks_preserves_cohomology(base_and_sheaf):
+    base, s = base_and_sheaf
+    back = jsonio.sheaf_from_json(base, roundtrip(jsonio.sheaf_to_json(s)))
+    degrees = range(base.height + 1)
+    assert [cohomology(base, back, q).canonical for q in degrees] == [cohomology(base, s, q).canonical for q in degrees]
 
 
 def test_sheaf_from_json_rejects_bad_data():

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from counting import counting_calls
-from oracles import column_matrix, from_columns
+from oracles import column, column_matrix, from_columns
 
 from finsheaf import jsonio
 from finsheaf.abgroup import GroupHom, IntMatrix, PresentedAbGroup, Subquotient, solve
@@ -290,7 +290,7 @@ def reference_kernel_sheaf(m):
         for j in range(images.cols):
             sol = solve(gens[q].hstack(-m.source.stalks[q].relations), column_matrix(images, j))
             assert sol is not None
-            cols.append(list(sol.column(0)[: gens[q].cols]))
+            cols.append(list(column(sol, 0)[: gens[q].cols]))
         maps[(p, q)] = from_columns(cols, gens[q].cols)
     return stalks, maps
 

@@ -1,6 +1,7 @@
 import pytest
 from counting import counting_calls
-from oracles import reference_acyclic_connected, reference_induced_map
+from oracles import kernel_group, reference_acyclic_connected, reference_induced_map
+from test_coefficients import assert_first_of_each_class_built
 
 from finsheaf import abgroup, cohom, wedge
 from finsheaf.abgroup import GroupHom, IntMatrix, PresentedAbGroup, smith_decompose
@@ -164,7 +165,7 @@ def test_transition_retracts_refinement_inclusion():
     t = sys_.transition(1, 2)
     assert t.compose(incl).equals_as_hom(GroupHom.identity(sys_.groups[2]))
     # the inclusion is injective but not surjective
-    assert incl.kernel_group().is_trivial()
+    assert kernel_group(incl).is_trivial()
     assert not incl.is_surjective()
 
 
@@ -201,15 +202,17 @@ def test_stage_system_refuses_a_table_of_another_sheaf(monkeypatch):
 def test_stage_evidence_builds_each_open_set_once(monkeypatch):
     """One coefficient table and one Čech complex per stage serve every
     readout and refinement map of the run: every cochain complex it builds,
-    by any route, is on a distinct intersection, from the gap sheaf itself."""
+    by any route, is on a distinct intersection, from the gap sheaf itself,
+    the first of its class of alike open sets; every other intersection is
+    read as a view of that build."""
     w = build_wedge(4)
+    table = gap_table(w)
     built = counting_calls(monkeypatch, cohom.CochainComplex, "__init__")
-    collect_stage_evidence(w, gap_table(w))
-    opens = [call["members"] for call in built]
-    assert len(opens) == len(set(opens))
+    collect_stage_evidence(w, table)
     stages = [stage_covering(w, m) for m in range(1, w.n + 2)]
-    assert set(opens) == {c.intersection(t) for c in stages for p in range(3) for t in c.tuples(p)}
-    assert len({id(call["sheaf"]) for call in built}) == 1
+    assert set(table._complexes) == {c.intersection(t) for c in stages for p in range(3) for t in c.tuples(p)}
+    assert_first_of_each_class_built(table, built)
+    assert len(built) < len(table._complexes)
 
 
 def test_condition_i_and_stage_evidence_build_no_subposet(monkeypatch):
