@@ -52,10 +52,8 @@ from .symcolim import (
     Colim,
     CountableProduct,
     CountableSum,
-    FreeFinite,
     Quotient,
     SymbolicDirectSystem,
-    Trivial,
     cardinality_class,
     certify_theorem,
     normalize,

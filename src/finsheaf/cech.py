@@ -34,8 +34,8 @@ from . import cohom as _cohom
 # The last stage covering of N disks has N + 1 members that all meet, so its
 # degrees 0..2 hold N + 1 + C(N + 1, 2) + C(N + 1, 3), about N³/6,
 # simplices: 19,649 in `reproduce --disks 48`, and N = 66 is the first wedge
-# refused.  For scale, on a 2-core machine `reproduce --disks 48` takes
-# about 4.8 s and 250 MiB.
+# refused.  For scale, `reproduce --disks 48` took 8.7 s and 212 MiB on a
+# 2-core shared machine with Python 3.11.7 (measured 2026-10-20).
 MAX_NERVE_SIMPLICES = 50_000
 
 

@@ -1,14 +1,15 @@
-"""Symbolic calculus for direct limits of countable systems of abelian groups.
+"""The direct limit that carries the gap to the infinite wedge, and the
+certificate built on it.
 
 The finite computations only ever see truncations; the passage to the full
-space is a direct limit over stages m of groups like ∏_{n>=m} Z with the
-coordinate projections as transition maps.  This module represents such
-systems symbolically, normalizes their colimits by a fixed list of rewrite
-rules, classifies cardinalities, and assembles a certificate that combines
-the machine-checked finite evidence with the symbolic limit identity.
+space is the direct limit over stages m of the corner groups ∏_{n>=m} Z
+with the coordinate projections as transition maps.  That is the one
+system this module holds.  Its colimit normalizes to (∏ Z)/(⊕ Z), which is
+uncountable (Specker 1950), and the certificate combines the
+machine-checked finite evidence with that limit identity.
 
-Normalization is deliberately conservative: a term that matches no rule is
-returned unreduced, never guessed at.
+Classification is deliberately conservative: a term whose cardinality does
+not follow from the rules here is `unknown`, never guessed at.
 """
 
 from __future__ import annotations
@@ -18,30 +19,9 @@ from typing import TYPE_CHECKING, List, Optional
 
 from .errors import InputError
 
-FINITE = "finite"
 COUNTABLE = "countably_infinite"
 UNCOUNTABLE = "uncountable"
 UNKNOWN = "unknown"
-
-
-@dataclass(frozen=True)
-class Trivial:
-    def render(self) -> str:
-        return "0"
-
-
-@dataclass(frozen=True)
-class FreeFinite:
-    """Z^k for a concrete finite k >= 0."""
-
-    rank: int
-
-    def __post_init__(self):
-        if self.rank < 0:
-            raise InputError("rank must be nonnegative")
-
-    def render(self) -> str:
-        return "Z" if self.rank == 1 else f"Z^{self.rank}"
 
 
 @dataclass(frozen=True)
@@ -71,47 +51,17 @@ class Quotient:
 
 @dataclass(frozen=True)
 class SymbolicDirectSystem:
-    """An ω-indexed system m ↦ A_m with uniform transition maps.
-
-    family:
-      "prod_tail"        A_m = ∏_{n>=m} Z
-      "sum_tail"         A_m = ⊕_{n>=m} Z
-      "prod_head"        A_m = Z^(m-1) (an exhausting chain of finite blocks)
-      "constant"         A_m = the given term for every m
-
-    transition:
-      "projection"  drop the coordinates indexed m..m'-1
-      "inclusion"   include the coordinates, filling with zero
-      "identity"    the identity map (only meaningful for "constant")
-      "zero"        the zero map
-    """
+    """The ω-indexed system m ↦ ∏_{n>=m} Z (family "prod_tail") whose
+    transitions m -> m' drop the coordinates m..m'-1 (transition
+    "projection"): the stage corner groups of the infinite wedge.  No other
+    family or transition is accepted."""
 
     family: str
     transition: str
-    term: Optional["Term"] = None
-
-    _FAMILIES = ("prod_tail", "sum_tail", "prod_head", "constant")
-    _TRANSITIONS = ("projection", "inclusion", "identity", "zero")
 
     def __post_init__(self):
-        if self.family not in self._FAMILIES:
-            raise InputError(f"unknown family {self.family!r}")
-        if self.transition not in self._TRANSITIONS:
-            raise InputError(f"unknown transition {self.transition!r}")
-        if self.family == "constant" and self.term is None:
-            raise InputError("constant family needs a term")
-
-    def stage(self, m: int) -> str:
-        if self.family == "prod_tail":
-            return f"∏_{{n>={m}}} Z"
-        if self.family == "sum_tail":
-            return f"⊕_{{n>={m}}} Z"
-        if self.family == "prod_head":
-            return f"Z^{m - 1}"
-        return self.term.render()
-
-    def render(self) -> str:
-        return f"colim_m [{self.stage('m')}; {self.transition}]"
+        if (self.family, self.transition) != ("prod_tail", "projection"):
+            raise InputError(f"unknown direct system {self.family!r} along {self.transition!r}")
 
 
 @dataclass(frozen=True)
@@ -119,7 +69,7 @@ class Colim:
     system: SymbolicDirectSystem
 
     def render(self) -> str:
-        return self.system.render()
+        return "colim_m [∏_{n>=m} Z; projection]"
 
 
 if TYPE_CHECKING:
@@ -127,78 +77,31 @@ if TYPE_CHECKING:
     # these classes, and through them this module, alive after a re-import
     from typing import Union
 
-    Term = Union[Trivial, FreeFinite, CountableProduct, CountableSum, Quotient, Colim]
-
-
-def _rewrite_colim(t: Colim) -> Optional[Term]:
-    s = t.system
-    if s.family == "prod_tail" and s.transition == "projection":
-        # colim_m ∏_{n>=m} Z along projections = (∏ Z) / (⊕ Z): a sequence
-        # dies in the limit iff almost all coordinates are dropped, i.e. iff
-        # it is eventually zero... but only finitely supported sequences are
-        # killed by some finite stage, so the kernel of ∏ Z -> colim is ⊕ Z.
-        return Quotient(CountableProduct(), CountableSum())
-    if s.family == "sum_tail" and s.transition == "projection":
-        # every element of ⊕_{n>=1} Z has finite support and dies at a
-        # large enough stage
-        return Trivial()
-    if s.family == "prod_head" and s.transition == "inclusion":
-        # exhausting union of the finite blocks Z^(m-1)
-        return CountableSum()
-    if s.family == "constant" and s.transition == "identity":
-        return s.term
-    if s.transition == "zero":
-        return Trivial()
-    return None
+    Term = Union[CountableProduct, CountableSum, Quotient, Colim]
 
 
 def normalize(t: Term) -> Term:
-    """Apply the rewrite rules until a fixed point; unrecognized terms are
-    returned as-is."""
-    if isinstance(t, Quotient):
-        num = normalize(t.numerator)
-        den = normalize(t.denominator)
-        if num == den:
-            return Trivial()
-        if isinstance(den, Trivial):
-            return num
-        if isinstance(num, Trivial):
-            return Trivial()
-        if isinstance(num, FreeFinite) and num.rank == 0:
-            return Trivial()
-        return Quotient(num, den)
-    if isinstance(t, FreeFinite) and t.rank == 0:
-        return Trivial()
+    """The colimit of the stage system rewritten as (∏ Z) / (⊕ Z); any other
+    term is returned as it is."""
     if isinstance(t, Colim):
-        reduced = _rewrite_colim(t)
-        if reduced is not None:
-            return normalize(reduced)
-        return t
+        # colim_m ∏_{n>=m} Z along projections: a sequence dies in the limit
+        # iff some finite stage drops all its nonzero coordinates, i.e. iff
+        # it is finitely supported, so the kernel of ∏ Z -> colim is ⊕ Z.
+        return Quotient(CountableProduct(), CountableSum())
     return t
 
 
 def cardinality_class(t: Term) -> str:
     t = normalize(t)
-    if isinstance(t, Trivial):
-        return FINITE
-    if isinstance(t, FreeFinite):
-        return FINITE if t.rank == 0 else COUNTABLE
     if isinstance(t, CountableSum):
         return COUNTABLE
     if isinstance(t, CountableProduct):
         return UNCOUNTABLE
     if isinstance(t, Quotient):
-        if t == Quotient(CountableProduct(), CountableSum()):
-            # a quotient of an uncountable group by a countable subgroup
-            # keeps uncountably many cosets
+        # a quotient of an uncountable group by a countable subgroup keeps
+        # uncountably many cosets; no other quotient is classified
+        if cardinality_class(t.numerator) == UNCOUNTABLE and cardinality_class(t.denominator) == COUNTABLE:
             return UNCOUNTABLE
-        num = cardinality_class(t.numerator)
-        den = cardinality_class(t.denominator)
-        if num == UNCOUNTABLE and den in (FINITE, COUNTABLE):
-            return UNCOUNTABLE
-        if num in (FINITE, COUNTABLE):
-            return num if num == FINITE else UNKNOWN
-        return UNKNOWN
     return UNKNOWN
 
 
@@ -226,6 +129,22 @@ class Certificate:
         }
 
 
+def _well_formed(evidence) -> bool:
+    """Whether the evidence has the shape `StageEvidence.to_dict` gives: an
+    integer number of disks, stage records keyed by stage, and transition
+    records naming their integer stages m and m2."""
+    if not isinstance(evidence, dict):
+        return False
+    n, stages, transitions = (evidence.get(key) for key in ("disks", "stages", "transitions"))
+    return (
+        type(n) is int
+        and isinstance(stages, dict)
+        and all(isinstance(rec, dict) for rec in stages.values())
+        and isinstance(transitions, list)
+        and all(isinstance(rec, dict) and type(rec.get("m")) is int and type(rec.get("m2")) is int for rec in transitions)
+    )
+
+
 def certify_theorem(evidence: dict) -> Certificate:
     """Check the finite stage evidence and, if it has the expected shape,
     conclude the symbolic limit identity for the untruncated system.
@@ -241,12 +160,9 @@ def certify_theorem(evidence: dict) -> Certificate:
         transcript.append(f"REFUSED: {msg}")
         return Certificate(False, "refused", None, None, caveats, transcript, evidence)
 
-    try:
-        n = int(evidence["disks"])
-        stages = evidence["stages"]
-        transitions = evidence["transitions"]
-    except (KeyError, TypeError, ValueError):
+    if not _well_formed(evidence):
         return refuse("evidence record is malformed")
+    n, stages, transitions = evidence["disks"], evidence["stages"], evidence["transitions"]
     if n < 1:
         return refuse("need at least one disk of evidence")
 
@@ -265,7 +181,7 @@ def certify_theorem(evidence: dict) -> Certificate:
 
     seen_adjacent = set()
     for rec in transitions:
-        m, m2 = rec.get("m"), rec.get("m2")
+        m, m2 = rec["m"], rec["m2"]
         if not rec.get("surjective"):
             return refuse(f"transition {m}->{m2} is not surjective")
         if rec.get("kernel_rank") != m2 - m:
@@ -291,8 +207,7 @@ def certify_theorem(evidence: dict) -> Certificate:
         "symbolic passage: replacing the truncated stages Z^(N-m+1) by the full "
         "stages ∏_{n>=m} Z with the same coordinate projections"
     )
-    system = SymbolicDirectSystem("prod_tail", "projection")
-    term: Term = Colim(system)
+    term: Term = Colim(SymbolicDirectSystem("prod_tail", "projection"))
     transcript.append(f"limit term: {term.render()}")
     reduced = normalize(term)
     transcript.append(f"normalized: {reduced.render()}")

@@ -34,12 +34,27 @@ for the one that reads the subset's core.
 `det`, `column` and `kernel_group` read a matrix or a map in ways that only
 the tests need: the unimodularity of Smith transforms, one column as a
 tuple, and the kernel of a connecting map or stage transition.
+
+`reference_cech_complex` builds the alternating Čech complex by its own
+loops over a layout of (tuple, offset, group, intersection) per degree,
+independent of the shared face-complex builder.  `FreshCoefficients` gives
+it groups and restrictions from cochain complexes each built afresh on its
+open set, and `reference_cech_cohomology` reads Ȟ^p(U; H^q F) from the two.
 """
 
 from itertools import combinations
 
-from finsheaf.abgroup import IntMatrix, PresentedAbGroup, Subquotient, kernel_basis, smith_decompose, solve
-from finsheaf.cohom import cohomology
+from finsheaf.abgroup import (
+    ChainComplexData,
+    IntMatrix,
+    PresentedAbGroup,
+    Subquotient,
+    direct_sum,
+    kernel_basis,
+    smith_decompose,
+    solve,
+)
+from finsheaf.cohom import CochainComplex, cohomology, restriction_on_homology
 from finsheaf.finspace import FinitePoset
 from finsheaf.sheaf import PosetSheaf, constant_sheaf
 
@@ -383,3 +398,67 @@ def column(m, j):
 def kernel_group(hom):
     """The kernel of a GroupHom, as an abstract presented group."""
     return Subquotient(hom.source, None, hom.matrix, hom.target).presented
+
+
+def reference_cech_complex(c, coeffs, q, top=None):
+    """(layout, differentials) of the Čech complex with coefficients H^q,
+    in degrees 0..top."""
+    layout = []
+    p = 0
+    while p < len(c.order) and (top is None or p <= top):
+        tups = c.tuples(p)
+        entries = []
+        off = 0
+        for t in tups:
+            meet = c.intersection(t)
+            g = coeffs.group(meet, q)
+            entries.append((t, off, g, meet))
+            off += g.generator_count
+        layout.append(entries)
+        if not tups:
+            break
+        p += 1
+    maps = []
+    for k in range(len(layout) - 1):
+        src_index = {t: (off, meet) for t, off, _, meet in layout[k]}
+        blocks = []
+        for t, toff, _, meet in layout[k + 1]:
+            for i in range(len(t)):
+                face = src_index.get(t[:i] + t[i + 1:])
+                if face is not None:
+                    soff, big = face
+                    blocks.append((toff, soff, -1 if i % 2 else 1, coeffs.restriction(big, meet, q).matrix))
+        maps.append(IntMatrix.from_blocks(layout_rank(layout, k + 1), layout_rank(layout, k), blocks))
+    return layout, maps
+
+
+def layout_rank(layout, k):
+    return sum(g.generator_count for _, _, g, _ in layout[k]) if k < len(layout) else 0
+
+
+class FreshCoefficients:
+    """Groups and restrictions as `reference_cech_complex` reads them, from
+    cochain complexes each built afresh on its open set."""
+
+    def __init__(self, sheaf):
+        self.sheaf = sheaf
+        self.complexes = {}
+
+    def complex(self, V):
+        if V not in self.complexes:
+            self.complexes[V] = CochainComplex(self.sheaf, V)
+        return self.complexes[V]
+
+    def group(self, V, q):
+        return self.complex(V).homology(q).group
+
+    def restriction(self, V, W, q):
+        return restriction_on_homology(self.complex(V), self.complex(W), q)
+
+
+def reference_cech_cohomology(covering, sheaf, p, q):
+    """The canonical form of Ȟ^p(U; H^q F) from the reference loop on fresh
+    complexes of the sheaf."""
+    layout, maps = reference_cech_complex(covering, FreshCoefficients(sheaf), q, p + 1)
+    groups = [direct_sum([g for _, _, g, _ in entries]) for entries in layout]
+    return ChainComplexData(groups, maps).homology(p).group.canonical

@@ -4,11 +4,12 @@ from itertools import combinations
 
 import pytest
 from counting import counting_calls
-from hypothesis import given, settings
+from hypothesis import find, given, settings
 from hypothesis import strategies as st
+from oracles import layout_rank, reference_cech_cohomology, reference_cech_complex
+from strategies import graphs, sheaves as random_sheaves
 from test_coefficients import assert_first_of_each_class_built
 from test_leray import leray_corpus
-from test_properties import sheaves as random_sheaves
 
 from finsheaf import cech, cohom, finspace
 from finsheaf.abgroup import GroupHom, IntMatrix, PresentedAbGroup, direct_sum
@@ -25,7 +26,7 @@ from finsheaf.cech import (
 )
 from finsheaf.cohom import cohomology, restriction_induced
 from finsheaf.errors import ContractViolation, InputError
-from finsheaf.finspace import FinitePoset, OpenSet
+from finsheaf.finspace import FinitePoset, OpenSet, RegularCWData, face_poset
 from finsheaf.sheaf import PosetSheaf, constant_sheaf
 from finsheaf.wedge import build_wedge, canonical_covering, gap_sheaf, stage_covering, stage_system
 
@@ -141,6 +142,55 @@ def test_cech_h0_is_the_sheaf_h0_on_random_up_set_coverings(drawn):
     F, c = drawn
     got = CechComplex(c, _Coefficients(F), 0, 1).homology(0).group
     assert got.canonical == cohomology(c.base, F, 0).canonical
+
+
+@st.composite
+def graph_coverings(draw):
+    """A sheaf with free or torsion stalks on the face poset of a random
+    graph, and the covering by the open stars of its vertices, in any
+    order.  Two stars meet in the edges that join their vertices and no
+    three meet, so the nerve is the graph and Ȟ¹ need not vanish."""
+    base, sheaf = draw(random_sheaves(graphs()))
+    stars = {v: base.up_set(v) for v in base.elements if v.startswith("v")}
+    return sheaf, Covering(base, stars, draw(st.permutations(sorted(stars))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(graph_coverings())
+def test_cech_groups_of_graph_coverings_match_the_reference_loop(drawn):
+    """Ȟ^p(U; H^q F), p <= 2 and q <= 1, on vertex-star coverings of graphs
+    is the group the reference Čech loop gives on fresh complexes."""
+    F, c = drawn
+    for q in (0, 1):
+        for p in (0, 1, 2):
+            assert cech_cohomology_hq(c, F, q, p).canonical == reference_cech_cohomology(c, F, p, q)
+
+
+def test_graph_coverings_reach_a_nonzero_cech_h1():
+    """The graph coverings give nonzero groups in degree 1, so the test
+    above compares more than trivial groups there."""
+    F, c = find(
+        graph_coverings(),
+        lambda drawn: cech_cohomology_hq(drawn[1], drawn[0], 0, 1).canonical != (0, ()),
+        settings=settings(max_examples=200, database=None),
+    )
+    assert reference_cech_cohomology(c, F, 1, 0) != (0, ())
+
+
+@pytest.mark.parametrize(
+    "group, want", [(Z, (1, ())), (PresentedAbGroup.from_canonical_form(0, [2]), (0, (2,)))], ids=["Z", "Z/2"]
+)
+def test_cech_of_a_four_cycle_covered_by_vertex_stars(group, want):
+    """The nerve of the vertex stars of a 4-cycle is the 4-cycle, so a
+    constant sheaf A has Ȟ⁰ = Ȟ¹ = A and Ȟ² = 0, in the package and in the
+    reference loop."""
+    edges = [("v0", "v1"), ("v1", "v2"), ("v2", "v3"), ("v3", "v0")]
+    cells = [(f"v{i}", 0, []) for i in range(4)] + [(f"x{i}", 1, list(e)) for i, e in enumerate(edges)]
+    base = face_poset(RegularCWData(cells))
+    F = constant_sheaf(base, group)
+    c = Covering(base, {v: base.up_set(v) for v in ("v0", "v1", "v2", "v3")}, ["v0", "v1", "v2", "v3"])
+    for p, expected in enumerate([want, want, (0, ())]):
+        assert cech_cohomology_hq(c, F, 0, p).canonical == reference_cech_cohomology(c, F, p, 0) == expected
 
 
 def test_cech_h1_rank_bounded_by_sheaf_h1():
@@ -439,45 +489,9 @@ def test_coefficients_build_one_complex_and_no_poset_per_open_set(monkeypatch):
 
 
 # -- reference loops ----------------------------------------------------------
-# The alternating Čech complex and its refinement chain maps built by their
-# own loops over a layout of (tuple, offset, group, intersection) per degree,
-# independent of the shared face-complex builder.
-
-
-def reference_cech_complex(c, coeffs, q, top=None):
-    """(layout, differentials) of the Čech complex with coefficients H^q,
-    in degrees 0..top."""
-    layout = []
-    p = 0
-    while p < len(c.order) and (top is None or p <= top):
-        tups = c.tuples(p)
-        entries = []
-        off = 0
-        for t in tups:
-            meet = c.intersection(t)
-            g = coeffs.group(meet, q)
-            entries.append((t, off, g, meet))
-            off += g.generator_count
-        layout.append(entries)
-        if not tups:
-            break
-        p += 1
-    maps = []
-    for k in range(len(layout) - 1):
-        src_index = {t: (off, meet) for t, off, _, meet in layout[k]}
-        blocks = []
-        for t, toff, _, meet in layout[k + 1]:
-            for i in range(len(t)):
-                face = src_index.get(t[:i] + t[i + 1:])
-                if face is not None:
-                    soff, big = face
-                    blocks.append((toff, soff, -1 if i % 2 else 1, coeffs.restriction(big, meet, q).matrix))
-        maps.append(IntMatrix.from_blocks(layout_rank(layout, k + 1), layout_rank(layout, k), blocks))
-    return layout, maps
-
-
-def layout_rank(layout, k):
-    return sum(g.generator_count for _, _, g, _ in layout[k]) if k < len(layout) else 0
+# Refinement chain maps built by their own loops over the layout of
+# `oracles.reference_cech_complex`, independent of the shared face-complex
+# builder.
 
 
 def reference_refinement_chain_map(fine_cx, coarse_cx, assignment):

@@ -6,13 +6,10 @@ import pytest
 from counting import counting_calls
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from oracles import reference_acyclic_connected
-from test_cech import reference_cech_complex
-from test_coefficients import two_copies
-from test_properties import sheaves
+from oracles import reference_acyclic_connected, reference_cech_cohomology
+from strategies import sheaves, two_copies
 
 from finsheaf import abgroup, cech, cohom, finspace, jsonio
-from finsheaf.abgroup import ChainComplexData, direct_sum
 from finsheaf.cech import Covering
 from finsheaf.cli import main
 from finsheaf.sheaf import PosetSheaf, constant_sheaf
@@ -479,26 +476,6 @@ def test_covering_validate_round_trip_matches_the_condition_i_oracle(capsys, tmp
     assert report["conditions"][0] == {"condition": "i", "ok": not bad, "detail": "; ".join(bad)}
 
 
-class FreshCoefficients:
-    """Groups and restrictions as `reference_cech_complex` reads them, from
-    cochain complexes each built afresh on its open set."""
-
-    def __init__(self, sheaf):
-        self.sheaf = sheaf
-        self.complexes = {}
-
-    def complex(self, V):
-        if V not in self.complexes:
-            self.complexes[V] = cohom.CochainComplex(self.sheaf, V)
-        return self.complexes[V]
-
-    def group(self, V, q):
-        return self.complex(V).homology(q).group
-
-    def restriction(self, V, W, q):
-        return cohom.restriction_on_homology(self.complex(V), self.complex(W), q)
-
-
 @st.composite
 def doubled_coverings(draw):
     """A random poset and sheaf with free and torsion stalks, doubled into
@@ -530,9 +507,7 @@ def check_cech_on_covering_files(capsys, tmp_path, sheaf, covering, p, q):
     argv = ["cech", *(f"--{name}={tmp_path / name}.json" for name in files), "--degree", str(p), "--coeff-degree", str(q)]
     code, out, err = run(capsys, *argv)
     assert code == 0, err
-    layout, maps = reference_cech_complex(covering, FreshCoefficients(sheaf), q, p + 1)
-    groups = [direct_sum([g for _, _, g, _ in entries]) for entries in layout]
-    rank, factors = ChainComplexData(groups, maps).homology(p).group.canonical
+    rank, factors = reference_cech_cohomology(covering, sheaf, p, q)
     assert json.loads(out)["group"] == {"rank": rank, "invariant_factors": list(factors)}
     return argv, files["covering"]
 

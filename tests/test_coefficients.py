@@ -12,7 +12,7 @@ import pytest
 from counting import counting_calls
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_properties import sheaves
+from strategies import sheaves, two_copies
 
 from finsheaf import abgroup, cech, cohom
 from finsheaf.abgroup import IntMatrix, PresentedAbGroup, direct_sum
@@ -127,21 +127,6 @@ def test_table_with_torsion_stalks_matches_fresh_complexes(base_and_sheaf, data)
         table.group(V, 0)
     assert_twins_share_homology(table)
     assert_table_matches_fresh_complexes(table)
-
-
-def two_copies(base, first, second):
-    """The disjoint union of two copies of base, ...a before ...b, and the
-    sheaf that is `first` on the first copy and `second`, a sheaf on base
-    too, on the second."""
-    copies = [{e: f"{e}{tag}" for e in base.elements} for tag in "ab"]
-    poset = FinitePoset(
-        [c[e] for c in copies for e in base.elements],
-        [(c[a], c[b]) for c in copies for a, b in base.covers],
-    )
-    sheaves = list(zip(copies, (first, second)))
-    stalks = {c[e]: sheaf.stalks[e] for c, sheaf in sheaves for e in base.elements}
-    cover_maps = {(c[a], c[b]): m for c, sheaf in sheaves for (a, b), m in sheaf.cover_maps.items()}
-    return copies, PosetSheaf(poset, stalks, cover_maps)
 
 
 @settings(max_examples=60, deadline=None)

@@ -224,11 +224,11 @@ TEST_ONLY_API = {
     "cech.py: nerve": "exported: the whole nerve of a covering, oracle of `simplex_count`",
     "cech.py: refinement_map": "exported: refinement maps between coverings given as such; perfbench names it",
     "cech.py: ComparisonReport.table": "the comparison report as text, for readers of `covering_comparison_report`",
-    "cech.py: Covering.tuples": "perfbench/tracer.py hooks it; goes with the tracer rework (ROADMAP item 3)",
+    "cech.py: Covering.tuples": "perfbench/tracer.py hooks it; goes with the tracer rework (ROADMAP item 4)",
     "cohom.py: component_identity_check": "criterion 4: the component-count identity for open sets",
     "cohom.py: ComponentIdentityResult.isomorphic": "the verdict of `component_identity_check`",
     "cohom.py: les_of_short_exact": "the criterion-3 cross-check of H^2 through the long exact sequence",
-    "cohom.py: restriction_induced": "restrictions between `OpenSet`s; perfbench/tracer.py hooks it (ROADMAP item 3)",
+    "cohom.py: restriction_induced": "restrictions between `OpenSet`s; perfbench/tracer.py hooks it (ROADMAP item 4)",
     "cohom.py: LongExactSequence.segment": "reads a node of `les_of_short_exact` by degree and position",
     "finspace.py: FinitePoset.leq": "the order itself, which oracles compare with; perfbench/tracer.py names it",
     "finspace.py: FinitePoset.min_open": "the minimal open set of a point as the `OpenSet` that callers pass on",

@@ -2,7 +2,7 @@ import json
 
 import pytest
 from hypothesis import given, settings
-from test_properties import sheaves
+from strategies import sheaves
 
 from finsheaf import jsonio
 from finsheaf.abgroup import PresentedAbGroup

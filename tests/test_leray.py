@@ -13,7 +13,7 @@ import random
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from test_properties import sheaves as random_sheaves
+from strategies import sheaves as random_sheaves
 
 from finsheaf.abgroup import PresentedAbGroup
 from finsheaf.cech import CechComplex, Covering, _Coefficients, cech_cohomology_hq, nerve

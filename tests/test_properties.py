@@ -17,46 +17,12 @@ from oracles import (
     simplicial_cohomology,
     universal_coefficients,
 )
+from strategies import posets, sheaves
 
 from finsheaf import wedge
 from finsheaf.abgroup import PresentedAbGroup
 from finsheaf.cohom import CochainComplex, cochain_complex, cohomology
-from finsheaf.finspace import FinitePoset, OpenSet
-from finsheaf.sheaf import closed_pushforward, constant_sheaf, extension_by_zero
-
-
-@st.composite
-def posets(draw, max_elements=7):
-    """Elements e0, e1, ... listed in an order that extends the partial
-    order, as the simplicial oracle needs; each pair i < j related or not."""
-    n = draw(st.integers(2, max_elements))
-    labels = [f"e{i}" for i in range(n)]
-    pairs = [(labels[i], labels[j]) for i in range(n) for j in range(i + 1, n)]
-    kept = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
-    return FinitePoset(labels, [pair for pair, keep in zip(pairs, kept) if keep])
-
-
-# Z^rank plus cyclic factors, not always in divisibility order ([2, 3])
-groups = st.builds(
-    PresentedAbGroup.from_canonical_form, st.integers(0, 2), st.lists(st.sampled_from([2, 3, 4, 6]), max_size=2)
-)
-
-
-@st.composite
-def sheaves(draw):
-    """A random poset and a sheaf on it with free and torsion stalks: a
-    constant sheaf, one extended by zero from an open set, or the
-    pushforward of a constant sheaf on the closed complement."""
-    base = draw(posets())
-    group = draw(groups)
-    seeds = draw(st.lists(st.sampled_from(base.elements), min_size=1, unique=True))
-    opens = set().union(*(base.up_set(e) for e in seeds))
-    kind = draw(st.sampled_from(["constant", "extension", "pushforward"]))
-    if kind == "constant":
-        return base, constant_sheaf(base, group)
-    if kind == "extension":
-        return base, extension_by_zero(base, OpenSet(base, opens), group)
-    return base, closed_pushforward(base, set(base.elements) - opens, group)
+from finsheaf.sheaf import constant_sheaf
 
 
 @settings(max_examples=80, deadline=None)

@@ -6,16 +6,13 @@ import pytest
 from finsheaf.errors import InputError
 from finsheaf.symcolim import (
     COUNTABLE,
-    FINITE,
     UNCOUNTABLE,
     UNKNOWN,
     Colim,
     CountableProduct,
     CountableSum,
-    FreeFinite,
     Quotient,
     SymbolicDirectSystem,
-    Trivial,
     cardinality_class,
     certify_theorem,
     normalize,
@@ -34,40 +31,25 @@ def test_rewrite_product_projection_system():
     assert normalize(t) == Quotient(CountableProduct(), CountableSum())
 
 
-def test_rewrite_sum_projection_dies():
-    t = Colim(SymbolicDirectSystem("sum_tail", "projection"))
-    assert normalize(t) == Trivial()
-
-
-def test_rewrite_exhausting_inclusions():
-    t = Colim(SymbolicDirectSystem("prod_head", "inclusion"))
-    assert normalize(t) == CountableSum()
-
-
-def test_rewrite_constant_and_zero():
-    c = Colim(SymbolicDirectSystem("constant", "identity", term=FreeFinite(2)))
-    assert normalize(c) == FreeFinite(2)
-    z = Colim(SymbolicDirectSystem("constant", "zero", term=FreeFinite(2)))
-    assert normalize(z) == Trivial()
-
-
-def test_quotient_simplifications():
-    assert normalize(Quotient(CountableSum(), CountableSum())) == Trivial()
-    assert normalize(Quotient(FreeFinite(3), Trivial())) == FreeFinite(3)
-    assert normalize(FreeFinite(0)) == Trivial()
-
-
 def test_unrecognized_terms_stay_unreduced():
-    t = Colim(SymbolicDirectSystem("prod_tail", "inclusion"))
-    assert normalize(t) == t
-    assert cardinality_class(t) == UNKNOWN
+    """Only the colimit is rewritten; a quotient whose cardinality does not
+    follow from an uncountable numerator over a countable denominator is
+    classified unknown, not guessed."""
+    for t in [
+        Quotient(CountableSum(), CountableSum()),
+        Quotient(CountableProduct(), CountableProduct()),
+        Quotient(CountableSum(), CountableProduct()),
+        Quotient(CountableProduct(), Colim(SymbolicDirectSystem("prod_tail", "projection"))),
+    ]:
+        assert normalize(t) == t
+        assert cardinality_class(t) == UNKNOWN
 
 
 def test_normalize_idempotent_and_deterministic():
     terms = [
         Colim(SymbolicDirectSystem("prod_tail", "projection")),
         Quotient(CountableProduct(), CountableSum()),
-        Quotient(Colim(SymbolicDirectSystem("sum_tail", "projection")), FreeFinite(0)),
+        Quotient(Colim(SymbolicDirectSystem("prod_tail", "projection")), CountableSum()),
     ]
     for t in terms:
         assert normalize(normalize(t)) == normalize(t)
@@ -75,21 +57,20 @@ def test_normalize_idempotent_and_deterministic():
 
 
 def test_cardinality_classes():
-    assert cardinality_class(Trivial()) == FINITE
-    assert cardinality_class(FreeFinite(5)) == COUNTABLE
+    colim = Colim(SymbolicDirectSystem("prod_tail", "projection"))
     assert cardinality_class(CountableSum()) == COUNTABLE
     assert cardinality_class(CountableProduct()) == UNCOUNTABLE
     assert cardinality_class(Quotient(CountableProduct(), CountableSum())) == UNCOUNTABLE
-    assert cardinality_class(Colim(SymbolicDirectSystem("prod_tail", "projection"))) == UNCOUNTABLE
+    assert cardinality_class(colim) == UNCOUNTABLE
+    assert cardinality_class(Quotient(colim, CountableSum())) == UNCOUNTABLE
 
 
 def test_system_validation():
-    with pytest.raises(InputError):
-        SymbolicDirectSystem("nope", "projection")
-    with pytest.raises(InputError):
-        SymbolicDirectSystem("prod_tail", "sideways")
-    with pytest.raises(InputError):
-        SymbolicDirectSystem("constant", "identity")  # missing term
+    """The stage system is the only one: every other family or transition
+    is refused."""
+    for family, transition in [("nope", "projection"), ("prod_tail", "sideways"), ("sum_tail", "projection"), ("prod_tail", "inclusion")]:
+        with pytest.raises(InputError):
+            SymbolicDirectSystem(family, transition)
 
 
 def test_certify_on_real_evidence():
@@ -136,3 +117,28 @@ def test_certify_refuses_missing_stage_and_garbage():
     assert not certify_theorem(bad).ok
     assert not certify_theorem({}).ok
     assert not certify_theorem({"disks": 0, "stages": {}, "transitions": []}).ok
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("stages",), []),
+        (("stages", "2"), 5),
+        (("transitions", 0), {"surjective": True, "kernel_rank": 1}),
+        (("transitions", 0), 3),
+        (("disks",), 2.7),
+    ],
+    ids=["stages-a-list", "stage-record-a-number", "transition-without-stages", "transition-a-number", "fractional-disks"],
+)
+def test_certify_refuses_malformed_evidence(path, value):
+    """Evidence of the wrong shape is refused with ok=False, never raises,
+    and a fractional number of disks is not read as a whole one."""
+    bad = stage_evidence(2)
+    *inner, last = path
+    record = bad
+    for key in inner:
+        record = record[key]
+    record[last] = value
+    cert = certify_theorem(bad)
+    assert (cert.ok, cert.verdict) == (False, "refused")
+    assert cert.transcript == ["REFUSED: evidence record is malformed"]
