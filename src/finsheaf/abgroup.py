@@ -243,31 +243,27 @@ class SmithDecomposition:
 class _WorkingRows:
     """The rows `smith_decompose` eliminates on, and its choice of pivot.
 
-    `rows` maps each nonzero row to its {column: entry} dict, copied in
-    ascending column order; `where` maps each column to its rows.  `pivot`
-    picks the ±1 entry of least fill, (row count - 1)·(column count - 1),
-    the first in row order among equals and then the first in its row; with
-    no unit entry, the first entry of least absolute value.  This is
-    Markowitz's rule, without a rescan of every entry per pivot: each row's
-    best unit entry is kept, with a heap of (fill, row, column) over them.
-    A row in `changed`, whose entries changed since the last pick, is
-    rescanned.  In any other row only the counts of the columns in
-    `touched` moved, so each such unit entry's new fill is compared with the
-    row's kept best (the count maintenance of Duff, Erisman and Reid): a
-    lower fill becomes the best, and the row is rescanned only when the best
-    entry's own fill rose or another entry ties it, since the first in row
-    order must win.
+    `rows` maps each nonzero row to its {column: entry} dict; `where` maps
+    each column to its rows.  `pivot` follows Markowitz's rule with lazy
+    fills.  A row's best unit entry is its ±1 entry of least fill,
+    (row count - 1)·(column count - 1), the first in the row among equals;
+    it is priced only when the row's own entries change (`changed`), and a
+    heap of (fill, row, column) over the rows' best entries gives the pivot.
+    A row whose entries did not change keeps its price while column counts
+    move: any ±1 entry is a valid pivot, so a stale price may cost fill but
+    never exactness.  With no unit entry left, the pivot is the first entry
+    of least absolute value.
     """
 
     def __init__(self, M: IntMatrix):
-        self.rows = {i: dict(sorted(row.items())) for i, row in enumerate(M._sparse) if row}
+        self.rows = {i: dict(row) for i, row in enumerate(M._sparse) if row}
         self.where = {}
         for i, row in self.rows.items():
             for j in row:
                 self.where.setdefault(j, set()).add(i)
         self.best = {}  # row -> (fill, column) of its best unit entry
         self.heap = []
-        self.changed, self.touched = set(self.rows), set()
+        self.changed = set(self.rows)
 
     def add(self, k: int, i: int, q: int) -> None:
         """Row k += q * row i; row k is dropped when it becomes zero."""
@@ -277,12 +273,10 @@ class _WorkingRows:
             if v:
                 if l not in target:
                     where[l].add(k)
-                    self.touched.add(l)
                 target[l] = v
             else:
                 del target[l]
                 where[l].discard(k)
-                self.touched.add(l)
         self.changed.add(k)
         if not target:
             del rows[k]
@@ -308,28 +302,10 @@ class _WorkingRows:
 
     def pivot(self) -> Optional[tuple]:
         """(row, column) of the next pivot; None when no entry is left."""
-        rows, where, best, heap, changed = self.rows, self.where, self.best, self.heap, self.changed
-        for i in changed:
+        rows, best, heap = self.rows, self.best, self.heap
+        for i in self.changed:
             self._rescan(i)
-        for l in self.touched:
-            column = where.get(l, ())
-            count = len(column) - 1
-            for i in column:
-                if i in changed:
-                    continue
-                entries = rows[i]
-                a = entries[l]
-                if a != 1 and a != -1:
-                    continue
-                fill = (len(entries) - 1) * count
-                kept_fill, kept_col = best[i]
-                if fill < kept_fill:
-                    best[i] = (fill, l)
-                    heappush(heap, (fill, i, l))
-                elif (fill == kept_fill) != (l == kept_col):
-                    self._rescan(i)  # a tie in another column, or the best rose
-        changed.clear()
-        self.touched.clear()
+        self.changed.clear()
         while heap:
             fill, i, j = heap[0]
             if best.get(i) == (fill, j):
@@ -379,7 +355,6 @@ def smith_decompose(M: IntMatrix) -> SmithDecomposition:
                     remainders[l] = e
                 else:
                     where[l].discard(i)
-                    work.touched.add(l)
         rows[i] = {j: p, **remainders}
         work.changed.add(i)
         if remainders:

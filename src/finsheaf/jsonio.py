@@ -119,9 +119,14 @@ def sheaf_from_json(base: FinitePoset, obj) -> PosetSheaf:
     for e in base.elements:
         if e not in stalks:
             raise InputError(f"missing stalk for element {e!r}")
+    if not isinstance(raw, dict):
+        raise InputError("'restrictions' must be an object keyed by \"p<q\"")
+    keys = {f"{p}<{q}": (p, q) for p, q in base.covers}
+    for key in raw:
+        if key not in keys:
+            raise InputError(f"restriction {key!r} is not \"p<q\" for a cover pair of the base")
     cover_maps: Dict[tuple, IntMatrix] = {}
-    for p, q in base.covers:
-        key = f"{p}<{q}"
+    for key, (p, q) in keys.items():
         if key not in raw:
             raise InputError(f"missing restriction {key!r}")
         cover_maps[(p, q)] = matrix_from_json(raw[key], stalks[q].generator_count, stalks[p].generator_count)

@@ -54,18 +54,14 @@ class _Restrictions:
 
 
 class PosetSheaf:
-    """Stalks and cover restrictions on a finite poset, checked to be a
-    functor unless `check` is False.  `constant_sheaf` and
-    `extension_by_zero` pass False: their maps are identities and zeros, so
-    the check could find nothing there and would only add time where many
-    small sheaves are built."""
+    """Stalks and cover restrictions on a finite poset, checked at
+    construction to be a functor (ContractViolation)."""
 
     def __init__(
         self,
         base: FinitePoset,
         stalks: Dict[str, PresentedAbGroup],
         cover_maps: Dict[Tuple[str, str], IntMatrix],
-        check: bool = True,
     ):
         if set(stalks) != set(base.elements):
             raise InputError("stalks must be given for exactly the elements of the base")
@@ -85,8 +81,7 @@ class PosetSheaf:
         # the strict-chain cochain complex, built by `cohom.cochain_complex`
         # on first use; a sheaf is never changed after construction
         self._cochains = None
-        if check:
-            self._check_functorial()
+        self._check_functorial()
 
     def _check_functorial(self) -> None:
         # Every cover map respects relations, and for every cover p < m and
@@ -97,11 +92,10 @@ class PosetSheaf:
             cover = self.cover_maps[(p, m)]
             if not self.stalks[m].represents_zero(cover @ self.stalks[p].relations):
                 raise ContractViolation(f"restriction ({p},{m}) does not respect relations")
-            for q in self.base.elements:
-                if self.base.lt(m, q):
-                    direct, via = self.restrictions(p, q), self.restrictions(m, q) @ cover
-                    if direct != via and not self.stalks[q].represents_zero(direct - via):
-                        raise ContractViolation(f"restriction maps not functorial along {p} < {m} < {q}")
+            for q in self.base._above_ordered[m]:
+                direct, via = self.restrictions(p, q), self.restrictions(m, q) @ cover
+                if direct != via and not self.stalks[q].represents_zero(direct - via):
+                    raise ContractViolation(f"restriction maps not functorial along {p} < {m} < {q}")
 
     def __repr__(self):
         return f"<PosetSheaf on {len(self.base)} elements>"
@@ -115,7 +109,6 @@ def constant_sheaf(base: FinitePoset, group: PresentedAbGroup) -> PosetSheaf:
         base,
         {e: group for e in base.elements},
         {c: ident for c in base.covers},
-        check=False,
     )
 
 
@@ -137,7 +130,7 @@ def extension_by_zero(base: FinitePoset, opens: OpenSet, group: PresentedAbGroup
             if a in opens and b in opens
             else IntMatrix.zero(stalks[b].generator_count, stalks[a].generator_count)
         )
-    return PosetSheaf(base, stalks, maps, check=False)
+    return PosetSheaf(base, stalks, maps)
 
 
 def closed_pushforward(base: FinitePoset, closed: Iterable[str], group: PresentedAbGroup) -> PosetSheaf:

@@ -315,6 +315,17 @@ def test_malformed_json_files_exit_1(capsys, tmp_path):
         assert err.startswith("error:")
 
 
+def test_a_restriction_key_that_is_not_a_cover_exits_1(capsys, tmp_path):
+    space = tmp_path / "space.json"
+    space.write_text(json.dumps({"elements": ["a", "b", "c"], "covers": [["a", "b"], ["b", "c"]]}))
+    sheaf = tmp_path / "sheaf.json"
+    maps = {"a<b": [["1"]], "b<c": [["1"]], "a<c": [["5"]], "c<a": [["7"]], "zz": 3}
+    sheaf.write_text(json.dumps({"stalks": {e: {"rank": 1} for e in "abc"}, "restrictions": maps}))
+    code, out, err = run(capsys, "cohomology", "--space", str(space), "--sheaf", str(sheaf), "--degree", "0")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "'a<c'" in err
+
+
 def test_cohomology_of_a_json_sheaf_with_torsion_stalks(capsys, tmp_path):
     space = tmp_path / "space.json"
     space.write_text(json.dumps({"elements": ["a", "b"], "covers": [["a", "b"]]}))

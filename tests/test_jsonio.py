@@ -86,6 +86,32 @@ def test_sheaf_from_json_rejects_bad_data():
         jsonio.sheaf_from_json(w.poset, missing_restriction)
 
 
+COVERS_ONLY = {"a<b": [["1"]], "b<c": [["1"]]}
+
+
+@pytest.mark.parametrize(
+    "restrictions, named",
+    [
+        ({**COVERS_ONLY, "a<c": [["5"]]}, "'a<c'"),
+        ({**COVERS_ONLY, "c<a": [["7"]]}, "'c<a'"),
+        ({**COVERS_ONLY, "zz": 3}, "'zz'"),
+        (3, "'restrictions'"),
+        ("a<b b<c", "'restrictions'"),
+    ],
+)
+def test_sheaf_from_json_refuses_a_key_that_is_not_a_cover(restrictions, named):
+    """On the chain a<b<c, a restriction keyed by a comparable pair that is
+    not a cover, by a pair the wrong way round or by no pair at all is
+    refused by name, not ignored; restrictions that are not an object are
+    refused, not read until a TypeError."""
+    chain = FinitePoset("abc", [("a", "b"), ("b", "c")])
+    stalks = {e: {"rank": 1} for e in "abc"}
+    covers_only = jsonio.sheaf_from_json(chain, {"stalks": stalks, "restrictions": COVERS_ONLY})
+    assert covers_only.restrictions("a", "c").data == ((1,),)
+    with pytest.raises(InputError, match=named):
+        jsonio.sheaf_from_json(chain, {"stalks": stalks, "restrictions": restrictions})
+
+
 def test_group_forms():
     g = jsonio.group_from_json({"rank": 1, "invariant_factors": [2]})
     assert g.canonical == (1, (2,))

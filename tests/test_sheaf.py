@@ -5,7 +5,7 @@ import pytest
 from counting import counting_calls
 from oracles import column, column_matrix, from_columns
 
-from finsheaf import jsonio
+from finsheaf import jsonio, sheaf
 from finsheaf.abgroup import GroupHom, IntMatrix, PresentedAbGroup, Subquotient, solve
 from finsheaf.cohom import les_of_short_exact
 from finsheaf.errors import ContractViolation, InputError
@@ -209,15 +209,15 @@ def test_restriction_on_random_sheaves_respects_relations():
 def triple_loop_verdict(base, stalks, cover_maps):
     """The functoriality check over every triple p < m < q, kept as the
     reference for the check along covers: True when it accepts."""
-    s = PosetSheaf(base, stalks, cover_maps, check=False)
+    restrictions = sheaf._Restrictions(base, stalks, cover_maps)
     for p in base.elements:
         for q in base.elements:
             if not base.lt(p, q):
                 continue
-            direct = s.restrictions(p, q)
+            direct = restrictions(p, q)
             for m in base.elements:
                 if base.lt(p, m) and base.lt(m, q):
-                    via = s.restrictions(m, q) @ s.restrictions(p, m)
+                    via = restrictions(m, q) @ restrictions(p, m)
                     if not stalks[q].represents_zero(direct - via):
                         return False
             images = direct @ stalks[p].relations
