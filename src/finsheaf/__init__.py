@@ -20,11 +20,8 @@ from .abgroup import (
 )
 from .cech import (
     Covering,
-    cech_cohomology,
     cech_cohomology_hq,
-    cech_complex_hq,
     covering_comparison_report,
-    nerve,
     refinement_map,
 )
 from .cohom import (
@@ -33,7 +30,6 @@ from .cohom import (
     cohomology,
     les_of_short_exact,
     component_identity_check,
-    restriction_induced,
 )
 from .errors import ContractViolation, InputError
 from .finspace import FinitePoset, OpenSet, RegularCWData, face_poset

@@ -71,13 +71,6 @@ class Covering:
             meet = self._meet_of[common, i] = self._interned.setdefault(meet, meet)
         return meet
 
-    def intersection(self, names: Sequence[str]) -> frozenset:
-        out = None
-        for n in names:
-            s = self.members[n]
-            out = s if out is None else (out & s)
-        return out if out is not None else frozenset(self.base.elements)
-
     def simplices(self, top: int) -> List[List[Tuple[tuple, frozenset]]]:
         """Per degree p = 0..top, the strictly increasing (p+1)-tuples of
         member names with nonempty intersection, in lexicographic member
@@ -106,11 +99,6 @@ class Covering:
                 break
         return out
 
-    def tuples(self, p: int) -> List[tuple]:
-        """The tuples of degree p in `simplices`."""
-        levels = self.simplices(p)
-        return [t for t, _ in levels[p]] if 0 <= p < len(levels) else []
-
     def simplex_count(self, top: int) -> int:
         """The number of nerve simplices in degrees 0..top, counted without
         listing them.  Tuples that share their intersection and their next
@@ -135,11 +123,6 @@ class Covering:
 
     def __repr__(self):
         return f"Covering({', '.join(self.order)})"
-
-
-def nerve(c: Covering) -> List[tuple]:
-    """All simplices of the nerve: index tuples with nonempty intersection."""
-    return [t for level in c.simplices(len(c.order) - 1) for t, _ in level]
 
 
 class _Coefficients:
@@ -204,14 +187,14 @@ class CechComplex(FaceComplex):
     tuple is H^q of its intersection, and its data is that intersection.
 
     A complex truncated at degree `top` stores degrees 0..top only, so its
-    homology is known below `top` alone (Ȟ^p needs top = p + 1); `top` is
-    None for the full complex.  Tuples whose coefficient group has no
-    generators are not laid out.  A nerve with more than
+    homology is known below `top` alone (Ȟ^p needs top = p + 1); the full
+    complex has top = len(covering.order).  Tuples whose coefficient group
+    has no generators are not laid out.  A nerve with more than
     MAX_NERVE_SIMPLICES simplices in those degrees is refused before any
     tuple is listed.
     """
 
-    def __init__(self, covering: Covering, coefficients: _Coefficients, q: int, top: Optional[int] = None):
+    def __init__(self, covering: Covering, coefficients: _Coefficients, q: int, top: int):
         if q < 0:
             raise InputError("coefficient degree must be >= 0")
         if covering.base != coefficients.sheaf.base:
@@ -220,7 +203,7 @@ class CechComplex(FaceComplex):
         self.coefficients = coefficients
         self.q = q
         self.top = top
-        degrees = len(covering.order) if top is None else min(len(covering.order), top + 1)
+        degrees = min(len(covering.order), top + 1)
         if covering.simplex_count(degrees - 1) > MAX_NERVE_SIMPLICES:
             raise InputError(
                 f"the Čech complex would have over {MAX_NERVE_SIMPLICES} nerve simplices in degrees 0..{degrees - 1}"
@@ -233,14 +216,9 @@ class CechComplex(FaceComplex):
 
     def homology(self, k: int) -> Subquotient:
         # past the top the differential is missing, not zero
-        if self.top is not None and k >= self.top:
+        if k >= self.top:
             raise ContractViolation(f"Čech complex truncated at degree {self.top} has no homology in degree {k}")
         return super().homology(k)
-
-
-def cech_complex_hq(c: Covering, sheaf: PosetSheaf, q: int) -> CechComplex:
-    """The Čech complex of the covering with coefficients V -> H^q(V, F)."""
-    return CechComplex(c, _Coefficients(sheaf), q)
 
 
 def cech_cohomology_hq(c: Covering, sheaf: PosetSheaf, q: int, p: int) -> PresentedAbGroup:
@@ -249,33 +227,20 @@ def cech_cohomology_hq(c: Covering, sheaf: PosetSheaf, q: int, p: int) -> Presen
     return CechComplex(c, _Coefficients(sheaf), q, p + 1).homology(p).group
 
 
-def cech_cohomology(c: Covering, sheaf: PosetSheaf, p: int) -> PresentedAbGroup:
-    return cech_cohomology_hq(c, sheaf, 0, p)
-
-
-def refinement_map(
-    fine: Covering,
-    coarse: Covering,
-    assignment: Dict[str, str],
-    sheaf: PosetSheaf,
-    p: int,
-    q: int = 0,
-) -> GroupHom:
-    """The induced map Ȟ^p(coarse, H^q(F)) -> Ȟ^p(fine, H^q(F)).
+def refinement_map(fine_cx: CechComplex, coarse_cx: CechComplex, assignment: Dict[str, str], p: int) -> GroupHom:
+    """The induced map Ȟ^p(coarse, H^q(F)) -> Ȟ^p(fine, H^q(F)) between
+    Čech complexes already built, with coefficients of one degree q of one
+    sheaf F, both up to degree p + 1 at least; the restrictions run from
+    coarse to fine opens.
 
     The assignment must witness the refinement: each fine member contained
     in its assigned coarse member.
     """
-    coeffs = _Coefficients(sheaf)
-    return _refinement_map(CechComplex(fine, coeffs, q, p + 1), CechComplex(coarse, coeffs, q, p + 1), assignment, p)
-
-
-def _refinement_map(fine_cx: CechComplex, coarse_cx: CechComplex, assignment: Dict[str, str], p: int) -> GroupHom:
-    """`refinement_map` between Čech complexes already built, up to degree
-    p + 1 at least; the restrictions run from coarse to fine opens."""
+    if fine_cx.coefficients.sheaf is not coarse_cx.coefficients.sheaf or fine_cx.q != coarse_cx.q:
+        raise InputError("refinement requires Čech complexes with coefficients of one degree of one sheaf")
+    if min(fine_cx.top, coarse_cx.top) <= p:
+        raise InputError(f"Ȟ^{p} needs both Čech complexes up to degree {p + 1}")
     fine, coarse = fine_cx.covering, coarse_cx.covering
-    if fine.base != coarse.base:
-        raise InputError("refinement requires coverings of the same space")
     for name in fine.order:
         big = assignment.get(name)
         if big is None or big not in coarse.members:
@@ -313,30 +278,18 @@ class ComparisonReport:
     torsion_ok: bool
     gap: bool  # Ȟ² not isomorphic to H²
 
-    def table(self) -> str:
-        rows = [
-            ("Cech H^0", str(self.cech_h0)),
-            ("Cech H^1", str(self.cech_h1)),
-            ("Cech H^2", str(self.cech_h2)),
-            ("Cech H^1(H^1 presheaf)", str(self.cech_h1_of_h1)),
-            ("sheaf H^0", str(self.sheaf_h0)),
-            ("sheaf H^1", str(self.sheaf_h1)),
-            ("sheaf H^2", str(self.sheaf_h2)),
-            ("H^0 agreement", "yes" if self.h0_agrees else "NO"),
-            ("rank bookkeeping", "consistent" if self.rank_bookkeeping_ok else "INCONSISTENT"),
-            ("torsion bookkeeping", "consistent" if self.torsion_ok else "INCONSISTENT"),
-            ("Cech vs sheaf gap in degree 2", "GAP" if self.gap else "none"),
-        ]
-        width = max(len(r[0]) for r in rows)
-        return "\n".join(f"{k:<{width}}  {v}" for k, v in rows)
 
-
-def covering_comparison_report(c: Covering, coefficients: _Coefficients) -> ComparisonReport:
-    """Compute both pipelines, Čech with H^0 and H^1 coefficients from the
-    one table, and report the low-degree corner of the comparison."""
+def covering_comparison_report(corner: CechComplex) -> ComparisonReport:
+    """Compute both pipelines on the covering of the corner complex, the
+    Čech complex with H^1 coefficients up to degree 2, and report the
+    low-degree corner of the comparison.  Ȟ^p with H^0 coefficients comes
+    from one more Čech complex on the corner's coefficient table."""
+    if not isinstance(corner, CechComplex) or (corner.q, corner.top) != (1, 2):
+        raise InputError("the comparison report reads the Čech complex with H^1 coefficients up to degree 2")
+    c, coefficients = corner.covering, corner.coefficients
     cech = CechComplex(c, coefficients, 0, 3)
     cech_h0, cech_h1, cech_h2 = (cech.homology(p).group for p in range(3))
-    cech_h1h1 = CechComplex(c, coefficients, 1, 2).homology(1).group
+    cech_h1h1 = corner.homology(1).group
     cochains = _cohom.cochain_complex(c.base, coefficients.sheaf)
     sheaf_h0, sheaf_h1, sheaf_h2 = (cochains.homology(q).group for q in range(3))
     combined = direct_sum([cech_h2, cech_h1h1])

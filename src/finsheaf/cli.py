@@ -17,7 +17,7 @@ from typing import Optional
 
 from . import jsonio
 from .abgroup import IntMatrix, PresentedAbGroup, smith_decompose
-from .cech import Covering, _Coefficients, cech_cohomology, cech_cohomology_hq, covering_comparison_report
+from .cech import Covering, _Coefficients, cech_cohomology_hq, covering_comparison_report
 from .cohom import cohomology
 from .errors import ContractViolation, InputError
 from .finspace import FinitePoset
@@ -29,6 +29,7 @@ from .wedge import (
     collect_stage_evidence,
     gap_sheaf,
     stage_covering,
+    stage_system,
     validate_five_conditions,
 )
 
@@ -118,7 +119,7 @@ def cmd_cech(args) -> int:
     cov = _resolve_covering(args, base)
     q = args.coeff_degree
     if q is None:
-        g = cech_cohomology(cov, sheaf, args.degree)
+        g = cech_cohomology_hq(cov, sheaf, 0, args.degree)
         label = f"Hcheck^{args.degree}"
     else:
         g = cech_cohomology_hq(cov, sheaf, q, args.degree)
@@ -155,12 +156,13 @@ def cmd_reproduce(args) -> int:
         return ok
 
     w = build_wedge(n)
-    coefficients = _Coefficients(gap_sheaf(w))
-    cov = canonical_covering(w)
+    # stage 1 is the canonical covering, so its complex is the report's corner
+    system = stage_system(w, _Coefficients(gap_sheaf(w)))
+    corner = system.complexes[1]
 
-    link("five conditions on the canonical covering", validate_five_conditions(w, cov).ok)
+    link("five conditions on the canonical covering", validate_five_conditions(w, corner.covering).ok)
 
-    rep = covering_comparison_report(cov, coefficients)
+    rep = covering_comparison_report(corner)
     link(
         "corner group Hcheck^1 of degree-one coefficients",
         rep.cech_h1_of_h1.canonical == (n, ()),
@@ -170,7 +172,7 @@ def cmd_reproduce(args) -> int:
     link("sheaf H^2", rep.sheaf_h2.canonical == (n, ()), f"got {rep.sheaf_h2}, want Z^{n}")
     link("gap detected with consistent bookkeeping", rep.gap and rep.rank_bookkeeping_ok and rep.torsion_ok)
 
-    evidence = collect_stage_evidence(w, coefficients)
+    evidence = collect_stage_evidence(system)
     tr_ok = all(t["surjective"] and t["kernel_rank"] == t["m2"] - t["m"] for t in evidence.transitions)
     link("stage transitions are surjective projections", tr_ok)
 

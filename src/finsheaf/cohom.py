@@ -133,17 +133,6 @@ def restriction_on_homology(source: CochainComplex, target: CochainComplex, q: i
     return induced_on_homology(face_chain_map(source, target, _same_chain, target.block), source, target, q)
 
 
-def restriction_induced(
-    base: FinitePoset, V: OpenSet, W: OpenSet, sheaf: PosetSheaf, q: int
-) -> GroupHom:
-    """The map H^q(V,F) -> H^q(W,F) induced by W ⊆ V, both open."""
-    if not W.members <= V.members:
-        raise InputError("W must be contained in V")
-    if V.parent != base or W.parent != base or sheaf.base != base:
-        raise InputError("open sets and sheaf must live on the given poset")
-    return restriction_on_homology(CochainComplex(sheaf, V.members), CochainComplex(sheaf, W.members), q)
-
-
 @dataclass
 class LESNode:
     degree: int

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from .abgroup import GroupHom, IntMatrix, PresentedAbGroup, kernel_basis, solve
-from .cech import CechComplex, Covering, _Coefficients, _refinement_map
+from .cech import CechComplex, Covering, _Coefficients, refinement_map
 from .cohom import CochainComplex
 from .errors import ContractViolation, InputError
 from .finspace import FinitePoset, OpenSet, RegularCWData, face_poset
@@ -297,7 +297,7 @@ class StageSystem:
         fine_cx, coarse_cx = self.complexes[m], self.complexes[m2]
         coarse = coarse_cx.covering.members
         assignment = {name: name if name in coarse else f"D{name[1:]}" for name in fine_cx.covering.order}
-        return _refinement_map(fine_cx, coarse_cx, assignment, 1)
+        return refinement_map(fine_cx, coarse_cx, assignment, 1)
 
 
 def stage_system(w: WedgeSpace, coefficients: _Coefficients) -> StageSystem:
@@ -338,35 +338,32 @@ class StageEvidence:
         }
 
 
-def collect_stage_evidence(w: WedgeSpace, coefficients: _Coefficients) -> StageEvidence:
-    """Run the stage pipeline on the given coefficient table of the gap
-    sheaf and record what the certificate may rely on.
-
-    Each stage's Čech complex is built once, on that table, and serves both
-    its readout and every refinement map it takes part in.
-    """
-    sys_ = stage_system(w, coefficients)
-    forms = {m: sys_.groups[m].canonical for m in range(1, w.n + 2)}
+def collect_stage_evidence(system: StageSystem) -> StageEvidence:
+    """Record what the certificate may rely on from a built stage system:
+    each stage's Čech complex serves both its readout and every refinement
+    map it takes part in."""
+    n = system.n
+    forms = {m: system.groups[m].canonical for m in range(1, n + 2)}
     transitions = []
-    pairs = [(m, m + 1) for m in range(1, w.n + 1)]
-    pairs += [(1, w.n + 1)] if w.n >= 1 else []
+    pairs = [(m, m + 1) for m in range(1, n + 1)]
+    pairs += [(1, n + 1)] if n >= 1 else []
     for m, m2 in pairs:
-        t = sys_.transition(m, m2)
+        t = system.transition(m, m2)
         krank = kernel_basis(t.matrix).cols
-        roundtrip = t.compose(sys_.inclusion(m, m2))
+        roundtrip = t.compose(system.inclusion(m, m2))
         transitions.append(
             {
                 "m": m,
                 "m2": m2,
                 "surjective": t.is_surjective(),
                 "kernel_rank": krank,
-                "retraction_of_inclusion": roundtrip.equals_as_hom(GroupHom.identity(sys_.groups[m2])),
+                "retraction_of_inclusion": roundtrip.equals_as_hom(GroupHom.identity(system.groups[m2])),
             }
         )
     # transitions compose
-    if w.n >= 2:
-        direct = sys_.transition(1, 3)
-        chained = sys_.transition(2, 3).compose(sys_.transition(1, 2))
+    if n >= 2:
+        direct = system.transition(1, 3)
+        chained = system.transition(2, 3).compose(system.transition(1, 2))
         if not direct.equals_as_hom(chained):
             raise ContractViolation("stage transitions do not compose")
-    return StageEvidence(w.n, forms, transitions)
+    return StageEvidence(n, forms, transitions)

@@ -37,11 +37,14 @@ tuple, and the kernel of a connecting map or stage transition.
 
 `reference_cech_complex` builds the alternating Čech complex by its own
 loops over a layout of (tuple, offset, group, intersection) per degree,
-independent of the shared face-complex builder.  `FreshCoefficients` gives
+independent of the shared face-complex builder and of the covering's own
+nerve listing: `subset_filter` tests every subset of members by the plain
+`intersection` fold, and `reference_nerve` lists every degree that way.  `FreshCoefficients` gives
 it groups and restrictions from cochain complexes each built afresh on its
 open set, and `reference_cech_cohomology` reads Ȟ^p(U; H^q F) from the two.
 """
 
+from functools import reduce
 from itertools import combinations
 
 from finsheaf.abgroup import (
@@ -400,17 +403,33 @@ def kernel_group(hom):
     return Subquotient(hom.source, None, hom.matrix, hom.target).presented
 
 
-def reference_cech_complex(c, coeffs, q, top=None):
+def intersection(c, names):
+    """The intersection of the named members of the covering c; the whole
+    space for no names."""
+    return reduce(frozenset.__and__, (c.members[n] for n in names), frozenset(c.base.elements))
+
+
+def subset_filter(c, p):
+    """The nerve in degree p by testing every (p+1)-subset."""
+    return [t for t in combinations(c.order, p + 1) if intersection(c, t)]
+
+
+def reference_nerve(c):
+    """Every simplex of the nerve, degree by degree, by `subset_filter`."""
+    return [t for p in range(len(c.order)) for t in subset_filter(c, p)]
+
+
+def reference_cech_complex(c, coeffs, q, top):
     """(layout, differentials) of the Čech complex with coefficients H^q,
     in degrees 0..top."""
     layout = []
     p = 0
-    while p < len(c.order) and (top is None or p <= top):
-        tups = c.tuples(p)
+    while p < len(c.order) and p <= top:
+        tups = subset_filter(c, p)
         entries = []
         off = 0
         for t in tups:
-            meet = c.intersection(t)
+            meet = intersection(c, t)
             g = coeffs.group(meet, q)
             entries.append((t, off, g, meet))
             off += g.generator_count

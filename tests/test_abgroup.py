@@ -33,7 +33,7 @@ from finsheaf.abgroup import (
     smith_decompose,
     solve,
 )
-from finsheaf.cech import cech_complex_hq
+from finsheaf.cech import CechComplex, _Coefficients
 from finsheaf.cohom import cochain_complex, cohomology
 from finsheaf.errors import ContractViolation, InputError
 from finsheaf.sheaf import constant_sheaf
@@ -513,7 +513,8 @@ def pivot_oracle_matrices():
         w = wedge.build_wedge(n)
         for sheaf in (wedge.gap_sheaf(w), wedge.skeleton_sheaf(w), constant_sheaf(w.poset, PresentedAbGroup.free(1))):
             yield from ((m, True) for m in cochain_complex(w.poset, sheaf).maps)
-        yield from ((m, True) for m in cech_complex_hq(wedge.canonical_covering(w), wedge.gap_sheaf(w), 1).maps)
+        c = wedge.canonical_covering(w)
+        yield from ((m, True) for m in CechComplex(c, _Coefficients(wedge.gap_sheaf(w)), 1, len(c.order)).maps)
 
 
 def test_incremental_pivot_matches_the_full_scan(monkeypatch):
@@ -556,7 +557,8 @@ def test_represents_zero_is_the_column_by_column_membership_test(g, r, c, data):
 def test_homology_is_computed_once_per_degree():
     w = wedge.build_wedge(3)
     F = wedge.gap_sheaf(w)
-    for cx in (cochain_complex(w.poset, F), cech_complex_hq(wedge.canonical_covering(w), F, 1)):
+    c = wedge.canonical_covering(w)
+    for cx in (cochain_complex(w.poset, F), CechComplex(c, _Coefficients(F), 1, len(c.order))):
         for k in range(len(cx.groups)):
             assert cx.homology(k) is cx.homology(k)
         assert cx.homology(1) is not cx.homology(0)

@@ -8,9 +8,9 @@ from oracles import det, kernel_group, primary_decomposition, simplicial_cohomol
 
 from finsheaf.abgroup import IntMatrix, PresentedAbGroup, smith_decompose
 from finsheaf.cech import (
+    CechComplex,
     Covering,
     _Coefficients,
-    cech_cohomology,
     cech_cohomology_hq,
     covering_comparison_report,
 )
@@ -56,9 +56,9 @@ def test_criterion_2_gap_with_consistent_bookkeeping():
         w = build_wedge(n)
         F = gap_sheaf(w)
         c = canonical_covering(w)
-        assert cech_cohomology(c, F, 2).is_trivial()
+        assert cech_cohomology_hq(c, F, 0, 2).is_trivial()
         assert cohomology(w.poset, F, 2).canonical == (n, ())
-        rep = covering_comparison_report(c, _Coefficients(F))
+        rep = covering_comparison_report(CechComplex(c, _Coefficients(F), 1, 2))
         assert rep.gap
         assert rep.rank_bookkeeping_ok and rep.torsion_ok
         assert rep.cech_h2.canonical[0] + rep.cech_h1_of_h1.canonical[0] == n
@@ -244,7 +244,7 @@ def test_criterion_7_sheaf_axiom_degree_zero():
         p = _random_poset(rng, max_elems=9)
         s = constant_sheaf(p, Z)
         c = _random_covering(rng, p)
-        assert cech_cohomology(c, s, 0).canonical == cohomology(p, s, 0).canonical
+        assert cech_cohomology_hq(c, s, 0, 0).canonical == cohomology(p, s, 0).canonical
 
 
 def test_criterion_8_five_condition_validator():
@@ -298,7 +298,7 @@ def test_criterion_9_stage_system_and_certificate():
     assert normalize(term) == Quotient(CountableProduct(), CountableSum())
     assert cardinality_class(term) == "uncountable"
 
-    cert = certify_theorem(collect_stage_evidence(w, coefficients).to_dict())
+    cert = certify_theorem(collect_stage_evidence(sys_).to_dict())
     assert cert.ok and cert.limit_cardinality == "uncountable" and not cert.caveats
 
     assert cli_main(["reproduce", "--disks", "4"]) == 0

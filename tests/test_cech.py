@@ -1,12 +1,18 @@
 import random
 import time
-from itertools import combinations
 
 import pytest
 from counting import counting_calls
 from hypothesis import find, given, settings
 from hypothesis import strategies as st
-from oracles import layout_rank, reference_cech_cohomology, reference_cech_complex
+from oracles import (
+    intersection,
+    layout_rank,
+    reference_cech_cohomology,
+    reference_cech_complex,
+    reference_nerve,
+    subset_filter,
+)
 from strategies import graphs, sheaves as random_sheaves
 from test_coefficients import assert_first_of_each_class_built
 from test_leray import leray_corpus
@@ -17,20 +23,23 @@ from finsheaf.cech import (
     CechComplex,
     Covering,
     _Coefficients,
-    cech_cohomology,
     cech_cohomology_hq,
-    cech_complex_hq,
     covering_comparison_report,
-    nerve,
     refinement_map,
 )
-from finsheaf.cohom import cohomology, restriction_induced
+from finsheaf.cohom import CochainComplex, cohomology, restriction_on_homology
 from finsheaf.errors import ContractViolation, InputError
-from finsheaf.finspace import FinitePoset, OpenSet, RegularCWData, face_poset
+from finsheaf.finspace import FinitePoset, RegularCWData, face_poset
 from finsheaf.sheaf import PosetSheaf, constant_sheaf
 from finsheaf.wedge import build_wedge, canonical_covering, gap_sheaf, stage_covering, stage_system
 
 Z = PresentedAbGroup.free(1)
+
+
+def full_complex(c, F, q):
+    """The Čech complex of c with coefficients H^q(-, F) in every degree,
+    on a fresh coefficient table."""
+    return CechComplex(c, _Coefficients(F), q, len(c.order))
 
 
 def random_poset(rng, max_elems=7):
@@ -72,7 +81,7 @@ def test_coboundary_squares_to_zero_all_coefficient_degrees():
     F = gap_sheaf(w)
     c = canonical_covering(w)
     for q in (0, 1):
-        cx = cech_complex_hq(c, F, q)
+        cx = full_complex(c, F, q)
         for k in range(len(cx.maps) - 1):
             prod = cx.maps[k + 1] @ cx.maps[k]
             assert all(all(e == 0 for e in row) for row in prod.data)
@@ -82,9 +91,9 @@ def test_canonical_covering_cech_values():
     w = build_wedge(3)
     F = gap_sheaf(w)
     c = canonical_covering(w)
-    assert cech_cohomology(c, F, 0).is_trivial()
-    assert cech_cohomology(c, F, 1).is_trivial()
-    assert cech_cohomology(c, F, 2).is_trivial()
+    assert cech_cohomology_hq(c, F, 0, 0).is_trivial()
+    assert cech_cohomology_hq(c, F, 0, 1).is_trivial()
+    assert cech_cohomology_hq(c, F, 0, 2).is_trivial()
     assert cech_cohomology_hq(c, F, 1, 0).is_trivial()
     assert cech_cohomology_hq(c, F, 1, 1).canonical == (3, ())
 
@@ -92,7 +101,7 @@ def test_canonical_covering_cech_values():
 def test_nerve_of_canonical_covering_is_a_star():
     w = build_wedge(3)
     c = canonical_covering(w)
-    tuples = nerve(c)
+    tuples = [t for level in c.simplices(len(c.order) - 1) for t, _ in level]
     pairs = [t for t in tuples if len(t) == 2]
     assert sorted(pairs) == [("U0", f"U{k}") for k in range(1, 4)]
     assert not [t for t in tuples if len(t) >= 3]
@@ -115,7 +124,7 @@ def test_sheaf_axiom_h0_on_random_coverings():
         p = random_poset(rng)
         s = constant_sheaf(p, Z)
         c = random_covering(rng, p)
-        assert cech_cohomology(c, s, 0).canonical == cohomology(p, s, 0).canonical
+        assert cech_cohomology_hq(c, s, 0, 0).canonical == cohomology(p, s, 0).canonical
 
 
 @st.composite
@@ -199,7 +208,7 @@ def test_cech_h1_rank_bounded_by_sheaf_h1():
         p = random_poset(rng)
         s = constant_sheaf(p, Z)
         c = random_covering(rng, p)
-        cech1 = cech_cohomology(c, s, 1)
+        cech1 = cech_cohomology_hq(c, s, 0, 1)
         sheaf1 = cohomology(p, s, 1)
         assert cech1.canonical[0] <= sheaf1.canonical[0]
 
@@ -208,7 +217,8 @@ def test_refinement_identity_and_tower():
     w = build_wedge(2)
     F = gap_sheaf(w)
     c = canonical_covering(w)
-    ident = refinement_map(c, c, {n: n for n in c.order}, F, 1, 1)
+    cx = CechComplex(c, _Coefficients(F), 1, 2)
+    ident = refinement_map(cx, cx, {n: n for n in c.order}, 1)
     assert ident.equals_as_hom(GroupHom.identity(ident.source))
 
 
@@ -216,56 +226,89 @@ def test_refinement_requires_containment():
     w = build_wedge(1)
     F = gap_sheaf(w)
     c = canonical_covering(w)
+    cx = CechComplex(c, _Coefficients(F), 1, 2)
     with pytest.raises(InputError):
-        refinement_map(c, c, {"U0": "U1", "U1": "U0"}, F, 1, 1)
+        refinement_map(cx, cx, {"U0": "U1", "U1": "U0"}, 1)
+
+
+def test_refinement_refuses_complexes_it_cannot_compare():
+    """Built complexes come from the caller, so a refinement map refuses
+    complexes of two different sheaves, of two coefficient degrees, or
+    cut below the degree above the one it maps."""
+    w = build_wedge(2)
+    c = canonical_covering(w)
+    table = _Coefficients(gap_sheaf(w))
+    identity = {n: n for n in c.order}
+    cx = CechComplex(c, table, 1, 2)
+    other = CechComplex(c, _Coefficients(gap_sheaf(w)), 1, 2)
+    with pytest.raises(InputError, match="one degree of one sheaf"):
+        refinement_map(cx, other, identity, 1)
+    with pytest.raises(InputError, match="one degree of one sheaf"):
+        refinement_map(CechComplex(c, table, 0, 2), cx, identity, 1)
+    for fine, coarse in ((cx, CechComplex(c, table, 1, 1)), (CechComplex(c, table, 1, 1), cx)):
+        with pytest.raises(InputError, match="up to degree 2"):
+            refinement_map(fine, coarse, identity, 1)
+    assert refinement_map(cx, CechComplex(c, _Coefficients(table.sheaf), 1, 3), identity, 1).matrix == IntMatrix.identity(2)
 
 
 def test_comparison_report_flags_the_gap():
     w = build_wedge(2)
     F = gap_sheaf(w)
-    rep = covering_comparison_report(canonical_covering(w), _Coefficients(F))
+    rep = covering_comparison_report(CechComplex(canonical_covering(w), _Coefficients(F), 1, 2))
     assert rep.gap
     assert rep.h0_agrees
     assert rep.rank_bookkeeping_ok and rep.torsion_ok
     assert rep.cech_h2.is_trivial() and rep.sheaf_h2.canonical == (2, ())
-    assert isinstance(rep.table(), str) and "gap" in rep.table().lower()
 
 
 def test_comparison_report_no_gap_for_constant_sheaf():
     w = build_wedge(2)
     s = constant_sheaf(w.poset, Z)
-    rep = covering_comparison_report(canonical_covering(w), _Coefficients(s))
+    rep = covering_comparison_report(CechComplex(canonical_covering(w), _Coefficients(s), 1, 2))
     assert not rep.gap
+
+
+def test_comparison_report_reads_only_the_corner_complex():
+    """The report reads Ȟ¹ with H¹ coefficients from the complex it is
+    given, so any other complex is refused."""
+    w = build_wedge(2)
+    c, table = canonical_covering(w), _Coefficients(gap_sheaf(w))
+    for q, top in ((0, 2), (1, 1), (1, 3)):
+        with pytest.raises(InputError, match="H\\^1 coefficients up to degree 2"):
+            covering_comparison_report(CechComplex(c, table, q, top))
+    with pytest.raises(InputError):
+        covering_comparison_report(CochainComplex(table.sheaf, frozenset(w.poset.elements)))
 
 
 def face_pairs(c):
     """(face intersection, simplex intersection) for every nerve simplex and
     each of its codimension-one faces: the restrictions a Čech differential uses."""
-    for t in nerve(c):
+    for t in reference_nerve(c):
         if len(t) > 1:
             for i in range(len(t)):
-                yield c.intersection(t[:i] + t[i + 1:]), c.intersection(t)
+                yield intersection(c, t[:i] + t[i + 1:]), intersection(c, t)
 
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_cached_restrictions_match_uncached(n):
-    """The coefficient cache against fresh restriction_induced calls, and the
-    Čech complex built again on a warm cache against the cold build."""
+    """The coefficient cache against restrictions between fresh cochain
+    complexes, and the Čech complex built again on a warm cache against the
+    cold build."""
     w = build_wedge(n)
     F = gap_sheaf(w)
     coverings = [canonical_covering(w)] + [stage_covering(w, m) for m in range(2, n + 2)]
     for c in coverings:
         for q in (0, 1, 2):
-            cold = cech_complex_hq(c, F, q)
+            cold = full_complex(c, F, q)
             coeffs = cold.coefficients
             for big, small in face_pairs(c):
                 cached = coeffs.restriction(big, small, q)
-                fresh = restriction_induced(w.poset, OpenSet(w.poset, big), OpenSet(w.poset, small), F, q)
+                fresh = restriction_on_homology(CochainComplex(F, big), CochainComplex(F, small), q)
                 assert cached.source.canonical == fresh.source.canonical
                 assert cached.target.canonical == fresh.target.canonical
                 assert cached.equals_as_hom(fresh)
                 assert cached.matrix == fresh.matrix
-            warm = CechComplex(c, coeffs, q)
+            warm = CechComplex(c, coeffs, q, len(c.order))
             assert warm.maps == cold.maps
             assert warm.groups == cold.groups
 
@@ -304,7 +347,7 @@ def test_one_table_for_every_degree_matches_a_fresh_table_per_complex():
     rng = random.Random(83)
     for coverings, F, refinements in shared_table_cases():
         table = _Coefficients(F)
-        keys = [(c, q, top) for c in coverings for q in (0, 1) for top in (None, 2)]
+        keys = [(c, q, top) for c in coverings for q in (0, 1) for top in (len(c.order), 2)]
         rng.shuffle(keys)
         shared = {}
         for c, q, top in keys:
@@ -315,9 +358,9 @@ def test_one_table_for_every_degree_matches_a_fresh_table_per_complex():
         for fine, coarse, assignment in refinements:
             for q in (0, 1):
                 for p in (0, 1):
-                    got = cech._refinement_map(shared[fine, q, 2], shared[coarse, q, 2], assignment, p)
+                    got = refinement_map(shared[fine, q, 2], shared[coarse, q, 2], assignment, p)
                     fine_cx, coarse_cx = (CechComplex(c, _Coefficients(F), q, 2) for c in (fine, coarse))
-                    want = cech._refinement_map(fine_cx, coarse_cx, assignment, p)
+                    want = refinement_map(fine_cx, coarse_cx, assignment, p)
                     assert (got.source, got.target, got.matrix) == (want.source, want.target, want.matrix)
 
 
@@ -334,8 +377,8 @@ def test_stage_complex_builds_each_open_set_once(monkeypatch):
     built = counting_calls(monkeypatch, cohom.CochainComplex, "__init__")
     for c in coverings:
         for q in (0, 1):
-            CechComplex(c, coefficients, q)
-    assert set(coefficients._complexes) == {c.intersection(t) for c in coverings for t in nerve(c)}
+            CechComplex(c, coefficients, q, len(c.order))
+    assert set(coefficients._complexes) == {intersection(c, t) for c in coverings for t in reference_nerve(c)}
     assert coefficients.sheaf is F
     assert_first_of_each_class_built(coefficients, built)
     assert len(built) < len(coefficients._complexes)
@@ -347,11 +390,9 @@ def test_cech_complex_refuses_a_sheaf_on_another_poset():
     c = canonical_covering(build_wedge(2))
     F = gap_sheaf(build_wedge(3))
     with pytest.raises(InputError, match="same poset"):
-        cech_complex_hq(c, F, 1)
+        full_complex(c, F, 1)
     with pytest.raises(InputError, match="same poset"):
         cech_cohomology_hq(c, F, 0, 1)
-    with pytest.raises(InputError, match="same poset"):
-        covering_comparison_report(c, _Coefficients(F))
 
 
 def test_truncated_complex_has_no_homology_at_its_top():
@@ -359,8 +400,8 @@ def test_truncated_complex_has_no_homology_at_its_top():
     would give a wrong group, so the complex refuses."""
     w = build_wedge(3)
     c = stage_covering(w, 3)
-    full = cech_complex_hq(c, gap_sheaf(w), 1)
-    assert full.top is None and len(full.groups) > 3
+    full = full_complex(c, gap_sheaf(w), 1)
+    assert full.top == len(c.order) and len(full.groups) > 3
     cut = CechComplex(c, full.coefficients, 1, 2)
     assert cut.top == 2 and len(cut.groups) == 3
     assert cut.homology(1).group.canonical == full.homology(1).group.canonical
@@ -376,17 +417,12 @@ def test_truncated_cech_cohomology_matches_full_complex(n):
     coverings = [canonical_covering(w)] + [stage_covering(w, m) for m in range(2, n + 2)]
     for c in coverings:
         for q in (0, 1, 2):
-            full = cech_complex_hq(c, F, q)
+            full = full_complex(c, F, q)
             for p in (0, 1, 2):
                 want = full.homology(p).group
                 got = cech_cohomology_hq(c, F, q, p)
                 assert got.canonical == want.canonical
                 assert got.generator_count == want.generator_count
-
-
-def subset_filter(c, p):
-    """The nerve in degree p by testing every (p+1)-subset."""
-    return [t for t in combinations(c.order, p + 1) if c.intersection(t)]
 
 
 def nerve_test_coverings():
@@ -402,15 +438,21 @@ def nerve_test_coverings():
     return coverings
 
 
+def listed_tuples(c):
+    """Per degree, the tuples `Covering.simplices` lists, up to the full nerve."""
+    return [[t for t, _ in level] for level in c.simplices(len(c.order))]
+
+
 def test_nerve_tuples_match_the_subset_filter():
     for c in nerve_test_coverings():
+        levels = listed_tuples(c)
         for p in range(len(c.order) + 1):
-            assert c.tuples(p) == subset_filter(c, p)
+            assert (levels[p] if p < len(levels) else []) == subset_filter(c, p)
 
 
 def reference_tuples(c, p):
-    """The nerve in degree p as `Covering.tuples` listed it before the
-    one-pass `Covering.simplices`: its own extension from the empty tuple,
+    """The nerve in degree p as the covering listed it before the one-pass
+    `Covering.simplices`: its own extension from the empty tuple,
     one member longer per pass, by members that leave room for the rest."""
     order = c.order
     level = [((), frozenset(c.base.elements), 0)]
@@ -436,7 +478,7 @@ def test_one_pass_nerve_matches_the_per_degree_reference(n):
         meets = {}
         for level in levels:
             for t, meet in level:
-                assert meet == c.intersection(t)
+                assert meet == intersection(c, t)
                 assert meets.setdefault(meet, meet) is meet, "equal intersections are one object"
         for top in range(len(levels)):
             assert c.simplices(top) == levels[: top + 1]
@@ -444,10 +486,10 @@ def test_one_pass_nerve_matches_the_per_degree_reference(n):
 
 def test_simplex_count_is_the_size_of_the_listed_nerve():
     for c in nerve_test_coverings():
-        sizes = [len(c.tuples(p)) for p in range(len(c.order))]
+        sizes = [len(subset_filter(c, p)) for p in range(len(c.order))]
         for top in range(len(c.order)):
             assert c.simplex_count(top) == sum(sizes[: top + 1])
-        assert c.simplex_count(len(c.order) - 1) == len(nerve(c))
+        assert c.simplex_count(len(c.order) - 1) == sum(map(len, listed_tuples(c)))
 
 
 def test_a_nerve_over_the_budget_is_refused_before_any_tuple_is_listed(monkeypatch):
@@ -469,7 +511,7 @@ def test_a_nerve_over_the_budget_is_refused_before_any_tuple_is_listed(monkeypat
 
 def test_coefficients_build_one_complex_and_no_poset_per_open_set(monkeypatch):
     """The coefficient complex of each intersection lies on the chains of
-    the base inside it: `cech_complex_hq` builds at most one cochain
+    the base inside it: a full Čech complex builds at most one cochain
     complex per open set, only for the first of each class of alike ones,
     reads every other as a view, and builds no poset and no sheaf at all.
     The canonical covering of X_4 has 9 intersections in 3 classes: U0, the
@@ -477,11 +519,11 @@ def test_coefficients_build_one_complex_and_no_poset_per_open_set(monkeypatch):
     w = build_wedge(4)
     F = gap_sheaf(w)
     c = canonical_covering(w)
-    opens = {c.intersection(t) for t in nerve(c)}
+    opens = {intersection(c, t) for t in reference_nerve(c)}
     posets = counting_calls(monkeypatch, finspace.FinitePoset, "__init__")
     sheaves = counting_calls(monkeypatch, PosetSheaf, "__init__")
     complexes = counting_calls(monkeypatch, cohom.CochainComplex, "__init__")
-    cx = cech_complex_hq(c, F, 1)
+    cx = full_complex(c, F, 1)
     assert posets == [] and sheaves == []
     assert set(cx.coefficients._complexes) == opens
     assert_first_of_each_class_built(cx.coefficients, complexes)
@@ -530,7 +572,7 @@ def test_cech_complexes_match_the_reference_loop(n):
     for c in [canonical_covering(w)] + [stage_covering(w, m) for m in range(2, n + 2)]:
         for q in (0, 1):
             coeffs = _Coefficients(F)
-            for top in (None, 2):
+            for top in (len(c.order), 2):
                 layout, maps = reference_cech_complex(c, coeffs, q, top)
                 cx = CechComplex(c, coeffs, q, top)
                 assert cx.maps == maps
@@ -574,14 +616,17 @@ def test_refinement_chain_maps_match_the_reference_loop(monkeypatch, n):
         for q in (0, 1):
             for p in (0, 1):
                 for fine, coarse in ((c, shuffled), (shuffled, c)):
-                    refinement_map(fine, coarse, {name: name for name in order}, F, p, q)
+                    table = _Coefficients(F)
+                    fine_cx, coarse_cx = (CechComplex(x, table, q, 2) for x in (fine, coarse))
+                    refinement_map(fine_cx, coarse_cx, {name: name for name in order}, p)
                     assignments.append({name: name for name in order})
     fine = stage_covering(w, 3)
     both = Covering(w.poset, {"A": w.poset.elements, "B": w.poset.elements}, ["A", "B"])
     onto_b = {name: "A" if name == "U0" else "B" for name in fine.order}
     for q in (0, 1):
         for p in (0, 1):
-            refinement_map(fine, both, onto_b, F, p, q)
+            table = _Coefficients(F)
+            refinement_map(CechComplex(fine, table, q, 2), CechComplex(both, table, q, 2), onto_b, p)
             assignments.append(onto_b)
     assert len(seen) == len(assignments)
     for (f, coarse_cx, fine_cx), assignment in zip(seen, assignments):

@@ -18,14 +18,13 @@ from finsheaf.cohom import (
     cohomology,
     les_of_short_exact,
     component_identity_check,
-    restriction_induced,
     restriction_on_homology,
     stalkwise_chain_map,
 )
 from finsheaf.errors import InputError
 from finsheaf.finspace import FinitePoset, OpenSet
 from finsheaf.sheaf import PosetSheaf, SheafMorphism, constant_sheaf, extension_by_zero, zero_sheaf
-from finsheaf.wedge import build_wedge, canonical_covering, collect_stage_evidence, gap_sheaf, structure_sequence
+from finsheaf.wedge import build_wedge, canonical_covering, collect_stage_evidence, gap_sheaf, stage_system, structure_sequence
 
 Z = PresentedAbGroup.free(1)
 
@@ -69,11 +68,15 @@ def test_restriction_contravariance():
     mid = p.min_open("x")
     small = p.min_open("a1")
     q = 1
-    f1 = restriction_induced(p, full, mid, F, q)
-    f2 = restriction_induced(p, mid, small, F, q)
-    direct = restriction_induced(p, full, small, F, q)
+
+    def restriction(V, W):
+        return restriction_on_homology(CochainComplex(F, V.members), CochainComplex(F, W.members), q)
+
+    f1 = restriction(full, mid)
+    f2 = restriction(mid, small)
+    direct = restriction(full, small)
     assert f2.compose(f1).equals_as_hom(direct)
-    ident = restriction_induced(p, full, full, F, q)
+    ident = restriction(full, full)
     assert ident.equals_as_hom(GroupHom.identity(ident.source))
 
 
@@ -369,7 +372,7 @@ def test_cochain_complexes_and_restrictions_match_the_reference_loops(monkeypatc
                 f = want[q] if q < len(want) else IntMatrix.zero(tgt.degree_rank(q), cx.degree_rank(q))
                 assert got.matrix == reference_induced_map(src_h, tgt_h, f)
         W = base.min_open(base.elements[0])
-        restriction_induced(base, OpenSet(base, base.elements), W, sheaf, 1)
+        restriction_on_homology(CochainComplex(sheaf, frozenset(base.elements)), CochainComplex(sheaf, W.members), 1)
         sub = reference_restricted_sheaf(sheaf, W.members)
         want = reference_stalkwise_chain_map(layout, reference_cochain_complex(sub.base, sub)[0], identities(sub))
         assert chain_maps.pop() == want
@@ -469,7 +472,7 @@ def test_a_kept_complex_serves_restrictions_after_its_sheaf_is_gone():
     w = build_wedge(3)
     F = gap_sheaf(w)
     big, small = frozenset(w.poset.elements), frozenset(w.poset.min_open("a1").members)
-    want = [restriction_induced(w.poset, OpenSet(w.poset, big), OpenSet(w.poset, small), F, q) for q in range(3)]
+    want = [restriction_on_homology(CochainComplex(F, big), CochainComplex(F, small), q) for q in range(3)]
     sheaves = [reference_restricted_sheaf(F, members) for members in (big, small)]
     gone = [weakref.ref(s) for s in sheaves]
     source, target = (cochain_complex(s.base, s) for s in sheaves)
@@ -522,7 +525,7 @@ def test_sheaf_complex_and_coefficients_leave_no_reference_cycle():
         assert kept() is None
         assert gc.collect() == 0
         w = build_wedge(6)
-        evidence = collect_stage_evidence(w, cech._Coefficients(gap_sheaf(w)))
+        evidence = collect_stage_evidence(stage_system(w, cech._Coefficients(gap_sheaf(w))))
         del evidence
         assert gc.collect() == 0
     finally:

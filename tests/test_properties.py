@@ -3,8 +3,8 @@ characteristic of sheaves with free and torsion stalks, constant Z/2 and
 Z/3 cohomology against the simplicial oracle under universal coefficients,
 the complex on the chains inside a subset against the complex of the
 restricted sheaf, the components of a subset against those of its
-subposet, and the core of a subset against brute force and the
-simplicial oracle.  The homology tests read cochain groups that have
+subposet, the core of a subset against brute force and the simplicial
+oracle, and the long exact sequence of 0 -> j_!A -> A -> i_*A -> 0.  The homology tests read cochain groups that have
 relations, and torsion in the group after them."""
 
 from hypothesis import given, settings
@@ -17,12 +17,13 @@ from oracles import (
     simplicial_cohomology,
     universal_coefficients,
 )
-from strategies import posets, sheaves
+from strategies import groups, posets, sheaves
 
 from finsheaf import wedge
-from finsheaf.abgroup import PresentedAbGroup
-from finsheaf.cohom import CochainComplex, cochain_complex, cohomology
-from finsheaf.sheaf import constant_sheaf
+from finsheaf.abgroup import IntMatrix, PresentedAbGroup
+from finsheaf.cohom import CochainComplex, cochain_complex, cohomology, les_of_short_exact
+from finsheaf.finspace import OpenSet
+from finsheaf.sheaf import SheafMorphism, closed_pushforward, constant_sheaf, extension_by_zero
 
 
 @settings(max_examples=80, deadline=None)
@@ -120,3 +121,33 @@ def test_core_is_a_beat_point_free_retract_with_the_same_cohomology(base, data):
 
     assert integral(core) == integral(members)
     assert wedge._acyclic_connected(base, [members]) == [reference_acyclic_connected(base, members)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(posets(), groups, st.data())
+def test_long_exact_sequence_of_an_open_set_and_its_closed_complement(base, group, data):
+    """0 -> j_!A -> A -> i_*A -> 0 for a random open U, its closed
+    complement Z and a group A, free or with torsion: the components are
+    those of `wedge.structure_sequence`, identities of A where the stalks
+    are A and zero where they are 0 (U_p ∩ Z has p as least element, so it
+    is empty or connected).  The long exact sequence on the whole space is
+    exact, each node is the cohomology of its sheaf, and the ranks of the
+    nodes sum to zero with alternating signs."""
+    seeds = data.draw(st.lists(st.sampled_from(base.elements), unique=True))
+    opens = OpenSet(base, frozenset().union(*(base.up_set(e) for e in seeds)))
+    sheaves = [
+        extension_by_zero(base, opens, group),
+        constant_sheaf(base, group),
+        closed_pushforward(base, set(base.elements) - opens.members, group),
+    ]
+
+    def identities(source, target):
+        """The identity of A where both stalks are A, zero where either is 0."""
+        sizes = {e: (target.stalks[e].generator_count, source.stalks[e].generator_count) for e in base.elements}
+        return {e: IntMatrix.identity(r) if r == c else IntMatrix.zero(r, c) for e, (r, c) in sizes.items()}
+
+    ses = [SheafMorphism(a, b, identities(a, b)) for a, b in zip(sheaves, sheaves[1:])]
+    les = les_of_short_exact(base, ses, OpenSet(base, base.elements))
+    assert les.exact
+    assert [n.group.canonical for n in les.nodes] == [cohomology(base, sheaves[n.position], n.degree).canonical for n in les.nodes]
+    assert sum((-1) ** i * n.group.rank for i, n in enumerate(les.nodes)) == 0

@@ -18,12 +18,12 @@ from finsheaf.symcolim import (
     normalize,
 )
 from finsheaf.cech import _Coefficients
-from finsheaf.wedge import build_wedge, collect_stage_evidence, gap_sheaf
+from finsheaf.wedge import build_wedge, collect_stage_evidence, gap_sheaf, stage_system
 
 
 def stage_evidence(n):
     w = build_wedge(n)
-    return collect_stage_evidence(w, _Coefficients(gap_sheaf(w))).to_dict()
+    return collect_stage_evidence(stage_system(w, _Coefficients(gap_sheaf(w)))).to_dict()
 
 
 def test_rewrite_product_projection_system():

@@ -1,6 +1,6 @@
 import pytest
 from counting import counting_calls
-from oracles import kernel_group, reference_acyclic_connected, reference_induced_map
+from oracles import intersection, kernel_group, reference_acyclic_connected, reference_induced_map, subset_filter
 from test_coefficients import assert_first_of_each_class_built
 
 from finsheaf import abgroup, cohom, wedge
@@ -171,7 +171,7 @@ def test_transition_retracts_refinement_inclusion():
 
 def test_collect_stage_evidence():
     w = build_wedge(2)
-    ev = collect_stage_evidence(w, gap_table(w))
+    ev = collect_stage_evidence(stage_system(w, gap_table(w)))
     assert ev.n == 2
     assert ev.stage_forms[1] == (2, ())
     assert ev.stage_forms[3] == (0, ())
@@ -194,8 +194,6 @@ def test_stage_system_refuses_a_table_of_another_sheaf(monkeypatch):
     for table in tables:
         with pytest.raises(InputError, match="coefficient table"):
             stage_system(w, table)
-        with pytest.raises(InputError, match="coefficient table"):
-            collect_stage_evidence(w, table)
     assert built == []
 
 
@@ -208,9 +206,9 @@ def test_stage_evidence_builds_each_open_set_once(monkeypatch):
     w = build_wedge(4)
     table = gap_table(w)
     built = counting_calls(monkeypatch, cohom.CochainComplex, "__init__")
-    collect_stage_evidence(w, table)
+    collect_stage_evidence(stage_system(w, table))
     stages = [stage_covering(w, m) for m in range(1, w.n + 2)]
-    assert set(table._complexes) == {c.intersection(t) for c in stages for p in range(3) for t in c.tuples(p)}
+    assert set(table._complexes) == {intersection(c, t) for c in stages for p in range(3) for t in subset_filter(c, p)}
     assert_first_of_each_class_built(table, built)
     assert len(built) < len(table._complexes)
 
@@ -234,7 +232,7 @@ def test_condition_i_and_stage_evidence_build_no_subposet(monkeypatch):
     assert (len(posets), len(sheaves)) == (0, 1)
     assert validate_five_conditions(w, c).ok
     assert (len(posets), len(sheaves)) == (0, 1)
-    collect_stage_evidence(w, gap_table(w))
+    collect_stage_evidence(stage_system(w, gap_table(w)))
     assert (len(posets), len(sheaves)) == (0, 2)
 
 
@@ -291,50 +289,55 @@ def test_stage_coverings_keep_their_condition_reports(monkeypatch, n):
 
 def test_stage_evidence_intersects_each_nerve_tuple_at_most_once(monkeypatch):
     """Faces and refinement maps read each tuple's intersection from the
-    Čech layout, where the nerve enumeration put it."""
-    enumerated, intersections = [], []
-    simplices, intersection = Covering.simplices, Covering.intersection
+    Čech layout, where the nerve enumeration put it: the stage run meets
+    members only inside `Covering.simplices` and `simplex_count`."""
+    enumerated, outside, listing = [], [], []
+    simplices, simplex_count, meet = Covering.simplices, Covering.simplex_count, Covering._meet
 
     def counting_simplices(self, top):
+        listing.append(True)
         out = simplices(self, top)
+        listing.pop()
         enumerated.extend(t for level in out for t, _ in level)
         return out
 
-    def counting_intersection(self, names):
-        intersections.append(tuple(names))
-        return intersection(self, names)
+    def counting_count(self, top):
+        listing.append(True)
+        out = simplex_count(self, top)
+        listing.pop()
+        return out
+
+    def counting_meet(self, common, i):
+        if not listing:
+            outside.append(i)
+        return meet(self, common, i)
 
     monkeypatch.setattr(Covering, "simplices", counting_simplices)
-    monkeypatch.setattr(Covering, "intersection", counting_intersection)
+    monkeypatch.setattr(Covering, "simplex_count", counting_count)
+    monkeypatch.setattr(Covering, "_meet", counting_meet)
     w = build_wedge(4)
-    collect_stage_evidence(w, gap_table(w))
+    collect_stage_evidence(stage_system(w, gap_table(w)))
     assert enumerated
-    assert len(intersections) <= len(enumerated)
+    assert outside == []
 
 
 def test_stage_refinements_reuse_the_readout_homologies(monkeypatch):
     """Once every stage is read out, the refinement maps of the stage
     evidence take Ȟ¹ of each stage complex from its cache: no homology is
     built on a Čech group afterwards."""
-    read, ambients = [], []
-    system, init = wedge.stage_system, abgroup.Subquotient.__init__
-
-    def reading(w, coefficients):
-        out = system(w, coefficients)
-        read.append(out)
-        return out
+    ambients = []
+    init = abgroup.Subquotient.__init__
 
     def recording(self, ambient, *rest):
-        if read:
-            ambients.append(ambient)
+        ambients.append(ambient)
         init(self, ambient, *rest)
 
-    monkeypatch.setattr(wedge, "stage_system", reading)
-    monkeypatch.setattr(abgroup.Subquotient, "__init__", recording)
     w = build_wedge(4)
-    evidence = collect_stage_evidence(w, gap_table(w))
-    assert len(read) == 1 and len(evidence.transitions) == 5
-    cech_groups = {id(g) for cx in read[0].complexes.values() for g in cx.groups}
+    system = stage_system(w, gap_table(w))
+    monkeypatch.setattr(abgroup.Subquotient, "__init__", recording)
+    evidence = collect_stage_evidence(system)
+    assert len(evidence.transitions) == 5
+    cech_groups = {id(g) for cx in system.complexes.values() for g in cx.groups}
     assert not [a for a in ambients if id(a) in cech_groups]
 
 
